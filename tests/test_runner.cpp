@@ -150,6 +150,68 @@ TEST_F(RunnerTest, ServiceSweepIsWorkerCountInvariant) {
 }
 
 // ---------------------------------------------------------------------------
+// Recorded outputs: each CI grid's sweep fingerprint plus FNV-1a digests of
+// the report JSON and the verbose console text, as recorded before the
+// sweep engine and the harnesses were refactored. A refactor must keep
+// every byte; a deliberate behaviour change re-records them.
+// ---------------------------------------------------------------------------
+
+std::uint64_t digest(const std::string& s) {
+  std::uint64_t h = chaos::kFnvOffsetBasis;
+  chaos::fnv_fold_str(h, s);
+  return h;
+}
+
+struct Recorded {
+  std::uint64_t sweep_fingerprint;
+  std::uint64_t json_digest;
+  std::uint64_t text_digest;
+};
+
+void expect_recorded(const SweepOutcome& out, const Recorded& want,
+                     const char* what) {
+  EXPECT_EQ(out.sweep_fingerprint, want.sweep_fingerprint) << what;
+  EXPECT_EQ(digest(out.report.to_json()), want.json_digest) << what;
+  EXPECT_EQ(digest(out.text), want.text_digest) << what;
+}
+
+TEST_F(RunnerTest, CiGridsMatchRecordedOutputs) {
+  SweepOptions opt;
+  opt.workers = 4;
+  opt.verbose = true;
+
+  ChaosSweepConfig chaos_cfg;
+  chaos_cfg.seed_lo = 1;
+  chaos_cfg.seed_hi = 3;
+  chaos_cfg.out_dir.clear();
+  expect_recorded(run_chaos_sweep(chaos_cfg, opt),
+                  {0x52e9f1e15faca12bull, 0x02827ed5256919a9ull,
+                   0x6f5ac967395ebb2dull}, "chaos short 1-3");
+  chaos_cfg.misbehavior = true;
+  expect_recorded(run_chaos_sweep(chaos_cfg, opt),
+                  {0xe96783d44e573d3bull, 0x826617f5a0c8e07eull,
+                   0xc0ae88438f3e57d4ull}, "misbehavior short 1-3");
+
+  ChaosSweepConfig ha_cfg;
+  ha_cfg.seed_lo = 1;
+  ha_cfg.seed_hi = 5;
+  ha_cfg.out_dir.clear();
+  expect_recorded(run_ha_sweep(ha_cfg, opt),
+                  {0x3e34109fec5786c6ull, 0x5b560c4d62535ddcull,
+                   0xb6f30963a8304a18ull}, "ha short 1-5");
+
+  ServiceSweepConfig service_cfg;
+  expect_recorded(run_service_sweep(service_cfg, opt),
+                  {0xdf7c6a9f4b102470ull, 0xaef3a92bc8145f0bull,
+                   0x0a8d14f4ef1a123bull}, "service 1-20");
+  service_cfg.seed_hi = 5;
+  service_cfg.faults = false;
+  expect_recorded(run_service_sweep(service_cfg, opt),
+                  {0xc2e348e2fa49eb31ull, 0x75b2aeeb576da4e1ull,
+                   0x35b26de06aa2e850ull}, "service 1-5 no faults");
+}
+
+// ---------------------------------------------------------------------------
 // Wall-clock surfacing
 // ---------------------------------------------------------------------------
 
