@@ -8,7 +8,6 @@
 #include "openflow/epoch.h"
 #include "scheduler/reconciler.h"
 #include "scheduler/schedulers.h"
-#include "switchsim/profiles.h"
 
 namespace tango::chaos {
 
@@ -31,8 +30,6 @@ ControllerFaultKind scenario_of(std::uint64_t seed) {
 
 namespace {
 
-namespace profiles = switchsim::profiles;
-
 bool same_rule_sans_epoch(const sched::RuleImage& a,
                           const sched::RuleImage& b) {
   return a.priority == b.priority && a.actions == b.actions &&
@@ -45,8 +42,7 @@ bool cookie_of_txn(std::uint64_t cookie, std::uint32_t txn_id) {
   return txn == (txn_id & of::kCookieTxnMask);
 }
 
-std::uint64_t fingerprint_of(const HaChaosResult& r,
-                             const std::map<SwitchId, sched::TableImage>& tables,
+std::uint64_t fingerprint_of(const HaChaosResult& r, const Tables& tables,
                              const std::map<SwitchId, std::uint32_t>& epochs) {
   std::uint64_t h = kFnvOffsetBasis;
   fnv_fold(h, r.spec.seed);
@@ -84,16 +80,7 @@ std::uint64_t fingerprint_of(const HaChaosResult& r,
     fnv_fold(h, id);
     fnv_fold(h, epoch);
   }
-  for (const auto& [id, image] : tables) {
-    fnv_fold(h, id);
-    for (const auto& [key, rule] : image) {
-      fnv_fold_str(h, key);
-      fnv_fold(h, rule.cookie);
-      fnv_fold(h, rule.priority);
-      fnv_fold(h, rule.actions.size());
-      fnv_fold(h, of::output_port(rule.actions));
-    }
-  }
+  fnv_fold_tables(h, tables);
   fnv_fold(h, static_cast<std::uint64_t>(r.end_time.ns()));
   return h;
 }
@@ -106,10 +93,7 @@ HaChaosResult run_ha_chaos(const HaChaosSpec& spec) {
   const auto scenario = spec.scenario;
 
   net::Network net;
-  workload::TestbedIds tb;
-  tb.s1 = net.add_switch(quiet_profile(profiles::switch1()));
-  tb.s2 = net.add_switch(quiet_profile(profiles::switch1()));
-  tb.s3 = net.add_switch(quiet_profile(profiles::switch3()));
+  const auto tb = quiet_testbed(net);
   const std::vector<SwitchId> all = {tb.s1, tb.s2, tb.s3};
 
   // Three controllers: the primary and two promotion candidates (the second
@@ -125,9 +109,7 @@ HaChaosResult run_ha_chaos(const HaChaosSpec& spec) {
   hopts.missed_heartbeats = 3;
   hopts.checkpoint_interval = millis(50);
   hopts.replication_delay = micros(150);
-  hopts.replay_exec.request_timeout = millis(200);
-  hopts.replay_exec.max_retries = 6;
-  hopts.replay_exec.backoff_base = millis(5);
+  hopts.replay_exec = recovery_budget().exec;
   ha::HaController ha(net, primary, hopts);
   ha.start();
 
@@ -140,15 +122,9 @@ HaChaosResult run_ha_chaos(const HaChaosSpec& spec) {
   sched::RequestDag dag;
   build_workload(base, net, tb, dag);
 
-  sched::TransactionOptions topts;
+  auto topts = recovery_budget();
   topts.policy = spec.policy;
   topts.txn_id = static_cast<std::uint32_t>(spec.seed % 0xfffff) + 1;
-  topts.exec.request_timeout = millis(200);
-  topts.exec.max_retries = 6;
-  topts.exec.backoff_base = millis(5);
-  topts.readback_timeout = millis(200);
-  topts.max_readback_retries = 6;
-  topts.max_reconcile_rounds = 6;
   topts = ha.stamp(topts);
 
   // Construction ships the write-ahead journal before the first wire frame.
@@ -245,13 +221,9 @@ HaChaosResult run_ha_chaos(const HaChaosSpec& spec) {
     out.stale_epoch_rejections += net.sw(id).stale_epoch_rejections();
   }
 
-  std::map<SwitchId, sched::TableImage> tables;
+  const Tables tables = capture_tables(net, all);
   std::map<SwitchId, std::uint32_t> epochs;
-  for (const auto id : all) {
-    tables.emplace(id,
-                   sched::image_of(net.sw(id).flow_stats(of::Match::any())));
-    epochs.emplace(id, net.sw(id).controller_epoch());
-  }
+  for (const auto id : all) epochs.emplace(id, net.sw(id).controller_epoch());
 
   // --- oracles --------------------------------------------------------------
   if (ha.takeovers().size() != expected_takeovers) {

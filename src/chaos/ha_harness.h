@@ -68,15 +68,10 @@ struct HaChaosSpec {
   ControllerFaultKind scenario = ControllerFaultKind::kControllerCrash;
 };
 
-struct HaChaosResult {
+/// The fingerprint folds takeover reports, link/standby stats, per-switch
+/// epoch counters, final tables, and the final clock.
+struct HaChaosResult : RunResult {
   HaChaosSpec spec;
-  std::vector<OracleViolation> violations;
-  /// FNV-1a over takeover reports, link/standby stats, per-switch epoch
-  /// counters, final tables, and the final clock.
-  std::uint64_t fingerprint = 0;
-  SimTime end_time{};
-  /// Real (wall-clock) event-loop nanoseconds; excluded from fingerprint.
-  std::uint64_t wall_ns = 0;
   std::vector<ha::TakeoverReport> takeovers;
   ha::LinkStats link;
   ha::StandbyStats standby;
@@ -85,8 +80,6 @@ struct HaChaosResult {
   std::uint64_t stale_epoch_rejections = 0;
   /// Final controller epoch (1 + completed takeovers).
   std::uint32_t epoch = 0;
-
-  [[nodiscard]] bool ok() const { return violations.empty(); }
 };
 
 /// Execute one HA chaos run. Pure function of the spec.

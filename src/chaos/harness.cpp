@@ -8,22 +8,13 @@
 #include "net/network.h"
 #include "scheduler/reconciler.h"
 #include "scheduler/schedulers.h"
-#include "switchsim/profiles.h"
 #include "tango/probe_engine.h"
 #include "workload/classbench.h"
 #include "workload/scenarios.h"
 
 namespace tango::chaos {
 
-switchsim::SwitchProfile quiet_profile(switchsim::SwitchProfile profile) {
-  profile.costs.jitter_frac = 0;
-  profile.paths.jitter_frac = 0;
-  return profile;
-}
-
 namespace {
-
-namespace profiles = switchsim::profiles;
 
 void preinstall(net::Network& net, SwitchId id, std::uint32_t count) {
   core::ProbeEngine probe(net, id);
@@ -172,32 +163,11 @@ core::SwitchKnowledge synthetic_knowledge(net::Network& net, SwitchId id) {
 // --- fingerprint ------------------------------------------------------------
 
 namespace {
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-}  // namespace
 
-void fnv_fold(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= kFnvPrime;
-  }
-}
-
-void fnv_fold_str(std::uint64_t& h, const std::string& s) {
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= kFnvPrime;
-  }
-  fnv_fold(h, s.size());
-}
-
-namespace {
-
-// Local aliases keep the (frozen) fingerprint definition readable.
+// Local alias keeps the (frozen) fingerprint definition readable.
 constexpr auto& fold = fnv_fold;
-constexpr auto& fold_str = fnv_fold_str;
 
-std::uint64_t fingerprint_of(const ChaosResult& r,
-                             const std::map<SwitchId, sched::TableImage>& tables) {
+std::uint64_t fingerprint_of(const ChaosResult& r, const Tables& tables) {
   std::uint64_t h = kFnvOffsetBasis;
   const auto& exec = r.report.exec;
   fold(h, static_cast<std::uint64_t>(exec.makespan.ns()));
@@ -231,16 +201,7 @@ std::uint64_t fingerprint_of(const ChaosResult& r,
     fold(h, stats.partitions);
     fold(h, stats.lost_to_partition);
   }
-  for (const auto& [id, image] : tables) {
-    fold(h, id);
-    for (const auto& [key, rule] : image) {
-      fold_str(h, key);
-      fold(h, rule.cookie);
-      fold(h, rule.priority);
-      fold(h, rule.actions.size());
-      fold(h, of::output_port(rule.actions));
-    }
-  }
+  fnv_fold_tables(h, tables);
   // Misbehavior-mode folds — all empty for wire-fault-only specs, so their
   // frozen v1 fingerprints are unchanged.
   for (const auto& [id, n] : r.report.readback_mismatches) {
@@ -269,26 +230,13 @@ std::uint64_t fingerprint_of(const ChaosResult& r,
 
 }  // namespace
 
-std::vector<std::string> ChaosResult::violation_names() const {
-  std::vector<std::string> out;
-  for (const auto& v : violations) {
-    bool seen = false;
-    for (const auto& name : out) seen = seen || name == v.oracle;
-    if (!seen) out.push_back(v.oracle);
-  }
-  return out;
-}
-
 ChaosResult run_chaos(const ChaosSchedule& schedule) {
   ChaosResult out;
   out.schedule = schedule;
   const auto& spec = schedule.spec;
 
   net::Network net;
-  workload::TestbedIds tb;
-  tb.s1 = net.add_switch(quiet_profile(profiles::switch1()));
-  tb.s2 = net.add_switch(quiet_profile(profiles::switch1()));
-  tb.s3 = net.add_switch(quiet_profile(profiles::switch3()));
+  const auto tb = quiet_testbed(net);
   const std::vector<SwitchId> all = {tb.s1, tb.s2, tb.s3};
 
   sched::RequestDag dag;
@@ -296,22 +244,12 @@ ChaosResult run_chaos(const ChaosSchedule& schedule) {
 
   // Baseline images of every switch before the transaction: the re-sync
   // target for a late crash on a switch the transaction never touched.
-  std::map<SwitchId, sched::TableImage> baseline;
-  for (const auto id : all) {
-    baseline.emplace(id,
-                     sched::image_of(net.sw(id).flow_stats(of::Match::any())));
-  }
+  const Tables baseline = capture_tables(net, all);
 
-  sched::TransactionOptions topts;
+  auto topts = recovery_budget();
   topts.policy = spec.policy;
   // Pinned so cookies replay identically; never 0 (0 draws a fresh id).
   topts.txn_id = static_cast<std::uint32_t>(spec.seed % 0xfffff) + 1;
-  topts.exec.request_timeout = millis(200);
-  topts.exec.max_retries = 6;
-  topts.exec.backoff_base = millis(5);
-  topts.readback_timeout = millis(200);
-  topts.max_readback_retries = 6;
-  topts.max_reconcile_rounds = 6;
 
   // Misbehavior mode routes the transaction through the TangoController so
   // the knowledge-health wiring is exercised end-to-end: every switch
@@ -358,31 +296,22 @@ ChaosResult run_chaos(const ChaosSchedule& schedule) {
   // Drain to quiescence: late scheduled faults (a crash landing after the
   // commit finished) still fire here. Crashes past this point are the
   // controller's standing re-sync duty, not the transaction's — record
-  // them and repair below, as a crash handler would.
+  // them and repair below, as a crash listener would.
   std::set<SwitchId> late_crashes;
-  net.set_crash_handler([&late_crashes](SwitchId id) {
-    late_crashes.insert(id);
-  });
+  const auto crash_token = net.add_crash_listener(
+      [&late_crashes](SwitchId id) { late_crashes.insert(id); });
   net.run_all();
-  net.set_crash_handler({});
+  net.remove_crash_listener(crash_token);
 
-  for (const auto id : all) {
-    if (const auto* inj = net.fault_injector(id)) {
-      out.fault_stats[id] = inj->stats();
-    }
-  }
-
-  // Quiescent point: swap in clean injectors (no loss, no windows) and
-  // disarm any leftover misbehavior budgets so the oracle phase's readback
-  // traffic cannot itself be faulted or lied to. A final explicit sweep
-  // first activates any still-pending events (their activation echo-poke
-  // may have been dropped by the wire faults) so drift lands before the
-  // sentinel and the activation counters reconcile with the schedule.
-  for (const auto id : all) {
-    net::FaultConfig clean;
-    clean.seed = 1;
-    net.enable_faults(id, clean);
-    if (spec.misbehavior) {
+  // Quiescent point: clean injectors, and leftover misbehavior budgets
+  // disarmed so the oracle phase's readback cannot be lied to either. A
+  // final explicit sweep first activates any still-pending events (their
+  // activation echo-poke may have been dropped by the wire faults) so drift
+  // lands before the sentinel and the activation counters reconcile with
+  // the schedule.
+  out.fault_stats = quiesce(net, all);
+  if (spec.misbehavior) {
+    for (const auto id : all) {
       net.sw(id).sweep_timeouts(net.now());
       out.misbehavior_stats[id] = net.sw(id).misbehavior_stats();
       net.sw(id).clear_misbehavior();
@@ -392,7 +321,7 @@ ChaosResult run_chaos(const ChaosSchedule& schedule) {
   if (!late_crashes.empty()) {
     std::set<SwitchId> in_txn;
     for (const auto& entry : txn.journal()) in_txn.insert(entry.location);
-    std::map<SwitchId, sched::TableImage> desired;
+    Tables desired;
     for (const auto id : late_crashes) {
       desired.emplace(id, in_txn.count(id) != 0 ? desired_image(txn, id)
                                                 : baseline.at(id));
@@ -415,10 +344,7 @@ ChaosResult run_chaos(const ChaosSchedule& schedule) {
 
   // Final tables captured before any sentinel activity: re-inference
   // probing wipes and rewrites them.
-  std::map<SwitchId, sched::TableImage> tables;
-  for (const auto id : all) {
-    tables.emplace(id, sched::image_of(net.sw(id).flow_stats(of::Match::any())));
-  }
+  const Tables tables = capture_tables(net, all);
 
   if (spec.misbehavior) {
     // Accounting: every scheduled semantic fault must have activated.

@@ -15,26 +15,17 @@
 // replay" is a single integer comparison.
 #pragma once
 
-#include <cstdint>
 #include <map>
-#include <string>
 #include <vector>
 
-#include "chaos/oracles.h"
+#include "chaos/run.h"
 #include "chaos/schedule.h"
-#include "net/fault_injector.h"
-#include "scheduler/transaction.h"
 #include "switchsim/misbehavior.h"
 #include "tango/tango.h"
-#include "workload/scenarios.h"
 
 namespace tango::chaos {
 
 // --- building blocks shared with the HA harness (ha_harness.h) --------------
-
-/// Zero the profile's latency jitter: chaos runs vary the *fault* schedule,
-/// not the switch timing, so every divergence is attributable to faults.
-switchsim::SwitchProfile quiet_profile(switchsim::SwitchProfile profile);
 
 /// Build the spec's workload DAG and lay down its pre-state on the testbed.
 /// Returns whether the verifier oracle may assert per-rule cookies (false
@@ -46,35 +37,18 @@ bool build_workload(const ChaosSpec& spec, net::Network& net,
 /// completed learn() would have produced, minus the probing cost.
 core::SwitchKnowledge synthetic_knowledge(net::Network& net, SwitchId id);
 
-/// FNV-1a fold primitives used by every chaos fingerprint.
-inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
-void fnv_fold(std::uint64_t& h, std::uint64_t v);
-void fnv_fold_str(std::uint64_t& h, const std::string& s);
-
-struct ChaosResult {
+/// The fingerprint folds counters, fault stats, final tables, and the final
+/// clock (plus misbehavior stats, health counters, and sentinel outcomes
+/// when the spec enables misbehavior).
+struct ChaosResult : RunResult {
   ChaosSchedule schedule;
   sched::TransactionReport report;
-  std::vector<OracleViolation> violations;
-  /// FNV-1a over counters, fault stats, final tables, and the final clock
-  /// (plus misbehavior stats, health counters, and sentinel outcomes when
-  /// the spec enables misbehavior).
-  std::uint64_t fingerprint = 0;
-  /// Virtual time when the run quiesced.
-  SimTime end_time{};
-  /// Real (wall-clock) nanoseconds the run's network spent advancing its
-  /// event loop. Diagnostics only — never folded into the fingerprint, so
-  /// two runs with equal fingerprints may carry different wall times.
-  std::uint64_t wall_ns = 0;
   /// Per-switch injector stats captured before the oracle phase.
   std::map<SwitchId, net::FaultStats> fault_stats;
   /// Per-switch semantic-fault stats (misbehavior specs only).
   std::map<SwitchId, switchsim::MisbehaviorStats> misbehavior_stats;
   /// Post-oracle forced sentinel sweep (misbehavior specs only).
   std::vector<core::SentinelAction> sentinel;
-
-  [[nodiscard]] bool ok() const { return violations.empty(); }
-  /// Oracle names, deduplicated in order — the repro metadata.
-  [[nodiscard]] std::vector<std::string> violation_names() const;
 };
 
 /// Execute one chaos run. Pure function of the schedule.

@@ -15,16 +15,6 @@ namespace tango::chaos {
 
 namespace {
 
-namespace profiles = switchsim::profiles;
-
-/// Zero the profile's latency jitter (same rationale as harness.cpp: every
-/// divergence between runs must be attributable to the spec).
-switchsim::SwitchProfile quiet(switchsim::SwitchProfile profile) {
-  profile.costs.jitter_frac = 0;
-  profile.paths.jitter_frac = 0;
-  return profile;
-}
-
 /// One rule the run is expected to leave installed (or not).
 struct ExpectedRule {
   SwitchId sw = 0;
@@ -90,31 +80,15 @@ sched::RequestDag make_dag(service::TenantId t, std::uint32_t lane,
   return dag;
 }
 
-// --- fingerprint (same FNV-1a fold as harness.cpp) --------------------------
+// --- fingerprint ------------------------------------------------------------
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-void fold(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= kFnvPrime;
-  }
-}
-
-void fold_str(std::uint64_t& h, const std::string& s) {
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= kFnvPrime;
-  }
-  fold(h, s.size());
-}
+constexpr auto& fold = fnv_fold;
 
 std::uint64_t fingerprint_of(
     const TenantChaosResult& r,
     const std::map<std::uint64_t, IntentExpect>& intents,
-    const std::map<SwitchId, sched::TableImage>& tables) {
-  std::uint64_t h = kFnvOffset;
+    const Tables& tables) {
+  std::uint64_t h = kFnvOffsetBasis;
   const auto& rep = r.report;
   fold(h, rep.submitted);
   fold(h, rep.admitted);
@@ -152,16 +126,7 @@ std::uint64_t fingerprint_of(
     fold(h, stats.lost_to_down);
     fold(h, stats.crashes);
   }
-  for (const auto& [id, image] : tables) {
-    fold(h, id);
-    for (const auto& [key, rule] : image) {
-      fold_str(h, key);
-      fold(h, rule.cookie);
-      fold(h, rule.priority);
-      fold(h, rule.actions.size());
-      fold(h, of::output_port(rule.actions));
-    }
-  }
+  fnv_fold_tables(h, tables);
   fold(h, static_cast<std::uint64_t>(r.end_time.ns()));
   return h;
 }
@@ -176,16 +141,6 @@ std::string describe(service::TenantId t, std::uint64_t intent_id,
 
 }  // namespace
 
-std::vector<std::string> TenantChaosResult::violation_names() const {
-  std::vector<std::string> out;
-  for (const auto& v : violations) {
-    bool seen = false;
-    for (const auto& name : out) seen = seen || name == v.oracle;
-    if (!seen) out.push_back(v.oracle);
-  }
-  return out;
-}
-
 TenantChaosResult run_tenant_chaos(const TenantChaosSpec& raw) {
   TenantChaosResult out;
   out.spec = raw;
@@ -197,9 +152,10 @@ TenantChaosResult run_tenant_chaos(const TenantChaosSpec& raw) {
   Rng rng(spec.seed * 6271 + 11);
 
   net::Network net;
-  const SwitchId shared_sw = net.add_switch(quiet(profiles::switch1()));
+  const auto profile = quiet_profile(switchsim::profiles::switch1());
+  const SwitchId shared_sw = net.add_switch(profile);
   std::vector<SwitchId> priv(spec.n_tenants);
-  for (auto& id : priv) id = net.add_switch(quiet(profiles::switch1()));
+  for (auto& id : priv) id = net.add_switch(profile);
   std::vector<SwitchId> all = {shared_sw};
   all.insert(all.end(), priv.begin(), priv.end());
 
@@ -210,12 +166,7 @@ TenantChaosResult run_tenant_chaos(const TenantChaosSpec& raw) {
   sopts.drr_quantum = 4;
   // Pinned so cookies replay identically; the service adds the intent id.
   sopts.txn_id_base = static_cast<std::uint32_t>(spec.seed % 0xfffff) + 0x100;
-  sopts.txn.exec.request_timeout = millis(200);
-  sopts.txn.exec.max_retries = 6;
-  sopts.txn.exec.backoff_base = millis(5);
-  sopts.txn.readback_timeout = millis(200);
-  sopts.txn.max_readback_retries = 6;
-  sopts.txn.max_reconcile_rounds = 6;
+  sopts.txn = recovery_budget();
 
   std::map<std::uint64_t, IntentExpect> intents;
   sopts.on_commit = [&intents](service::TenantId, std::uint64_t id,
@@ -301,25 +252,9 @@ TenantChaosResult run_tenant_chaos(const TenantChaosSpec& raw) {
   // drain here, before the readback oracles run.
   net.run_all();
 
-  for (const auto id : all) {
-    if (const auto* inj = net.fault_injector(id)) {
-      out.fault_stats[id] = inj->stats();
-    }
-  }
-  // Quiescent point: clean injectors so oracle readback can't be faulted.
-  for (const auto id : all) {
-    net::FaultConfig clean;
-    clean.seed = 1;
-    net.enable_faults(id, clean);
-  }
-
+  out.fault_stats = quiesce(net, all);
   out.report = svc.report();
-
-  std::map<SwitchId, sched::TableImage> tables;
-  for (const auto id : all) {
-    tables.emplace(id,
-                   sched::image_of(net.sw(id).flow_stats(of::Match::any())));
-  }
+  const Tables tables = capture_tables(net, all);
 
   // --- oracles ----------------------------------------------------------------
   const auto rule_of = [&tables](const ExpectedRule& want)

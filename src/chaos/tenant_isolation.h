@@ -38,8 +38,7 @@
 #include <string>
 #include <vector>
 
-#include "chaos/oracles.h"
-#include "net/fault_injector.h"
+#include "chaos/run.h"
 #include "service/service.h"
 
 namespace tango::chaos {
@@ -61,27 +60,17 @@ struct TenantChaosSpec {
   bool operator==(const TenantChaosSpec&) const = default;
 };
 
-struct TenantChaosResult {
+/// The fingerprint folds service tallies, per-intent outcomes, fault stats,
+/// final tables, and the final clock.
+struct TenantChaosResult : RunResult {
   TenantChaosSpec spec;
   service::ServiceReport report;
-  std::vector<OracleViolation> violations;
-  /// FNV-1a over service tallies, per-intent outcomes, fault stats, final
-  /// tables, and the final clock.
-  std::uint64_t fingerprint = 0;
-  /// Virtual time when the run quiesced.
-  SimTime end_time{};
-  /// Real (wall-clock) event-loop nanoseconds; excluded from fingerprint.
-  std::uint64_t wall_ns = 0;
   /// Victim-switch injector stats (the only faulted channel).
   std::map<SwitchId, net::FaultStats> fault_stats;
   /// Victim intents that actually rolled back (0 under many seeds where the
   /// crash lands between victim commits — the soak sweeps seeds until the
   /// overlap is exercised).
   std::size_t rollbacks = 0;
-
-  [[nodiscard]] bool ok() const { return violations.empty(); }
-  /// Oracle names, deduplicated in order.
-  [[nodiscard]] std::vector<std::string> violation_names() const;
 };
 
 /// Execute one multi-tenant chaos run. Pure function of the spec.

@@ -46,7 +46,6 @@ SwitchId Network::add_switch(const switchsim::SwitchProfile& profile,
         cb(outcome);
       });
   ep.channel->set_crash_handler([this, id]() {
-    if (crash_handler_) crash_handler_(id);
     // Snapshot tokens first: a listener may add/remove listeners (e.g. a
     // transaction aborting and deregistering) while we iterate.
     std::vector<std::uint64_t> tokens;
@@ -121,9 +120,9 @@ FaultInjector* Network::fault_injector(SwitchId id) {
   return endpoint(id).injector.get();
 }
 
-std::uint64_t Network::add_crash_listener(CrashHandler h) {
+std::uint64_t Network::add_crash_listener(CrashListener listener) {
   const std::uint64_t token = next_crash_token_++;
-  crash_listeners_.emplace(token, std::move(h));
+  crash_listeners_.emplace(token, std::move(listener));
   return token;
 }
 
@@ -231,10 +230,6 @@ Network::InstallResult Network::install(SwitchId id, const of::FlowMod& fm,
     result.lost = true;
   }
   return result;
-}
-
-void Network::post_flow_mod(SwitchId id, const of::FlowMod& fm, Completion done) {
-  post_flow_mod_ex(id, fm, wrap_completion(std::move(done)));
 }
 
 void Network::post_flow_mod_ex(SwitchId id, const of::FlowMod& fm,

@@ -5,7 +5,7 @@
 //  * synchronous — install()/probe()/barrier_sync() advance the event queue
 //    until the operation completes; this is how the inference algorithms
 //    (which are sequential by nature) run.
-//  * asynchronous — post_flow_mod() with a completion callback; this is how
+//  * asynchronous — post_flow_mod_ex() with a completion callback; this is how
 //    the schedulers issue concurrent updates across switches and measure
 //    makespan over simulated time.
 //
@@ -82,18 +82,13 @@ class Network {
   /// than at the next incidental controller interaction.
   void set_misbehavior(SwitchId id, switchsim::MisbehaviorProfile profile);
 
-  /// Observer for agent crashes (tables wiped), fired at crash time for
-  /// both injector-scheduled and forced crashes. One handler; the
-  /// transaction layer installs it for the duration of a commit.
-  using CrashHandler = std::function<void(SwitchId)>;
-  void set_crash_handler(CrashHandler h) { crash_handler_ = std::move(h); }
-
-  /// Crash observers that compose: each concurrently-running transaction
-  /// registers its own listener for the span of its commit (the single
-  /// set_crash_handler slot cannot be shared — two overlapping commits
-  /// would clobber each other's handler). Listeners fire after the single
-  /// handler, in ascending token order. Returns a token for removal.
-  std::uint64_t add_crash_listener(CrashHandler h);
+  /// Observers for agent crashes (tables wiped), fired at crash time for
+  /// both injector-scheduled and forced crashes. They compose: each
+  /// concurrently-running transaction registers its own listener for the
+  /// span of its commit. Listeners fire in ascending token order. Returns a
+  /// token for removal.
+  using CrashListener = std::function<void(SwitchId)>;
+  std::uint64_t add_crash_listener(CrashListener listener);
   void remove_crash_listener(std::uint64_t token);
 
   // --- synchronous controller operations ----------------------------------
@@ -188,9 +183,6 @@ class Network {
 
   // --- asynchronous controller operations ----------------------------------
   using Completion = std::function<void(bool accepted, SimTime completed_at)>;
-  /// Queue a flow_mod; `done` fires (in simulated time) when the switch
-  /// agent finishes it.
-  void post_flow_mod(SwitchId id, const of::FlowMod& fm, Completion done);
 
   /// Completion detail for post_flow_mod_ex: rejections carry the switch's
   /// error type/code so the executor can classify retryable vs. fatal.
@@ -202,13 +194,14 @@ class Network {
     std::uint16_t error_code = 0;
   };
   using CompletionEx = std::function<void(const FlowModResult&)>;
-  /// post_flow_mod, with the rejection error surfaced to the completion.
+  /// Queue a flow_mod; `done` fires (in simulated time) when the switch
+  /// agent finishes it.
   void post_flow_mod_ex(SwitchId id, const of::FlowMod& fm, CompletionEx done);
 
   /// Queue many flow_mods in one batched wire burst (see
   /// ControlChannel::send_batch); `done_each` fires once per command, in
   /// the same order and at the same simulated times as sequential
-  /// post_flow_mod() calls would produce.
+  /// post_flow_mod_ex() calls would produce.
   void post_flow_mod_batch(SwitchId id, std::span<const of::FlowMod> fms,
                            Completion done_each);
 
@@ -262,8 +255,7 @@ class Network {
       probe_cbs_;
   std::unordered_map<std::uint32_t, std::function<void(const of::Message&)>> reply_cbs_;
   UnsolicitedHandler unsolicited_;
-  CrashHandler crash_handler_;
-  std::map<std::uint64_t, CrashHandler> crash_listeners_;
+  std::map<std::uint64_t, CrashListener> crash_listeners_;
   std::uint64_t next_crash_token_ = 1;
 };
 

@@ -1,8 +1,10 @@
 #include "runner/soak.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 
 #include "chaos/ha_harness.h"
 #include "chaos/shrinker.h"
@@ -13,30 +15,119 @@ namespace tango::runner {
 
 namespace {
 
-/// printf into a std::string — the narrative must match the historical
-/// tool output byte for byte, so it is built with the same formats.
+/// printf into a std::string sized to fit — the narrative must match the
+/// historical tool output byte for byte, so numbers keep their printf
+/// formats.
 template <typename... Args>
 std::string format(const char* fmt, Args... args) {
-  char buf[512];
-  const int n = std::snprintf(buf, sizeof buf, fmt, args...);
-  return std::string(buf, n < 0 ? 0 : static_cast<std::size_t>(n));
+  const int n = std::snprintf(nullptr, 0, fmt, args...);
+  std::string s(n < 0 ? 0 : static_cast<std::size_t>(n), '\0');
+  std::snprintf(s.data(), s.size() + 1, fmt, args...);
+  return s;
 }
 
-class SweepTimer {
- public:
-  explicit SweepTimer(std::uint64_t& acc)
-      : acc_(acc), begin_(std::chrono::steady_clock::now()) {}
-  ~SweepTimer() {
-    acc_ = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - begin_)
-            .count());
+std::string hex(std::uint64_t v) {
+  return format("0x%016llx", static_cast<unsigned long long>(v));
+}
+
+/// Everything one sweep job produces; workers do no I/O and no
+/// aggregation — both happen in run_sweep's job-ordered collector loop.
+struct Job {
+  std::uint64_t fingerprint = 0;
+  std::uint64_t wall_ns = 0;
+  /// Rendered oracle violations; empty for a clean run.
+  std::vector<std::string> violations;
+  /// The report row, short of the repro and wall_ms columns run_sweep adds.
+  telemetry::RunReport::Row row;
+  /// Console lines read "ok    <label><ok_note>" or "FAIL  <label>: ...".
+  std::string label;
+  std::string ok_note;
+  /// Violating chaos runs only: the shrinker's summary line and the repro
+  /// file (name relative to the sweep's out_dir, and contents).
+  std::string shrink_note;
+  std::string repro_name;
+  std::string repro_json;
+};
+
+Job job_of(const chaos::RunResult& result) {
+  Job job;
+  job.fingerprint = result.fingerprint;
+  job.wall_ns = result.wall_ns;
+  for (const auto& v : result.violations) {
+    job.violations.push_back(chaos::to_string(v));
+  }
+  return job;
+}
+
+/// Run `n` jobs on the pool and fold them, in job order, into one outcome:
+/// the sweep fingerprint, report rows, console text, repro files written
+/// into `out_dir` (none when empty), and the `<prefix>.*` results every
+/// sweep reports. Family-specific results are the caller's to add.
+SweepOutcome run_sweep(std::string name, const std::string& prefix,
+                       std::uint64_t seed_lo, std::uint64_t seed_hi,
+                       std::size_t n, const std::string& out_dir,
+                       const SweepOptions& opt,
+                       const std::function<Job(std::size_t)>& run_job) {
+  SweepOutcome out(std::move(name));
+  const auto begin = std::chrono::steady_clock::now();
+  auto jobs = run_indexed(n, opt.workers, run_job);
+  out.total_wall_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - begin)
+          .count());
+
+  double wall_ms_sum = 0;
+  for (auto& job : jobs) {
+    ++out.runs;
+    chaos::fnv_fold(out.sweep_fingerprint, job.fingerprint);
+    auto& row = out.report.add_row() = std::move(job.row);
+    if (job.violations.empty()) {
+      if (opt.verbose) out.text += "ok    " + job.label + job.ok_note + "\n";
+    } else {
+      ++out.violations;
+      out.text += "FAIL  " + job.label + ": " +
+                  std::to_string(job.violations.size()) + " violation(s)\n";
+      for (const auto& v : job.violations) out.text += "      " + v + "\n";
+      if (!job.shrink_note.empty()) {
+        out.text += "      " + job.shrink_note + "\n";
+      }
+      if (!job.repro_name.empty() && !out_dir.empty()) {
+        const std::string path = out_dir + "/" + job.repro_name;
+        std::ofstream repro(path);
+        if (repro) {
+          repro << job.repro_json;
+          ++out.repros_written;
+          out.text += "      repro written to " + path + "\n";
+          // Basename, not path: the repro sits next to the report, and the
+          // report must stay byte-identical across output directories (the
+          // nightly serial-vs-parallel spot-check diffs two different dirs).
+          row.col("repro", job.repro_name);
+        } else {
+          out.errors += "chaos_soak: cannot write " + path + "\n";
+        }
+      }
+    }
+    if (opt.wall) {
+      const double ms = static_cast<double>(job.wall_ns) / 1e6;
+      wall_ms_sum += ms;
+      row.col("wall_ms", ms);
+    }
   }
 
- private:
-  std::uint64_t& acc_;
-  std::chrono::steady_clock::time_point begin_;
-};
+  out.report.set_result(prefix + ".runs", static_cast<double>(out.runs));
+  out.report.set_result(prefix + ".violations",
+                        static_cast<double>(out.violations));
+  out.report.set_result(prefix + ".seed_lo", static_cast<double>(seed_lo));
+  out.report.set_result(prefix + ".seed_hi", static_cast<double>(seed_hi));
+  out.report.set_result(prefix + ".sweep_fingerprint",
+                        hex(out.sweep_fingerprint));
+  if (opt.wall) {
+    out.report.set_result(prefix + ".wall_ms", wall_ms_sum);
+    out.report.set_result(prefix + ".sweep_wall_ms",
+                          static_cast<double>(out.total_wall_ns) / 1e6);
+  }
+  return out;
+}
 
 struct GridJob {
   std::uint64_t seed = 0;
@@ -57,54 +148,35 @@ std::vector<GridJob> expand_grid(const ChaosSweepConfig& cfg) {
   return jobs;
 }
 
-}  // namespace
+std::string label_of(const GridJob& g) {
+  return "seed " + std::to_string(g.seed) + " " +
+         chaos::to_string(g.workload) + "/" + sched::to_string(g.policy);
+}
 
-// ---------------------------------------------------------------------------
-// Chaos (switch-fault) sweep
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Everything a chaos job produces; workers do no I/O and no aggregation —
-/// both happen in the job-ordered collector loop below.
-struct ChaosJobOut {
-  GridJob job;
-  std::size_t events = 0;
-  std::vector<std::string> violation_lines;
-  std::uint64_t fingerprint = 0;
-  std::uint64_t makespan_ns = 0;
-  std::uint64_t wall_ns = 0;
-  bool ok = true;
-  // Shrink products (violating runs only).
-  bool shrunk = false;
-  std::size_t orig_events = 0;
-  std::size_t min_events = 0;
-  std::size_t probes = 0;
-  std::string repro_filename;  // joined with out_dir by the collector
-  std::string repro_json;
-};
-
-ChaosJobOut run_chaos_job(const ChaosSweepConfig& cfg, const GridJob& job) {
-  ChaosJobOut out;
-  out.job = job;
+/// Switch-fault run; a violating schedule is shrunk to its repro.
+Job chaos_job(const ChaosSweepConfig& cfg, const GridJob& g) {
   chaos::ChaosSpec spec;
-  spec.seed = job.seed;
-  spec.workload = job.workload;
-  spec.policy = job.policy;
+  spec.seed = g.seed;
+  spec.workload = g.workload;
+  spec.policy = g.policy;
   spec.horizon = cfg.horizon;
   spec.misbehavior = cfg.misbehavior;
   const auto schedule = chaos::generate_schedule(spec);
   auto result = chaos::run_chaos(schedule);
-  out.events = schedule.events.size();
-  out.fingerprint = result.fingerprint;
-  out.makespan_ns = static_cast<std::uint64_t>(result.report.exec.makespan.ns());
-  out.wall_ns = result.wall_ns;
-  out.ok = result.ok();
-  if (out.ok) return out;
+  const std::size_t events = schedule.events.size();
+  Job job = job_of(result);
+  job.row.col("seed", static_cast<double>(g.seed))
+      .col("workload", chaos::to_string(g.workload))
+      .col("policy", sched::to_string(g.policy))
+      .col("events", static_cast<double>(events))
+      .col("violations", static_cast<double>(job.violations.size()))
+      .col("makespan_ns",
+           static_cast<double>(result.report.exec.makespan.ns()));
+  job.label = label_of(g);
+  job.ok_note = format(" (%zu events, fp %s)", events,
+                       hex(result.fingerprint).c_str());
+  if (result.ok()) return job;
 
-  for (const auto& v : result.violations) {
-    out.violation_lines.push_back(chaos::to_string(v));
-  }
   chaos::ChaosSchedule minimal = schedule;
   if (cfg.shrink) {
     const auto shrunk = chaos::shrink_schedule(
@@ -112,369 +184,140 @@ ChaosJobOut run_chaos_job(const ChaosSweepConfig& cfg, const GridJob& job) {
           return !chaos::run_chaos(candidate).ok();
         });
     minimal = shrunk.schedule;
-    out.shrunk = true;
-    out.orig_events = schedule.events.size();
-    out.min_events = minimal.events.size();
-    out.probes = shrunk.probes;
+    job.shrink_note = format("shrunk %zu -> %zu events in %zu probes", events,
+                             minimal.events.size(), shrunk.probes);
     // Re-run the minimal schedule so the repro captures ITS fingerprint
     // and violations, not the original's.
     result = chaos::run_chaos(minimal);
   }
-  out.repro_filename =
-      "chaos_repro_seed" + std::to_string(job.seed) + "_" +
-      chaos::to_string(job.workload) + "_" +
-      (job.policy == sched::RecoveryPolicy::kRollForward ? "fwd" : "back") +
+  job.repro_name =
+      "chaos_repro_seed" + std::to_string(g.seed) + "_" +
+      chaos::to_string(g.workload) + "_" +
+      (g.policy == sched::RecoveryPolicy::kRollForward ? "fwd" : "back") +
       ".json";
-  out.repro_json = chaos::to_repro_json(minimal, result.fingerprint,
+  job.repro_json = chaos::to_repro_json(minimal, result.fingerprint,
                                         result.violation_names());
-  return out;
+  return job;
 }
 
 }  // namespace
 
 SweepOutcome run_chaos_sweep(const ChaosSweepConfig& cfg,
                              const SweepOptions& opt) {
-  SweepOutcome out("CHAOS_soak");
-  const auto jobs = expand_grid(cfg);
-  std::vector<ChaosJobOut> results;
-  {
-    SweepTimer timer(out.total_wall_ns);
-    results = run_indexed(jobs.size(), opt.workers, [&](std::size_t i) {
-      return run_chaos_job(cfg, jobs[i]);
-    });
-  }
-
-  double wall_ms_sum = 0;
-  for (const auto& r : results) {
-    ++out.runs;
-    chaos::fnv_fold(out.sweep_fingerprint, r.fingerprint);
-    auto& row = out.report.add_row()
-                    .col("seed", static_cast<double>(r.job.seed))
-                    .col("workload", chaos::to_string(r.job.workload))
-                    .col("policy", sched::to_string(r.job.policy))
-                    .col("events", static_cast<double>(r.events))
-                    .col("violations",
-                         static_cast<double>(r.violation_lines.size()))
-                    .col("makespan_ns", static_cast<double>(r.makespan_ns));
-    const std::string label =
-        "seed " + std::to_string(r.job.seed) + " " +
-        chaos::to_string(r.job.workload) + "/" + sched::to_string(r.job.policy);
-    if (r.ok) {
-      if (opt.verbose) {
-        out.text += format("ok    %s (%zu events, fp 0x%016llx)\n",
-                           label.c_str(), r.events,
-                           static_cast<unsigned long long>(r.fingerprint));
-      }
-    } else {
-      ++out.violations;
-      out.text += format("FAIL  %s: %zu violation(s)\n", label.c_str(),
-                         r.violation_lines.size());
-      for (const auto& v : r.violation_lines) {
-        out.text += format("      %s\n", v.c_str());
-      }
-      if (r.shrunk) {
-        out.text += format("      shrunk %zu -> %zu events in %zu probes\n",
-                           r.orig_events, r.min_events, r.probes);
-      }
-      if (!cfg.out_dir.empty()) {
-        const std::string path = cfg.out_dir + "/" + r.repro_filename;
-        std::ofstream repro(path);
-        if (repro) {
-          repro << r.repro_json;
-          ++out.repros_written;
-          out.text += format("      repro written to %s\n", path.c_str());
-          // Basename, not path: the repro sits next to the report, and the
-          // report must stay byte-identical across output directories (the
-          // nightly serial-vs-parallel spot-check diffs two different dirs).
-          row.col("repro", r.repro_filename);
-        } else {
-          out.errors += format("chaos_soak: cannot write %s\n", path.c_str());
-        }
-      }
-    }
-    if (opt.wall) {
-      const double ms = static_cast<double>(r.wall_ns) / 1e6;
-      wall_ms_sum += ms;
-      row.col("wall_ms", ms);
-    }
-  }
-
-  out.report.set_result("chaos.runs", static_cast<double>(out.runs));
-  out.report.set_result("chaos.violations",
-                        static_cast<double>(out.violations));
+  const auto grid = expand_grid(cfg);
+  auto out = run_sweep("CHAOS_soak", "chaos", cfg.seed_lo, cfg.seed_hi,
+                       grid.size(), cfg.out_dir, opt,
+                       [&](std::size_t i) { return chaos_job(cfg, grid[i]); });
   out.report.set_result("chaos.repros_written",
                         static_cast<double>(out.repros_written));
   out.report.set_result("chaos.horizon", chaos::to_string(cfg.horizon));
   out.report.set_result("chaos.misbehavior", cfg.misbehavior ? 1.0 : 0.0);
-  out.report.set_result("chaos.seed_lo", static_cast<double>(cfg.seed_lo));
-  out.report.set_result("chaos.seed_hi", static_cast<double>(cfg.seed_hi));
-  out.report.set_result("chaos.sweep_fingerprint",
-                        format("0x%016llx", static_cast<unsigned long long>(
-                                                out.sweep_fingerprint)));
-  if (opt.wall) {
-    out.report.set_result("chaos.wall_ms", wall_ms_sum);
-    out.report.set_result(
-        "chaos.sweep_wall_ms",
-        static_cast<double>(out.total_wall_ns) / 1e6);
-  }
   return out;
 }
-
-// ---------------------------------------------------------------------------
-// HA (controller-fault) sweep
-// ---------------------------------------------------------------------------
-
-namespace {
-
-struct HaJobOut {
-  GridJob job;
-  chaos::ControllerFaultKind scenario{};
-  std::vector<std::string> violation_lines;
-  std::uint64_t fingerprint = 0;
-  std::uint64_t failovers = 0;
-  std::uint64_t stale_epoch_rejections = 0;
-  double takeover_ms = 0;
-  double replication_lag_ns = 0;
-  std::uint64_t wall_ns = 0;
-  bool ok = true;
-};
-
-HaJobOut run_ha_job(const ChaosSweepConfig& cfg, const GridJob& job) {
-  HaJobOut out;
-  out.job = job;
-  chaos::HaChaosSpec spec;
-  spec.seed = job.seed;
-  spec.workload = job.workload;
-  spec.policy = job.policy;
-  spec.horizon = cfg.horizon;
-  spec.scenario = chaos::scenario_of(job.seed);
-  out.scenario = spec.scenario;
-  const auto result = chaos::run_ha_chaos(spec);
-  for (const auto& rep : result.takeovers) {
-    out.takeover_ms = std::max(out.takeover_ms, rep.takeover_ms);
-  }
-  out.replication_lag_ns =
-      static_cast<double>(result.standby.max_replication_lag.ns());
-  out.failovers = result.ha.failover_count;
-  out.stale_epoch_rejections = result.stale_epoch_rejections;
-  out.fingerprint = result.fingerprint;
-  out.wall_ns = result.wall_ns;
-  out.ok = result.ok();
-  if (!out.ok) {
-    for (const auto& v : result.violations) {
-      out.violation_lines.push_back(chaos::to_string(v));
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 SweepOutcome run_ha_sweep(const ChaosSweepConfig& cfg,
                           const SweepOptions& opt) {
-  SweepOutcome out("HA_soak");
-  const auto jobs = expand_grid(cfg);
-  std::vector<HaJobOut> results;
-  {
-    SweepTimer timer(out.total_wall_ns);
-    results = run_indexed(jobs.size(), opt.workers, [&](std::size_t i) {
-      return run_ha_job(cfg, jobs[i]);
-    });
-  }
-
-  std::uint64_t failovers = 0;
-  std::uint64_t stale_rejections = 0;
-  double takeover_ms_max = 0;
-  double replication_lag_ns_max = 0;
-  double wall_ms_sum = 0;
-  for (const auto& r : results) {
-    ++out.runs;
-    chaos::fnv_fold(out.sweep_fingerprint, r.fingerprint);
-    failovers += r.failovers;
-    stale_rejections += r.stale_epoch_rejections;
-    takeover_ms_max = std::max(takeover_ms_max, r.takeover_ms);
-    replication_lag_ns_max =
-        std::max(replication_lag_ns_max, r.replication_lag_ns);
-    auto& row =
-        out.report.add_row()
-            .col("seed", static_cast<double>(r.job.seed))
-            .col("workload", chaos::to_string(r.job.workload))
-            .col("policy", sched::to_string(r.job.policy))
-            .col("scenario", chaos::to_string(r.scenario))
-            .col("failovers", static_cast<double>(r.failovers))
-            .col("takeover_ms", r.takeover_ms)
-            .col("replication_lag_ns", r.replication_lag_ns)
+  const auto grid = expand_grid(cfg);
+  // Per-run inputs of the ha.* totals, one slot per job.
+  struct Tally {
+    std::uint64_t failovers = 0;
+    std::uint64_t stale_epoch_rejections = 0;
+    double takeover_ms = 0;
+    double replication_lag_ns = 0;
+  };
+  std::vector<Tally> tallies(grid.size());
+  auto out = run_sweep(
+      "HA_soak", "ha", cfg.seed_lo, cfg.seed_hi, grid.size(), "", opt,
+      [&](std::size_t i) {
+        const auto& g = grid[i];
+        chaos::HaChaosSpec spec;
+        spec.seed = g.seed;
+        spec.workload = g.workload;
+        spec.policy = g.policy;
+        spec.horizon = cfg.horizon;
+        spec.scenario = chaos::scenario_of(g.seed);
+        const auto result = chaos::run_ha_chaos(spec);
+        auto& t = tallies[i];
+        for (const auto& rep : result.takeovers) {
+          t.takeover_ms = std::max(t.takeover_ms, rep.takeover_ms);
+        }
+        t.replication_lag_ns =
+            static_cast<double>(result.standby.max_replication_lag.ns());
+        t.failovers = result.ha.failover_count;
+        t.stale_epoch_rejections = result.stale_epoch_rejections;
+        Job job = job_of(result);
+        job.row.col("seed", static_cast<double>(g.seed))
+            .col("workload", chaos::to_string(g.workload))
+            .col("policy", sched::to_string(g.policy))
+            .col("scenario", chaos::to_string(spec.scenario))
+            .col("failovers", static_cast<double>(t.failovers))
+            .col("takeover_ms", t.takeover_ms)
+            .col("replication_lag_ns", t.replication_lag_ns)
             .col("stale_epoch_rejections",
-                 static_cast<double>(r.stale_epoch_rejections))
-            .col("violations", static_cast<double>(r.violation_lines.size()));
-    if (r.ok) {
-      if (opt.verbose) {
-        out.text += format(
-            "ok    seed %llu %s/%s %s (fp 0x%016llx)\n",
-            static_cast<unsigned long long>(r.job.seed),
-            chaos::to_string(r.job.workload).c_str(),
-            sched::to_string(r.job.policy).c_str(),
-            chaos::to_string(r.scenario).c_str(),
-            static_cast<unsigned long long>(r.fingerprint));
-      }
-    } else {
-      ++out.violations;
-      out.text += format("FAIL  seed %llu %s/%s %s: %zu violation(s)\n",
-                         static_cast<unsigned long long>(r.job.seed),
-                         chaos::to_string(r.job.workload).c_str(),
-                         sched::to_string(r.job.policy).c_str(),
-                         chaos::to_string(r.scenario).c_str(),
-                         r.violation_lines.size());
-      for (const auto& v : r.violation_lines) {
-        out.text += format("      %s\n", v.c_str());
-      }
-    }
-    if (opt.wall) {
-      const double ms = static_cast<double>(r.wall_ns) / 1e6;
-      wall_ms_sum += ms;
-      row.col("wall_ms", ms);
-    }
-  }
+                 static_cast<double>(t.stale_epoch_rejections))
+            .col("violations", static_cast<double>(job.violations.size()));
+        job.label = label_of(g) + " " + chaos::to_string(spec.scenario);
+        job.ok_note = " (fp " + hex(result.fingerprint) + ")";
+        return job;
+      });
 
-  out.report.set_result("ha.runs", static_cast<double>(out.runs));
-  out.report.set_result("ha.violations", static_cast<double>(out.violations));
-  out.report.set_result("ha.failover_count", static_cast<double>(failovers));
-  out.report.set_result("ha.takeover_ms_max", takeover_ms_max);
-  out.report.set_result("ha.replication_lag_ns_max", replication_lag_ns_max);
+  Tally total;
+  for (const auto& t : tallies) {
+    total.failovers += t.failovers;
+    total.stale_epoch_rejections += t.stale_epoch_rejections;
+    total.takeover_ms = std::max(total.takeover_ms, t.takeover_ms);
+    total.replication_lag_ns =
+        std::max(total.replication_lag_ns, t.replication_lag_ns);
+  }
+  out.report.set_result("ha.failover_count",
+                        static_cast<double>(total.failovers));
+  out.report.set_result("ha.takeover_ms_max", total.takeover_ms);
+  out.report.set_result("ha.replication_lag_ns_max", total.replication_lag_ns);
   out.report.set_result("ha.stale_epoch_rejections",
-                        static_cast<double>(stale_rejections));
+                        static_cast<double>(total.stale_epoch_rejections));
   out.report.set_result("ha.horizon", chaos::to_string(cfg.horizon));
-  out.report.set_result("ha.seed_lo", static_cast<double>(cfg.seed_lo));
-  out.report.set_result("ha.seed_hi", static_cast<double>(cfg.seed_hi));
-  out.report.set_result("ha.sweep_fingerprint",
-                        format("0x%016llx", static_cast<unsigned long long>(
-                                                out.sweep_fingerprint)));
-  if (opt.wall) {
-    out.report.set_result("ha.wall_ms", wall_ms_sum);
-    out.report.set_result("ha.sweep_wall_ms",
-                          static_cast<double>(out.total_wall_ns) / 1e6);
-  }
   return out;
 }
-
-// ---------------------------------------------------------------------------
-// Service (multi-tenant isolation) sweep
-// ---------------------------------------------------------------------------
-
-namespace {
-
-struct ServiceJobOut {
-  std::uint64_t seed = 0;
-  std::uint32_t tenants = 0;
-  std::vector<std::string> violation_lines;
-  std::uint64_t fingerprint = 0;
-  std::size_t rollbacks = 0;
-  std::size_t completed = 0;
-  double fairness = 0;
-  std::size_t max_concurrency = 0;
-  std::uint64_t makespan_ns = 0;
-  std::uint64_t wall_ns = 0;
-  bool ok = true;
-};
-
-ServiceJobOut run_service_job(const ServiceSweepConfig& cfg,
-                              std::uint64_t seed) {
-  ServiceJobOut out;
-  out.seed = seed;
-  chaos::TenantChaosSpec spec;
-  spec.seed = seed;
-  spec.n_tenants = cfg.tenants;
-  spec.intents_per_tenant = cfg.intents;
-  spec.faults = cfg.faults;
-  const auto result = chaos::run_tenant_chaos(spec);
-  out.tenants = result.spec.n_tenants;
-  out.fingerprint = result.fingerprint;
-  out.rollbacks = result.rollbacks;
-  out.completed = result.report.completed;
-  out.fairness = result.report.fairness_index;
-  out.max_concurrency = result.report.max_concurrency;
-  out.makespan_ns = static_cast<std::uint64_t>(result.report.makespan.ns());
-  out.wall_ns = result.wall_ns;
-  out.ok = result.ok();
-  if (!out.ok) {
-    for (const auto& v : result.violations) {
-      out.violation_lines.push_back(chaos::to_string(v));
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 SweepOutcome run_service_sweep(const ServiceSweepConfig& cfg,
                                const SweepOptions& opt) {
-  SweepOutcome out("SERVICE_soak");
   const std::size_t n =
       cfg.seed_hi >= cfg.seed_lo ? cfg.seed_hi - cfg.seed_lo + 1 : 0;
-  std::vector<ServiceJobOut> results;
-  {
-    SweepTimer timer(out.total_wall_ns);
-    results = run_indexed(n, opt.workers, [&](std::size_t i) {
-      return run_service_job(cfg, cfg.seed_lo + i);
-    });
-  }
+  std::vector<std::size_t> rollbacks(n);
+  auto out = run_sweep(
+      "SERVICE_soak", "service", cfg.seed_lo, cfg.seed_hi, n, "", opt,
+      [&](std::size_t i) {
+        chaos::TenantChaosSpec spec;
+        spec.seed = cfg.seed_lo + i;
+        spec.n_tenants = cfg.tenants;
+        spec.intents_per_tenant = cfg.intents;
+        spec.faults = cfg.faults;
+        const auto result = chaos::run_tenant_chaos(spec);
+        const auto& rep = result.report;
+        rollbacks[i] = result.rollbacks;
+        Job job = job_of(result);
+        job.row.col("seed", static_cast<double>(spec.seed))
+            .col("tenants", static_cast<double>(result.spec.n_tenants))
+            .col("violations", static_cast<double>(job.violations.size()))
+            .col("rollbacks", static_cast<double>(result.rollbacks))
+            .col("fairness", rep.fairness_index)
+            .col("max_concurrency", static_cast<double>(rep.max_concurrency))
+            .col("makespan_ns", static_cast<double>(rep.makespan.ns()));
+        job.label = "seed " + std::to_string(spec.seed);
+        job.ok_note = format(
+            ": %zu intents committed, %zu rollback(s), fairness %.3f, fp %s",
+            rep.completed, result.rollbacks, rep.fairness_index,
+            hex(result.fingerprint).c_str());
+        return job;
+      });
 
-  double wall_ms_sum = 0;
-  for (const auto& r : results) {
-    ++out.runs;
-    chaos::fnv_fold(out.sweep_fingerprint, r.fingerprint);
-    if (r.rollbacks > 0) ++out.rollback_runs;
-    auto& row = out.report.add_row()
-                    .col("seed", static_cast<double>(r.seed))
-                    .col("tenants", static_cast<double>(r.tenants))
-                    .col("violations",
-                         static_cast<double>(r.violation_lines.size()))
-                    .col("rollbacks", static_cast<double>(r.rollbacks))
-                    .col("fairness", r.fairness)
-                    .col("max_concurrency",
-                         static_cast<double>(r.max_concurrency))
-                    .col("makespan_ns", static_cast<double>(r.makespan_ns));
-    if (r.ok) {
-      if (opt.verbose) {
-        out.text += format(
-            "ok    seed %llu: %zu intents committed, %zu rollback(s), "
-            "fairness %.3f, fp 0x%016llx\n",
-            static_cast<unsigned long long>(r.seed), r.completed, r.rollbacks,
-            r.fairness, static_cast<unsigned long long>(r.fingerprint));
-      }
-    } else {
-      ++out.violations;
-      out.text += format("FAIL  seed %llu: %zu violation(s)\n",
-                         static_cast<unsigned long long>(r.seed),
-                         r.violation_lines.size());
-      for (const auto& v : r.violation_lines) {
-        out.text += format("      %s\n", v.c_str());
-      }
-    }
-    if (opt.wall) {
-      const double ms = static_cast<double>(r.wall_ns) / 1e6;
-      wall_ms_sum += ms;
-      row.col("wall_ms", ms);
-    }
-  }
-
-  out.report.set_result("service.runs", static_cast<double>(out.runs));
-  out.report.set_result("service.violations",
-                        static_cast<double>(out.violations));
+  out.rollback_runs = static_cast<std::size_t>(
+      std::count_if(rollbacks.begin(), rollbacks.end(),
+                    [](std::size_t r) { return r > 0; }));
   out.report.set_result("service.rollback_runs",
                         static_cast<double>(out.rollback_runs));
   out.report.set_result("service.tenants", static_cast<double>(cfg.tenants));
   out.report.set_result("service.faults", cfg.faults ? 1.0 : 0.0);
-  out.report.set_result("service.seed_lo", static_cast<double>(cfg.seed_lo));
-  out.report.set_result("service.seed_hi", static_cast<double>(cfg.seed_hi));
-  out.report.set_result("service.sweep_fingerprint",
-                        format("0x%016llx", static_cast<unsigned long long>(
-                                                out.sweep_fingerprint)));
-  if (opt.wall) {
-    out.report.set_result("service.wall_ms", wall_ms_sum);
-    out.report.set_result("service.sweep_wall_ms",
-                          static_cast<double>(out.total_wall_ns) / 1e6);
-  }
   return out;
 }
 

@@ -1,10 +1,11 @@
-// Seed-sweep engines shared by the soak tools, the differential test
+// The seed-sweep engine shared by the soak tool, the differential test
 // layer, and the bench drivers.
 //
-// Each engine expands a config into a job grid (identical to the loops
-// the serial tools used to run), executes the jobs on runner::run_indexed
-// — every job is a pure function building its own isolated world — and
-// folds the results into a SweepOutcome *in job order*. The outcome
+// Each harness family expands its config into a job grid (identical to
+// the loops the serial tools used to run) and adapts every run into one
+// job record; one engine executes the jobs on runner::run_indexed — every
+// job is a pure function building its own isolated world — and folds the
+// records into a SweepOutcome *in job order*. The outcome
 // carries everything the tools print or write: the RunReport (rows in
 // grid order), the console narrative, and a sweep fingerprint folding
 // every per-run fingerprint. None of it depends on the worker count:

@@ -211,6 +211,22 @@ TEST_F(RunnerTest, CiGridsMatchRecordedOutputs) {
                    0x35b26de06aa2e850ull}, "service 1-5 no faults");
 }
 
+TEST_F(RunnerTest, LongReproPathIsReportedWhole) {
+  // Seed 4 acl/roll-back violates under misbehavior (a stale rule after a
+  // stats freeze), so the sweep tries to write a repro; the directory does
+  // not exist, and the error line must carry the whole 600-byte path.
+  ChaosSweepConfig cfg;
+  cfg.seed_lo = cfg.seed_hi = 4;
+  cfg.workloads = {chaos::Workload::kAcl};
+  cfg.policies = {sched::RecoveryPolicy::kRollBack};
+  cfg.misbehavior = true;
+  cfg.out_dir = std::string(600, 'x');
+  const auto out = run_chaos_sweep(cfg, SweepOptions{});
+  EXPECT_EQ(out.violations, 1u);
+  EXPECT_EQ(out.errors, "chaos_soak: cannot write " + cfg.out_dir +
+                            "/chaos_repro_seed4_acl_back.json\n");
+}
+
 // ---------------------------------------------------------------------------
 // Wall-clock surfacing
 // ---------------------------------------------------------------------------

@@ -542,7 +542,12 @@ TEST(BitIdentityAcceptance, BatchedFlowModsMatchSequentialSends) {
     if (batched) {
       net.post_flow_mod_batch(id, fms, done);
     } else {
-      for (const auto& fm : fms) net.post_flow_mod(id, fm, done);
+      for (const auto& fm : fms) {
+        net.post_flow_mod_ex(id, fm,
+                             [&done](const net::Network::FlowModResult& r) {
+                               done(r.accepted, r.completed_at);
+                             });
+      }
     }
     net.run_all();
     out.messages = net.stats(id).messages_to_switch;

@@ -1,25 +1,29 @@
-// chaos_soak: drive the chaos harness across a seed range, shrink any
+// chaos_soak: drive a chaos harness across a seed range, shrink any
 // violation to a minimal reproducer, and emit machine-readable artifacts.
 //
 //   chaos_soak --seeds 1-20 --horizon short --workload all --policy both
 //   chaos_soak --seeds 1-200 --workers 8       # parallel seed sweep
 //   chaos_soak --replay repro_seed42.json      # re-execute a repro file
+//   chaos_soak --controller-faults --seeds 1-50
+//   chaos_soak --service --seeds 1-20 --tenants 4 --intents 3
 //
 // Every run is deterministic: a seed identifies a fault schedule, and the
 // run's 64-bit fingerprint (counters + fault stats + final tables + final
 // virtual clock) is printed so bit-identical replay is checkable by eye or
-// by CI. On violation the schedule is delta-debugged down to a locally
-// minimal event list and written as a chaos_repro JSON file into --out;
-// a CHAOS_soak.json run report (tango.run_report.v1) summarizes the sweep.
+// by CI. Switch-fault violations are delta-debugged down to a locally
+// minimal event list and written as chaos_repro JSON files into --out. The
+// sweep's run report (tango.run_report.v1) is CHAOS_soak.json, HA_soak.json
+// with --controller-faults (scenario = seed % 5), or SERVICE_soak.json with
+// --service (multi-tenant isolation; --tenants, --intents, --no-faults).
 //
-// The sweep itself runs on runner::run_chaos_sweep: `--workers N` fans the
-// seed grid over a thread pool (each run owns an isolated world) while the
-// report, console lines, repro files, and sweep fingerprint stay
+// All three run on the one sweep engine (runner/soak.h): `--workers N`
+// fans the seed grid over a thread pool (each run owns an isolated world)
+// while the report, console lines, repro files, and sweep fingerprint stay
 // byte-identical to a serial run — the nightly job spot-checks exactly
-// that. `--wall` additionally surfaces per-run wall_ms columns (real
-// time, nondeterministic, so off by default); `--bench-speedup` runs the
-// sweep twice (serial then parallel) and records the measured
-// `chaos.speedup_parallel` for tools/bench_compare.py to gate.
+// that. `--wall` additionally surfaces per-run wall_ms columns (real time,
+// nondeterministic, so off by default); `--bench-speedup` runs the sweep
+// twice (serial then parallel) and records the measured
+// `speedup_parallel` for tools/bench_compare.py to gate.
 //
 // Exit status: 0 = all runs clean (or replay clean), 1 = violations found
 // (or replay reproduced its violation), 2 = usage/file errors.
@@ -41,13 +45,16 @@ using namespace tango;  // tool code: brevity over namespace hygiene
 
 struct Args {
   runner::ChaosSweepConfig sweep;
+  runner::ServiceSweepConfig service;
   runner::SweepOptions opt;
   std::string replay;
-  /// Measure a serial pass first and report chaos.speedup_parallel.
+  /// Measure a serial pass first and report speedup_parallel.
   bool bench_speedup = false;
   /// Controller-side faults: sweep run_ha_chaos (scenario = seed % 5)
   /// instead of the switch-side wire harness; emits HA_soak.json.
   bool controller_faults = false;
+  /// Multi-tenant isolation: sweep run_tenant_chaos; emits SERVICE_soak.json.
+  bool service_mode = false;
 };
 
 void usage() {
@@ -57,8 +64,9 @@ void usage() {
                "                  [--policy forward|rollback|both]\n"
                "                  [--replay FILE] [--out DIR] [--no-shrink]\n"
                "                  [--misbehavior] [--controller-faults]\n"
-               "                  [--workers N] [--wall] [--bench-speedup]\n"
-               "                  [--verbose]\n");
+               "                  [--service] [--tenants N] [--intents N]\n"
+               "                  [--no-faults] [--workers N] [--wall]\n"
+               "                  [--bench-speedup] [--verbose]\n");
 }
 
 bool parse_seeds(const std::string& s, runner::ChaosSweepConfig& cfg) {
@@ -124,6 +132,20 @@ bool parse_args(int argc, char** argv, Args& args) {
       args.sweep.misbehavior = true;
     } else if (arg == "--controller-faults") {
       args.controller_faults = true;
+    } else if (arg == "--service") {
+      args.service_mode = true;
+    } else if (arg == "--tenants") {
+      const char* v = value();
+      if (v == nullptr) return false;
+      args.service.tenants =
+          static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
+    } else if (arg == "--intents") {
+      const char* v = value();
+      if (v == nullptr) return false;
+      args.service.intents =
+          static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
+    } else if (arg == "--no-faults") {
+      args.service.faults = false;
     } else if (arg == "--workers") {
       const char* v = value();
       if (v == nullptr) return false;
@@ -138,6 +160,8 @@ bool parse_args(int argc, char** argv, Args& args) {
       return false;
     }
   }
+  args.service.seed_lo = args.sweep.seed_lo;
+  args.service.seed_hi = args.sweep.seed_hi;
   return true;
 }
 
@@ -206,6 +230,7 @@ int main(int argc, char** argv) {
 
   const auto sweep = [&](const runner::SweepOptions& opt,
                          const runner::ChaosSweepConfig& cfg) {
+    if (args.service_mode) return runner::run_service_sweep(args.service, opt);
     return args.controller_faults ? runner::run_ha_sweep(cfg, opt)
                                   : runner::run_chaos_sweep(cfg, opt);
   };
@@ -245,7 +270,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "chaos_soak: cannot write %s\n", report_path.c_str());
   }
 
-  if (args.controller_faults) {
+  if (args.service_mode) {
+    std::printf(
+        "%zu run(s), %zu with violations, %zu exercised a rollback; report at "
+        "%s\n",
+        outcome.runs, outcome.violations, outcome.rollback_runs,
+        report_path.c_str());
+  } else if (args.controller_faults) {
     std::printf("%zu HA run(s), %zu with violations; report at %s\n",
                 outcome.runs, outcome.violations, report_path.c_str());
   } else {

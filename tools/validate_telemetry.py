@@ -13,21 +13,19 @@ Checks two things, with stdlib json only:
      switch lanes, relative to the start of the controller's execute span,
      must equal the execute span's duration and the reported makespan.
 
-With --chaos, the report is additionally validated as a chaos_soak sweep
-report (CHAOS_soak.json): the chaos.* result keys must be present and
-consistent with the per-run rows, and every violating run must reference
-its repro file.
-
-With --ha, the report is validated as a controller-fault sweep report
-(HA_soak.json from chaos_soak --controller-faults): the ha.* result keys
-must be present and consistent with the per-run rows (failover counts,
-takeover latency, replication lag, stale-epoch rejections).
+A soak sweep report (CHAOS_soak.json, HA_soak.json or SERVICE_soak.json
+from tools/chaos_soak) is additionally validated as a sweep, chosen by the
+report's name: the <family>.* result keys must be present and consistent
+with the per-run rows (run and violation counts, seed range, fingerprint
+format, opt-in wall fields), plus each family's own checks — every
+violating chaos run references its repro file, HA totals (failover counts,
+takeover latency, replication lag, stale-epoch rejections) match the rows,
+and the service rollback-run count matches the rows.
 
 Usage:
   tools/validate_telemetry.py BENCH_fig10_network_wide.json \
       [BENCH_fig10_network_wide.trace.json]
-  tools/validate_telemetry.py --chaos CHAOS_soak.json
-  tools/validate_telemetry.py --ha HA_soak.json
+  tools/validate_telemetry.py CHAOS_soak.json
 
 Exits non-zero with a message on the first violation.
 """
@@ -126,16 +124,14 @@ def validate_trace(path, report):
           f"makespan {reconstructed_us / 1e6:.6f} s reconstructed)")
 
 
-CHAOS_RESULT_KEYS = [
-    "chaos.runs", "chaos.violations", "chaos.repros_written",
-    "chaos.horizon", "chaos.seed_lo", "chaos.seed_hi",
-    "chaos.sweep_fingerprint",
-]
-CHAOS_ROW_KEYS = ["seed", "workload", "policy", "events", "violations",
-                  "makespan_ns"]
+SWEEP_RESULT_KEYS = ["runs", "violations", "seed_lo", "seed_hi",
+                     "sweep_fingerprint"]
+SWEEP_ROW_KEYS = ["seed", "violations"]
 CHAOS_WORKLOADS = {"fig10", "te", "acl"}
 CHAOS_POLICIES = {"roll-forward", "roll-back"}
 CHAOS_HORIZONS = {"short", "medium", "long"}
+HA_SCENARIOS = {"controller_crash", "controller_partition", "replication_loss",
+                "crash_during_takeover", "crash_after_commit"}
 
 
 def validate_fingerprint(path, results, key):
@@ -171,91 +167,42 @@ def validate_wall(path, results, rows, prefix):
         fail(f"{path}: speedup_parallel must be a positive number")
 
 
-def validate_chaos(path, report):
-    results = report.get("results", {})
-    for key in CHAOS_RESULT_KEYS:
-        if key not in results:
-            fail(f"{path}: missing chaos result key {key!r}")
-    if results["chaos.horizon"] not in CHAOS_HORIZONS:
-        fail(f"{path}: chaos.horizon {results['chaos.horizon']!r} invalid")
-    if results["chaos.seed_lo"] > results["chaos.seed_hi"]:
-        fail(f"{path}: chaos.seed_lo > chaos.seed_hi")
+def check_grid_row(path, i, row):
+    if row["workload"] not in CHAOS_WORKLOADS:
+        fail(f"{path}: row {i}: workload {row['workload']!r} invalid")
+    if row["policy"] not in CHAOS_POLICIES:
+        fail(f"{path}: row {i}: policy {row['policy']!r} invalid")
 
-    rows = report["rows"]
-    if results["chaos.runs"] != len(rows):
-        fail(f"{path}: chaos.runs {results['chaos.runs']} != {len(rows)} rows")
-    violating = 0
+
+def check_horizon(path, results, prefix):
+    if results[f"{prefix}.horizon"] not in CHAOS_HORIZONS:
+        fail(f"{path}: {prefix}.horizon {results[prefix + '.horizon']!r} "
+             "invalid")
+
+
+def check_chaos(path, results, rows):
+    check_horizon(path, results, "chaos")
     for i, row in enumerate(rows):
-        for key in CHAOS_ROW_KEYS:
-            if key not in row:
-                fail(f"{path}: row {i}: missing key {key!r}")
-        if row["workload"] not in CHAOS_WORKLOADS:
-            fail(f"{path}: row {i}: workload {row['workload']!r} invalid")
-        if row["policy"] not in CHAOS_POLICIES:
-            fail(f"{path}: row {i}: policy {row['policy']!r} invalid")
-        if not (results["chaos.seed_lo"] <= row["seed"]
-                <= results["chaos.seed_hi"]):
-            fail(f"{path}: row {i}: seed {row['seed']} outside sweep range")
-        if row["violations"] < 0 or row["makespan_ns"] < 0:
+        check_grid_row(path, i, row)
+        if row["makespan_ns"] < 0:
             fail(f"{path}: row {i}: negative count")
-        if row["violations"] > 0:
-            violating += 1
-            if "repro" not in row:
-                fail(f"{path}: row {i}: violating run has no repro reference")
-    if results["chaos.violations"] != violating:
-        fail(f"{path}: chaos.violations {results['chaos.violations']} != "
-             f"{violating} rows with violations")
-    validate_fingerprint(path, results, "chaos.sweep_fingerprint")
-    validate_wall(path, results, rows, "chaos")
-    print(f"  chaos ok: {path} ({len(rows)} runs, {violating} with violations, "
-          f"horizon {results['chaos.horizon']})")
+        if row["violations"] > 0 and "repro" not in row:
+            fail(f"{path}: row {i}: violating run has no repro reference")
+    return f"horizon {results['chaos.horizon']}"
 
 
-HA_RESULT_KEYS = [
-    "ha.runs", "ha.violations", "ha.failover_count",
-    "ha.takeover_ms_max", "ha.replication_lag_ns_max",
-    "ha.stale_epoch_rejections", "ha.horizon", "ha.seed_lo", "ha.seed_hi",
-    "ha.sweep_fingerprint",
-]
-HA_ROW_KEYS = ["seed", "workload", "policy", "scenario", "failovers",
-               "takeover_ms", "replication_lag_ns", "stale_epoch_rejections",
-               "violations"]
-HA_SCENARIOS = {"controller_crash", "controller_partition", "replication_loss",
-                "crash_during_takeover", "crash_after_commit"}
-
-
-def validate_ha(path, report):
-    results = report.get("results", {})
-    for key in HA_RESULT_KEYS:
-        if key not in results:
-            fail(f"{path}: missing ha result key {key!r}")
-    if results["ha.horizon"] not in CHAOS_HORIZONS:
-        fail(f"{path}: ha.horizon {results['ha.horizon']!r} invalid")
-    if results["ha.seed_lo"] > results["ha.seed_hi"]:
-        fail(f"{path}: ha.seed_lo > ha.seed_hi")
-
-    rows = report["rows"]
-    if results["ha.runs"] != len(rows):
-        fail(f"{path}: ha.runs {results['ha.runs']} != {len(rows)} rows")
-    violating = 0
+def check_ha(path, results, rows):
+    check_horizon(path, results, "ha")
     failovers = 0
     rejections = 0
     takeover_ms_max = 0.0
     lag_ns_max = 0.0
     for i, row in enumerate(rows):
-        for key in HA_ROW_KEYS:
-            if key not in row:
-                fail(f"{path}: row {i}: missing key {key!r}")
-        if row["workload"] not in CHAOS_WORKLOADS:
-            fail(f"{path}: row {i}: workload {row['workload']!r} invalid")
-        if row["policy"] not in CHAOS_POLICIES:
-            fail(f"{path}: row {i}: policy {row['policy']!r} invalid")
+        check_grid_row(path, i, row)
         if row["scenario"] not in HA_SCENARIOS:
             fail(f"{path}: row {i}: scenario {row['scenario']!r} invalid")
-        if not (results["ha.seed_lo"] <= row["seed"] <= results["ha.seed_hi"]):
-            fail(f"{path}: row {i}: seed {row['seed']} outside sweep range")
         for key in ("failovers", "takeover_ms", "replication_lag_ns",
-                    "stale_epoch_rejections", "violations"):
+                    "stale_epoch_rejections"):
             if row[key] < 0:
                 fail(f"{path}: row {i}: negative {key}")
         # A scenario run that held its oracles always failed over at least
@@ -264,14 +211,10 @@ def validate_ha(path, report):
         if row["violations"] == 0 and row["failovers"] != expected:
             fail(f"{path}: row {i}: clean {row['scenario']} run has "
                  f"{row['failovers']} failovers, expected {expected}")
-        violating += 1 if row["violations"] > 0 else 0
         failovers += row["failovers"]
         rejections += row["stale_epoch_rejections"]
         takeover_ms_max = max(takeover_ms_max, row["takeover_ms"])
         lag_ns_max = max(lag_ns_max, row["replication_lag_ns"])
-    if results["ha.violations"] != violating:
-        fail(f"{path}: ha.violations {results['ha.violations']} != "
-             f"{violating} rows with violations")
     if results["ha.failover_count"] != failovers:
         fail(f"{path}: ha.failover_count {results['ha.failover_count']} != "
              f"{failovers} summed from rows")
@@ -284,28 +227,90 @@ def validate_ha(path, report):
     if abs(results["ha.replication_lag_ns_max"] - lag_ns_max) > 1e-6:
         fail(f"{path}: ha.replication_lag_ns_max "
              f"{results['ha.replication_lag_ns_max']} != {lag_ns_max} from rows")
-    validate_fingerprint(path, results, "ha.sweep_fingerprint")
-    validate_wall(path, results, rows, "ha")
-    print(f"  ha ok: {path} ({len(rows)} runs, {violating} with violations, "
-          f"{failovers} failovers, max takeover {takeover_ms_max:.3f} ms)")
+    return f"{failovers} failovers, max takeover {takeover_ms_max:.3f} ms"
+
+
+def check_service(path, results, rows):
+    rollback_runs = 0
+    for i, row in enumerate(rows):
+        for key in ("tenants", "rollbacks", "fairness", "max_concurrency",
+                    "makespan_ns"):
+            if row[key] < 0:
+                fail(f"{path}: row {i}: negative {key}")
+        rollback_runs += 1 if row["rollbacks"] > 0 else 0
+    if results["service.rollback_runs"] != rollback_runs:
+        fail(f"{path}: service.rollback_runs "
+             f"{results['service.rollback_runs']} != {rollback_runs} rows "
+             "with rollbacks")
+    if results["service.faults"] not in (0, 1):
+        fail(f"{path}: service.faults {results['service.faults']!r} invalid")
+    return f"{rollback_runs} exercised a rollback"
+
+
+# Report name -> (result-key prefix, extra result keys, extra row keys,
+# family check returning a summary for the OK line).
+SWEEPS = {
+    "CHAOS_soak": ("chaos", ["repros_written", "horizon"],
+                   ["workload", "policy", "events", "makespan_ns"],
+                   check_chaos),
+    "HA_soak": ("ha", ["failover_count", "takeover_ms_max",
+                       "replication_lag_ns_max", "stale_epoch_rejections",
+                       "horizon"],
+                ["workload", "policy", "scenario", "failovers", "takeover_ms",
+                 "replication_lag_ns", "stale_epoch_rejections"],
+                check_ha),
+    "SERVICE_soak": ("service", ["rollback_runs", "tenants", "faults"],
+                     ["tenants", "rollbacks", "fairness", "max_concurrency",
+                      "makespan_ns"],
+                     check_service),
+}
+
+
+def validate_sweep(path, report):
+    """Checks shared by every soak sweep report, then its family's own."""
+    prefix, result_keys, row_keys, check = SWEEPS[report["name"]]
+    results = report["results"]
+    for key in SWEEP_RESULT_KEYS + result_keys:
+        if f"{prefix}.{key}" not in results:
+            fail(f"{path}: missing {prefix} result key {prefix + '.' + key!r}")
+    seed_lo = results[f"{prefix}.seed_lo"]
+    seed_hi = results[f"{prefix}.seed_hi"]
+    if seed_lo > seed_hi:
+        fail(f"{path}: {prefix}.seed_lo > {prefix}.seed_hi")
+
+    rows = report["rows"]
+    if results[f"{prefix}.runs"] != len(rows):
+        fail(f"{path}: {prefix}.runs {results[prefix + '.runs']} != "
+             f"{len(rows)} rows")
+    violating = 0
+    for i, row in enumerate(rows):
+        for key in SWEEP_ROW_KEYS + row_keys:
+            if key not in row:
+                fail(f"{path}: row {i}: missing key {key!r}")
+        if not seed_lo <= row["seed"] <= seed_hi:
+            fail(f"{path}: row {i}: seed {row['seed']} outside sweep range")
+        if row["violations"] < 0:
+            fail(f"{path}: row {i}: negative violations")
+        violating += 1 if row["violations"] > 0 else 0
+    if results[f"{prefix}.violations"] != violating:
+        fail(f"{path}: {prefix}.violations "
+             f"{results[prefix + '.violations']} != {violating} rows with "
+             "violations")
+    validate_fingerprint(path, results, f"{prefix}.sweep_fingerprint")
+    validate_wall(path, results, rows, prefix)
+    summary = check(path, results, rows)
+    print(f"  {prefix} ok: {path} ({len(rows)} runs, {violating} with "
+          f"violations, {summary})")
 
 
 def main(argv):
-    args = list(argv[1:])
-    chaos = "--chaos" in args
-    if chaos:
-        args.remove("--chaos")
-    ha = "--ha" in args
-    if ha:
-        args.remove("--ha")
+    args = argv[1:]
     if len(args) < 1 or len(args) > 2:
         print(__doc__, file=sys.stderr)
         return 2
     report = validate_report(args[0])
-    if chaos:
-        validate_chaos(args[0], report)
-    if ha:
-        validate_ha(args[0], report)
+    if report["name"] in SWEEPS:
+        validate_sweep(args[0], report)
     if len(args) == 2:
         validate_trace(args[1], report)
     print("validate_telemetry: OK")
