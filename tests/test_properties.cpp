@@ -2,11 +2,15 @@
 //  * codec: arbitrary messages round-trip; corrupted frames never crash,
 //  * switch model: invariants hold under random op sequences,
 //  * executor: dependency order is never violated for random DAGs,
-//  * scheduler: orderings are permutations of the ready set.
+//  * scheduler: orderings are permutations of the ready set, equal id for
+//    id to the pre-rewrite reference schedulers (reference_scheduler.h).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
+#include <string>
 
 #include "net/network.h"
 #include "openflow/codec.h"
@@ -14,6 +18,7 @@
 #include "scheduler/schedulers.h"
 #include "switchsim/profiles.h"
 #include "tango/probe_engine.h"
+#include "reference_scheduler.h"
 
 namespace tango {
 namespace {
@@ -298,29 +303,177 @@ TEST_P(ExecutorProperties, CompletionOrderRespectsRandomDags) {
   }
 }
 
-TEST_P(ExecutorProperties, SchedulerOutputsArePermutations) {
-  Rng rng(GetParam() + 100);
+/// `size` distinct ids below `n`, in random order.
+std::vector<std::size_t> random_pool(Rng& rng, std::size_t n, std::size_t size) {
+  std::vector<std::size_t> ids(n);
+  for (std::size_t i = 0; i < n; ++i) ids[i] = i;
+  for (std::size_t i = n; i > 1; --i) std::swap(ids[i - 1], ids[rng.index(i)]);
+  ids.resize(size);
+  return ids;
+}
+
+/// A seeded pool for the differential scheduler check: a DAG of up to ~1,800
+/// requests over 1–20 switches, and a shuffled pool of 1–600 of them.
+struct SchedulerCase {
   sched::RequestDag dag;
-  std::vector<std::size_t> ready;
-  for (std::uint32_t i = 0; i < 40; ++i) {
+  std::vector<std::size_t> pool;
+  std::vector<SwitchId> switches;
+  std::map<SwitchId, core::OpCostEstimate> costs;
+  sched::TangoSchedulerOptions options;
+};
+
+SchedulerCase random_scheduler_case(Rng& rng) {
+  SchedulerCase c;
+  // Switch ids: small and dense, or above 1000 and sparse.
+  const SwitchId base = rng.chance(0.3) ? 1000 + rng.index(5000) : 1;
+  const std::size_t stride = 1 + rng.index(7);
+  const std::size_t n_switches = 1 + rng.index(20);
+  for (std::size_t k = 0; k < n_switches; ++k) {
+    c.switches.push_back(base + k * stride);
+  }
+
+  // Priorities: all set (often repeated), all unset, or mixed.
+  const std::size_t priority_mode = rng.index(3);
+  const std::int64_t priority_span = rng.chance(0.5) ? 4 : 60000;
+  const std::size_t pool_size = 1 + rng.index(600);
+  const std::size_t extra = rng.chance(0.4) ? rng.index(1200) : 0;
+  for (std::uint32_t i = 0; i < pool_size + extra; ++i) {
     sched::SwitchRequest req;
-    req.location = 1 + rng.index(3);
+    req.location = c.switches[rng.index(c.switches.size())];
     req.type = static_cast<sched::RequestType>(rng.index(3));
-    req.priority = static_cast<std::uint16_t>(rng.uniform_int(1, 9000));
+    if (priority_mode == 0 || (priority_mode == 2 && rng.chance(0.5))) {
+      req.priority = static_cast<std::uint16_t>(rng.uniform_int(1, priority_span));
+    }
+    if (rng.chance(0.2)) req.deadline = millis(rng.uniform_int(1, 8));
     req.match = ProbeEngine::probe_match(i);
-    ready.push_back(dag.add(req));
+    c.dag.add(req);
   }
-  sched::DionysusScheduler dionysus;
-  sched::BasicTangoScheduler tango({});
-  for (sched::UpdateScheduler* s :
-       std::initializer_list<sched::UpdateScheduler*>{&dionysus, &tango}) {
-    auto out = s->order(dag, ready);
-    auto sorted = out;
-    std::sort(sorted.begin(), sorted.end());
-    auto expect = ready;
-    std::sort(expect.begin(), expect.end());
-    EXPECT_EQ(sorted, expect) << s->name();
+  // Forward edges keep it acyclic: none, sparse, dense, or fan-outs from a
+  // few requests (heavy unlocked batches for the lookahead). A long chain
+  // through the extra requests spreads the pool's depths far apart.
+  const std::size_t n = c.dag.size();
+  const std::size_t edge_mode = rng.index(5);
+  if (edge_mode == 1 || edge_mode == 2) {
+    const std::size_t edges = edge_mode == 1 ? n / 4 : 3 * n / 2;
+    for (std::size_t e = 0; e < edges; ++e) {
+      const std::size_t u = rng.index(n);
+      const std::size_t v = rng.index(n);
+      if (u < v) c.dag.add_dependency(u, v);
+    }
+  } else if (edge_mode == 3) {
+    for (std::size_t k = 0; k < 1 + rng.index(8); ++k) {
+      const std::size_t u = rng.index(n);
+      for (std::size_t e = 0; e < 1 + rng.index(60); ++e) {
+        const std::size_t v = u + 1 + rng.index(n);
+        if (v < n) c.dag.add_dependency(u, v);
+      }
+    }
+  } else if (edge_mode == 4) {
+    // Fan-ins: a request unlocks only once all of its 2-4 preds are done.
+    for (std::size_t k = 0; k < n / 3; ++k) {
+      const std::size_t v = rng.index(n);
+      for (std::size_t e = 0; e < 2 + rng.index(3); ++e) {
+        const std::size_t u = rng.index(n);
+        if (u < v) c.dag.add_dependency(u, v);
+      }
+    }
   }
+  if (extra > 1 && rng.chance(0.3)) {
+    for (std::size_t i = pool_size + 1; i < n; ++i) c.dag.add_dependency(i - 1, i);
+  }
+
+  c.pool = random_pool(rng, n, pool_size);
+
+  // Costs: a random subset of switches is profiled (the rest use the static
+  // fallback), with descending adds dearer, exactly as dear, one ulp away,
+  // or cheaper.
+  const std::size_t cost_mode = rng.index(4);
+  for (const SwitchId sw : c.switches) {
+    if (rng.chance(0.25)) continue;
+    core::OpCostEstimate est;
+    est.add_ascending_ms = rng.uniform_real(0.1, 3.0);
+    est.mod_ms = rng.uniform_real(0.1, 3.0);
+    est.del_ms = rng.uniform_real(0.1, 3.0);
+    switch (cost_mode) {
+      case 0: est.add_descending_ms = est.add_ascending_ms * 2.5; break;
+      case 1: est.add_descending_ms = est.add_ascending_ms; break;
+      case 2:
+        est.add_descending_ms = std::nextafter(
+            est.add_ascending_ms, rng.chance(0.5) ? 0.0 : 10.0);
+        break;
+      default: est.add_descending_ms = est.add_ascending_ms * 0.4; break;
+    }
+    c.costs[sw] = est;
+  }
+  c.options.sort_priorities = rng.chance(0.7);
+  c.options.deadline_first = rng.chance(0.3);
+  c.options.prefix_lookahead = rng.chance(0.3);
+  return c;
+}
+
+/// The pool mixes ADDs with and without a priority: the reference's ADD
+/// comparator is no strict weak order there, so its output is unspecified.
+bool mixes_adds(const sched::RequestDag& dag, const std::vector<std::size_t>& pool) {
+  bool with_priority = false, without_priority = false;
+  for (const std::size_t id : pool) {
+    const auto& req = dag.request(id);
+    if (req.type != sched::RequestType::kAdd) continue;
+    (req.priority ? with_priority : without_priority) = true;
+  }
+  return with_priority && without_priority;
+}
+
+TEST_P(ExecutorProperties, SchedulerOutputsArePermutations) {
+  // Every output is a permutation of the pool (or, under prefix lookahead,
+  // a prefix of one) and equals, id for id, what the pre-rewrite order()
+  // bodies in tests/reference_scheduler.h return.
+  Rng rng(GetParam() + 100);
+  std::size_t compared = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    auto c = random_scheduler_case(rng);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    sched::DionysusScheduler dionysus;
+    sched::testing::ReferenceDionysusScheduler ref_dionysus;
+    sched::BasicTangoScheduler tango(c.costs, c.options);
+    sched::testing::ReferenceTangoScheduler ref_tango(c.costs, c.options);
+    // The same scheduler objects order a second pool of the DAG after some
+    // requests moved to other (and new) switches.
+    for (int pass = 0; pass < 2; ++pass) {
+      if (pass == 1) {
+        for (std::size_t k = 0; k < 1 + c.dag.size() / 8; ++k) {
+          c.dag.request(rng.index(c.dag.size())).location =
+              rng.chance(0.5) ? c.switches[rng.index(c.switches.size())]
+                              : 90000 + rng.index(3);
+        }
+        c.pool = random_pool(
+            rng, c.dag.size(),
+            1 + rng.index(std::min<std::size_t>(600, c.dag.size())));
+      }
+      auto expect = c.pool;
+      std::sort(expect.begin(), expect.end());
+      const auto by_depth = dionysus.order(c.dag, c.pool);
+      auto sorted = by_depth;
+      std::sort(sorted.begin(), sorted.end());
+      EXPECT_EQ(sorted, expect) << dionysus.name();
+      EXPECT_EQ(by_depth, ref_dionysus.order(c.dag, c.pool)) << dionysus.name();
+
+      const auto by_pattern = tango.order(c.dag, c.pool);
+      if (!c.options.prefix_lookahead) {
+        sorted = by_pattern;
+        std::sort(sorted.begin(), sorted.end());
+        EXPECT_EQ(sorted, expect) << tango.name();
+      }
+      if (!mixes_adds(c.dag, c.pool)) {
+        EXPECT_EQ(by_pattern, ref_tango.order(c.dag, c.pool)) << tango.name();
+        for (const auto& pattern : tango.patterns()) {
+          EXPECT_EQ(tango.pattern_score(c.dag, c.pool, pattern),
+                    ref_tango.pattern_score(c.dag, c.pool, pattern));
+        }
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 40u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExecutorProperties, ::testing::Values(7, 8, 9, 10));
