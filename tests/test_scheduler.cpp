@@ -119,6 +119,26 @@ TEST(TangoSchedulerTest, GroupsByTypeAndSortsAddsAscending) {
   (void)mod;
 }
 
+TEST(TangoSchedulerTest, UnprioritizedAddsFollowPrioritizedOnesInPoolOrder) {
+  // Prioritized ADDs sort in the winning pattern's direction; ADDs without
+  // a priority come after all of them, in pool order.
+  RequestDag dag;
+  const auto bare1 = dag.add(req(1, RequestType::kAdd, 0, std::nullopt));
+  const auto hi = dag.add(req(1, RequestType::kAdd, 1, 900));
+  const auto bare2 = dag.add(req(1, RequestType::kAdd, 2, std::nullopt));
+  const auto lo = dag.add(req(1, RequestType::kAdd, 3, 100));
+  const auto mod = dag.add(req(1, RequestType::kMod, 4));
+  const std::vector<std::size_t> pool{bare1, hi, bare2, lo, mod};
+  BasicTangoScheduler ascending(hw_costs());
+  EXPECT_EQ(ascending.order(dag, pool),
+            (std::vector<std::size_t>{mod, lo, hi, bare1, bare2}));
+  auto cheap_descending = hw_costs();
+  for (auto& [sw, c] : cheap_descending) c.add_descending_ms = 0.5;
+  BasicTangoScheduler descending(cheap_descending);
+  EXPECT_EQ(descending.order(dag, pool),
+            (std::vector<std::size_t>{mod, hi, lo, bare1, bare2}));
+}
+
 TEST(TangoSchedulerTest, PatternScoreUsesMeasuredCosts) {
   RequestDag dag;
   std::vector<std::size_t> ready;
@@ -373,6 +393,30 @@ TEST(TangoSchedulerTest, PrefixLookaheadCanTruncateBatch) {
   for (std::size_t id : order) {
     EXPECT_NE(std::find(ready.begin(), ready.end(), id), ready.end());
   }
+}
+
+TEST(TangoSchedulerTest, PrefixLookaheadUnlocksOnlyWhenEveryPredIsInThePrefix) {
+  // Eight ready ADDs on switch 1 (ascending priorities keep pool order).
+  // `late` waits on ready[0] and ready[6], `mid` on ready[0] and ready[3]:
+  // the quarter prefix unlocks neither, the half prefix unlocks `mid`, and
+  // staging it (cost 4 + 2*3 on two switches) beats 0.9 * 8.
+  RequestDag dag;
+  std::vector<std::size_t> ready;
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    ready.push_back(dag.add(
+        req(1, RequestType::kAdd, i, static_cast<std::uint16_t>(100 + i))));
+  }
+  const auto late = dag.add(req(2, RequestType::kMod, 100));
+  dag.add_dependency(ready[0], late);
+  dag.add_dependency(ready[6], late);
+  const auto mid = dag.add(req(2, RequestType::kMod, 101));
+  dag.add_dependency(ready[0], mid);
+  dag.add_dependency(ready[3], mid);
+  TangoSchedulerOptions options;
+  options.prefix_lookahead = true;
+  BasicTangoScheduler sched(hw_costs(), options);
+  EXPECT_EQ(sched.order(dag, ready),
+            std::vector<std::size_t>(ready.begin(), ready.begin() + 4));
 }
 
 TEST(TangoSchedulerTest, PrefixLookaheadStillCompletesEverything) {
