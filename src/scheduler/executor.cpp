@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -154,11 +157,36 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
   // it changes; per-switch dispatch windows keep each agent fed while the
   // backlog stays reorderable (this is Algorithm 3's continuous loop: the
   // independent set is re-extracted and re-ordered as requests finish).
+  // Sent and failed ids stay until the next round drops them in one
+  // order-preserving pass, so order() sees them leave in pool order.
   std::vector<std::size_t> pending;
   bool pending_dirty = true;
   std::vector<std::size_t> ordered;
-  std::map<SwitchId, std::size_t> in_flight;
-  std::set<SwitchId> dead;
+
+  // Every switch of the DAG gets a dense slot in init().
+  std::vector<std::uint32_t> slot;     // per request
+  std::vector<std::size_t> in_flight;  // per slot
+  std::vector<std::uint8_t> dead;      // per slot
+
+  // The round's `ordered` list as per-slot queues of positions: head[s] is
+  // slot s's first position not yet acted on, next_same[p] the next
+  // position with p's slot.
+  static constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  std::vector<std::size_t> head;
+  std::vector<std::size_t> next_same;
+  std::vector<std::uint32_t> round_slots;
+  /// Slots that may act at the next dispatch: their window opened, they
+  /// went dead, or they got entries in a new round. Every other slot has a
+  /// full window or nothing left to act on.
+  std::vector<std::uint8_t> active;
+  std::vector<std::uint32_t> active_slots;
+  std::vector<std::pair<std::size_t, std::uint32_t>> heads;  // min-heap
+
+  // Speculative path only: predecessors neither sent nor tombstoned, and
+  // the blocked requests whose predecessors are all out, by id.
+  std::vector<std::size_t> unsent_preds;
+  std::set<std::size_t> speculable;
+
   std::size_t done_count = 0;
 
   ExecState(net::Network& net, const RequestDag& d, UpdateScheduler& s,
@@ -195,6 +223,19 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
         ready_time[id] = start;
       }
     }
+    std::map<SwitchId, std::uint32_t> slot_of;
+    slot.resize(n);
+    for (std::size_t id = 0; id < n; ++id) {
+      slot[id] = slot_of
+                     .try_emplace(dag.request(id).location,
+                                  static_cast<std::uint32_t>(slot_of.size()))
+                     .first->second;
+    }
+    in_flight.assign(slot_of.size(), 0);
+    dead.assign(slot_of.size(), 0);
+    head.assign(slot_of.size(), kNone);
+    active.assign(slot_of.size(), 0);
+    if (options.speculative_dependents) unsent_preds = remaining_preds;
 
     tele = network.telemetry();
     auto& reg =
@@ -302,11 +343,26 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
     }
   }
 
+  void mark_active(std::uint32_t s) {
+    if (active[s] != 0) return;
+    active[s] = 1;
+    active_slots.push_back(s);
+  }
+
+  /// `id` was sent or tombstoned: its successors lose an unsent predecessor.
+  void mark_out(std::size_t id) {
+    if (!options.speculative_dependents) return;
+    for (std::size_t succ : dag.successors(id)) {
+      if (--unsent_preds[succ] == 0 && !issued[succ]) speculable.insert(succ);
+    }
+  }
+
   void send(std::size_t id) {
     issued[id] = true;
+    mark_out(id);
     ctr.issued->inc();
     attempts[id] = 1;
-    ++in_flight[dag.request(id).location];
+    ++in_flight[slot[id]];
     const SimDuration queued = network.now() - ready_time[id];
     report.total_queueing_delay += queued;
     if (queued > report.max_queueing_delay) report.max_queueing_delay = queued;
@@ -322,7 +378,7 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
     if (options.on_cost_observation) {
       obs_post[id] = network.now();
       obs_busy[id] = network.channel(req.location).agent_busy_until();
-      obs_solo[id] = in_flight[req.location] == 1 ? 1 : 0;
+      obs_solo[id] = in_flight[slot[id]] == 1 ? 1 : 0;
     }
     if (options.rtt != nullptr) rtt_post[id] = network.now();
     network.post_flow_mod_ex(req.location,
@@ -362,8 +418,7 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
         ctr.rejected_fatal->inc();
       }
       if (retryable && options.retry_rejections && retry_enabled() &&
-          attempts[id] <= options.max_retries &&
-          dead.count(dag.request(id).location) == 0) {
+          attempts[id] <= options.max_retries && dead[slot[id]] == 0) {
         // Mirror the timeout-retry path: back off, re-post, same budget.
         const SimDuration backoff =
             options.backoff_base * (std::int64_t{1} << (attempts[id] - 1));
@@ -372,7 +427,7 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
         auto self = shared_from_this();
         network.events().schedule_after(backoff, [self, id]() {
           if (self->finished || self->terminal[id]) return;
-          if (self->dead.count(self->dag.request(id).location) != 0) {
+          if (self->dead[self->slot[id]] != 0) {
             self->fail_request(id);
             self->dispatch();
             return;
@@ -387,8 +442,9 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
     if (done_count == n) end = network.now();
     if (!accepted) ctr.rejected->inc();
     const auto& req = dag.request(id);
-    auto& fl = in_flight[req.location];
+    auto& fl = in_flight[slot[id]];
     if (fl > 0) --fl;
+    mark_active(slot[id]);
     if (req.deadline.has_value() && at - start > *req.deadline) {
       ctr.deadline_misses->inc();
     }
@@ -454,7 +510,7 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
       tele->trace.instant("executor", "timeout", loc, network.now(),
                           {telemetry::arg("id", std::uint64_t{id})});
     }
-    if (dead.count(loc) != 0) {
+    if (dead[slot[id]] != 0) {
       fail_request(id);
       dispatch();
       return;
@@ -473,7 +529,7 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
       auto self = shared_from_this();
       network.events().schedule_after(backoff, [self, id]() {
         if (self->finished || self->terminal[id]) return;
-        if (self->dead.count(self->dag.request(id).location) != 0) {
+        if (self->dead[self->slot[id]] != 0) {
           self->fail_request(id);
           self->dispatch();
           return;
@@ -498,7 +554,7 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
   void send_echo(SwitchId loc, std::size_t id,
                  const std::shared_ptr<Liveness>& probe) {
     if (finished) return;
-    if (dead.count(loc) != 0) {
+    if (dead[slot[id]] != 0) {
       fail_request(id);
       dispatch();
       return;
@@ -533,7 +589,7 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
           if (probe->sent < budget) {
             self->send_echo(loc, id, probe);
           } else {
-            self->fail_switch(loc);
+            self->fail_switch(loc, self->slot[id]);
           }
         });
   }
@@ -562,11 +618,12 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
     const SwitchId loc = dag.request(id).location;
     const bool was_issued = issued[id];
     if (issued[id]) {
-      auto& fl = in_flight[loc];
+      auto& fl = in_flight[slot[id]];
       if (fl > 0) --fl;
+      mark_active(slot[id]);
     } else {
       issued[id] = true;  // tombstone: never send it
-      std::erase(pending, id);
+      mark_out(id);
       pending_dirty = true;
     }
     terminal[id] = true;
@@ -594,8 +651,10 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
     }
   }
 
-  void fail_switch(SwitchId loc) {
-    if (!dead.insert(loc).second) return;
+  void fail_switch(SwitchId loc, std::uint32_t s) {
+    if (dead[s] != 0) return;
+    dead[s] = 1;
+    mark_active(s);
     report.failed_switches.insert(loc);
     if (tele != nullptr) {
       tele->trace.instant("executor", "switch_dead", loc, network.now());
@@ -604,36 +663,63 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
     log::warn("executor: switch " + std::to_string(loc) +
               " declared dead (no ECHO reply)");
     for (std::size_t id = 0; id < n; ++id) {
-      if (!terminal[id] && dag.request(id).location == loc) fail_request(id);
+      if (!terminal[id] && slot[id] == s) fail_request(id);
     }
     dispatch();
+  }
+
+  /// Split the new round's `ordered` list into per-slot position queues.
+  void split_round() {
+    for (const std::uint32_t s : round_slots) head[s] = kNone;
+    round_slots.clear();
+    next_same.resize(ordered.size());
+    for (std::size_t pos = ordered.size(); pos-- > 0;) {
+      const std::uint32_t s = slot[ordered[pos]];
+      if (head[s] == kNone) round_slots.push_back(s);
+      next_same[pos] = head[s];
+      head[s] = pos;
+    }
+    for (const std::uint32_t s : round_slots) mark_active(s);
   }
 
   void dispatch() {
     if (finished) return;
     if (pending_dirty) {
+      std::erase_if(pending, [&](std::size_t id) { return issued[id]; });
       ctr.scheduling_rounds->inc();
       ordered = scheduler.order(dag, pending);
       pending_dirty = false;
+      split_round();
     }
-    for (std::size_t& id : ordered) {
-      if (id == SIZE_MAX) continue;  // tombstone: already sent
-      if (issued[id]) {
-        id = SIZE_MAX;
-        continue;
+    // Merge the active slots' queue heads by position: the same sends and
+    // failures, in the same order, as a front-to-back walk of `ordered`.
+    // Within one dispatch no window opens (only unsent requests fail), so
+    // a slot whose window fills is done; heads failed meanwhile are skipped.
+    for (const std::uint32_t s : active_slots) {
+      active[s] = 0;
+      if (head[s] != kNone) heads.emplace_back(head[s], s);
+    }
+    active_slots.clear();
+    std::make_heap(heads.begin(), heads.end(), std::greater<>{});
+    while (!heads.empty()) {
+      std::pop_heap(heads.begin(), heads.end(), std::greater<>{});
+      const auto [pos, s] = heads.back();
+      heads.pop_back();
+      const std::size_t id = ordered[pos];
+      if (!issued[id]) {
+        if (dead[s] != 0) {
+          fail_request(id);
+        } else if (in_flight[s] < options.per_switch_window) {
+          send(id);
+        } else {
+          continue;  // window full: the head waits here
+        }
       }
-      const SwitchId loc = dag.request(id).location;
-      if (dead.count(loc) != 0) {
-        const std::size_t doomed = id;
-        id = SIZE_MAX;
-        fail_request(doomed);
-        continue;
+      head[s] = next_same[pos];
+      if (head[s] != kNone) {
+        heads.emplace_back(head[s], s);
+        std::push_heap(heads.begin(), heads.end(), std::greater<>{});
       }
-      if (in_flight[loc] >= options.per_switch_window) continue;
-      const std::size_t to_send = id;
-      id = SIZE_MAX;
-      std::erase(pending, to_send);
-      send(to_send);
     }
 
     if (options.speculative_dependents) {
@@ -661,30 +747,36 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
             network.channel(dag.request(rid).location).agent_busy_until();
         return std::max(backlog, network.now()) + est_duration(rid);
       };
+      // Repeat passes in id order until one sends nothing, visiting only
+      // requests whose predecessors are all out; a successor a send makes
+      // speculable joins the set and, if its id is higher, this same pass.
       bool progress = true;
       while (progress) {
         progress = false;
-        for (std::size_t id = 0; id < n; ++id) {
-          if (issued[id] || remaining_preds[id] == 0) continue;
-          if (dead.count(dag.request(id).location) != 0) continue;
-          const auto& preds = dag.predecessors(id);
-          bool eligible = true;
+        for (auto it = speculable.begin(); it != speculable.end();) {
+          const std::size_t id = *it;
+          if (issued[id] || remaining_preds[id] == 0) {
+            it = speculable.erase(it);
+            continue;
+          }
+          if (dead[slot[id]] != 0) {
+            ++it;
+            continue;
+          }
           SimTime latest_pred_finish{};
-          for (std::size_t p : preds) {
-            if (!issued[p]) {
-              eligible = false;
-              break;
-            }
+          for (std::size_t p : dag.predecessors(id)) {
             if (!terminal[p]) {
               latest_pred_finish = std::max(latest_pred_finish, est_finish(p));
             }
           }
-          if (!eligible) continue;
           if (latest_pred_finish + options.guard <= est_finish(id)) {
             remaining_preds[id] = 0;  // commit to early issue
             ready_time[id] = network.now();
             send(id);
+            it = speculable.erase(it);
             progress = true;
+          } else {
+            ++it;
           }
         }
       }
