@@ -46,6 +46,7 @@ std::vector<NodeId> Topology::neighbors(NodeId n) const {
 }
 
 std::optional<std::size_t> Topology::link_between(NodeId a, NodeId b) const {
+  if (a >= adj_.size()) return std::nullopt;
   // adj_ lists are in link-index order, so the first hit is the lowest
   // index — the same answer the historical full scan produced.
   for (const std::size_t i : adj_[a]) {

@@ -66,7 +66,8 @@ class Topology {
                                                                 std::size_t k) const;
 
   /// Index of an up link between two adjacent nodes, if any (lowest link
-  /// index wins, matching historical scan order).
+  /// index wins, matching historical scan order). None for a node the
+  /// topology does not have.
   [[nodiscard]] std::optional<std::size_t> link_between(NodeId a, NodeId b) const;
 
   /// Indices of all links touching `n` (up or down), in link-index order.

@@ -152,6 +152,17 @@ TEST(TopologyEdge, LinkBetweenIgnoresDownLinks) {
   EXPECT_FALSE(topo.link_between(0, 1).has_value());
 }
 
+TEST(TopologyEdge, LinkBetweenUnknownNodeIsNone) {
+  net::Topology topo;
+  topo.add_node("a");
+  topo.add_node("b");
+  topo.add_link(0, 1);
+  EXPECT_FALSE(topo.link_between(9, 9).has_value());
+  EXPECT_FALSE(topo.link_between(9, 0).has_value());
+  EXPECT_FALSE(topo.link_between(0, 9).has_value());
+  EXPECT_FALSE(topo.fail_link_between(9, 1).has_value());
+}
+
 TEST(TopologyEdge, PortForLinkStaysWithinSwitchPorts) {
   for (std::size_t link = 0; link < 100; ++link) {
     const auto port = net::port_for_link(link);
