@@ -5,51 +5,19 @@
 // grouping alone.
 #include <map>
 
+#include "bench/b4_te_update.h"
 #include "bench/bench_util.h"
 #include "net/b4.h"
 #include "scheduler/executor.h"
 #include "scheduler/schedulers.h"
 #include "switchsim/profiles.h"
 #include "tango/tango.h"
-#include "workload/maxmin.h"
 
 namespace {
 
 using namespace tango;
 
 constexpr std::size_t kDemands = 2200;
-
-sched::RequestDag build_update(net::Network& net,
-                               const std::vector<SwitchId>& sites, Rng& rng) {
-  auto& topo = net.topology();
-  auto before_demands = workload::random_demands(topo, kDemands, rng);
-  const auto before = workload::maxmin_allocate(topo, before_demands);
-
-  // Traffic-matrix change: ~30% of demands change rate, ~15% disappear,
-  // ~15% are new, and a link failure reroutes everything crossing it.
-  auto after_demands = before_demands;
-  std::vector<workload::Demand> next;
-  for (auto& d : after_demands) {
-    if (rng.chance(0.15)) continue;  // demand gone
-    if (rng.chance(0.30)) d.requested_gbps = rng.uniform_real(0.05, 1.0);
-    next.push_back(d);
-  }
-  for (std::size_t i = 0; i < kDemands * 3 / 20; ++i) {
-    workload::Demand d;
-    d.src = rng.index(topo.node_count());
-    do {
-      d.dst = rng.index(topo.node_count());
-    } while (d.dst == d.src);
-    d.requested_gbps = rng.uniform_real(0.05, 1.0);
-    d.flow_id = static_cast<std::uint32_t>(kDemands + i);
-    next.push_back(d);
-  }
-  topo.set_link_state(3, false);  // perturb routing
-  const auto after = workload::maxmin_allocate(topo, next);
-  topo.set_link_state(3, true);
-
-  return workload::te_update_dag(before, after, sites, rng);
-}
 
 }  // namespace
 
@@ -79,7 +47,7 @@ int main() {
     net::Network net;
     const auto sites = net::build_b4(net, switchsim::profiles::ovs());
     Rng rng(2200);
-    auto dag = build_update(net, sites, rng);
+    auto dag = bench::b4_te_update(net, sites, kDemands, rng);
     n_requests = dag.size();
     sched::DionysusScheduler sched;
     dionysus_s = sched::execute(net, dag, sched).makespan.sec();
@@ -88,7 +56,7 @@ int main() {
     net::Network net;
     const auto sites = net::build_b4(net, switchsim::profiles::ovs());
     Rng rng(2200);
-    auto dag = build_update(net, sites, rng);
+    auto dag = bench::b4_te_update(net, sites, kDemands, rng);
     sched::BasicTangoScheduler sched(costs);
     tango_s = sched::execute(net, dag, sched).makespan.sec();
   }
