@@ -1,8 +1,8 @@
 #include "ha/ha.h"
 
-#include <set>
 #include <sstream>
 #include <string>
+#include <unordered_set>
 #include <utility>
 
 #include "common/logging.h"
@@ -283,11 +283,12 @@ bool HaController::replay_txn(const TxnShadow& shadow, TakeoverReport& rep) {
   auto desired = decode_pre_images(shadow.txn);
 
   // Footprint for scoped replay: pre-image slots plus each intent's slot.
-  std::map<SwitchId, std::set<std::string>> footprint;
+  std::map<SwitchId, std::unordered_set<sched::RuleKey, sched::RuleKeyHash>>
+      footprint;
   for (const auto& [sw, image] : desired) {
     for (const auto& [key, rule] : image) {
-      (void)rule;
-      footprint[sw].insert(key);
+      (void)key;
+      footprint[sw].emplace(rule.match, rule.priority);
     }
   }
 
@@ -296,7 +297,7 @@ bool HaController::replay_txn(const TxnShadow& shadow, TakeoverReport& rep) {
     const auto& entry = shadow.txn.entries[i];
     order[entry.dag_id] = i;
     const auto fm = decode_flow_mod(entry.intent_frame);
-    footprint[entry.location].insert(sched::rule_key(fm.match, fm.priority));
+    footprint[entry.location].emplace(fm.match, fm.priority);
     if (forward) sched::apply_to_image(desired[entry.location], fm);
   }
 
@@ -345,7 +346,7 @@ bool HaController::replay_txn(const TxnShadow& shadow, TakeoverReport& rep) {
       if (author(sw, rule).has_value()) return true;
       const auto it = footprint.find(sw);
       return it != footprint.end() &&
-             it->second.count(sched::rule_key(rule.match, rule.priority)) > 0;
+             it->second.count(sched::RuleKey(rule.match, rule.priority)) > 0;
     };
   }
 

@@ -1,8 +1,8 @@
 #include "openflow/match.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <functional>
+#include <charconv>
+#include <string_view>
 
 namespace tango::of {
 
@@ -22,6 +22,42 @@ int wildcard_count_to_prefix(std::uint32_t wc_bits) {
   const int ignored = static_cast<int>(std::min<std::uint32_t>(wc_bits, 32));
   return 32 - ignored;
 }
+
+// Writers shared by to_string(), format_ipv4() and format_mac(); they print
+// exactly what std::to_string and "%u" / "%02x" print, and return the end.
+
+/// Room put_decimal() needs after `p`: the digits of the largest unsigned.
+constexpr std::size_t kDecimalRoom = 10;
+
+char* put_decimal(char* p, unsigned value) {
+  return std::to_chars(p, p + kDecimalRoom, value).ptr;
+}
+
+char* put_ipv4(char* p, std::uint32_t addr) {
+  p = put_decimal(p, (addr >> 24) & 0xff);
+  *p++ = '.';
+  p = put_decimal(p, (addr >> 16) & 0xff);
+  *p++ = '.';
+  p = put_decimal(p, (addr >> 8) & 0xff);
+  *p++ = '.';
+  return put_decimal(p, addr & 0xff);
+}
+
+char* put_mac(char* p, const MacAddr& mac) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (std::size_t i = 0; i < mac.size(); ++i) {
+    if (i != 0) *p++ = ':';
+    *p++ = kHex[mac[i] >> 4];
+    *p++ = kHex[mac[i] & 0xf];
+  }
+  return p;
+}
+
+/// Buffers hold the longest text plus the room of a last put_decimal():
+/// to_string() with every field constrained at its widest value (178
+/// chars) and a dotted quad (15 chars).
+constexpr std::size_t kMatchTextBuffer = 178 + kDecimalRoom;
+constexpr std::size_t kIpv4TextBuffer = 15 + kDecimalRoom;
 
 }  // namespace
 
@@ -241,24 +277,65 @@ bool Match::is_wildcard_all() const {
          nw_src_prefix_len() == 0 && nw_dst_prefix_len() == 0;
 }
 
+void Match::append_to(std::string& out) const {
+  char buf[kMatchTextBuffer];
+  char* p = buf;
+  *p++ = '{';
+  const auto field = [&p, &buf](std::string_view name) {
+    if (p != buf + 1) *p++ = ',';
+    p = std::copy(name.begin(), name.end(), p);
+  };
+  if (!field_wildcarded(kWildcardInPort)) {
+    field("in_port=");
+    p = put_decimal(p, in_port);
+  }
+  if (!field_wildcarded(kWildcardDlSrc)) {
+    field("dl_src=");
+    p = put_mac(p, dl_src);
+  }
+  if (!field_wildcarded(kWildcardDlDst)) {
+    field("dl_dst=");
+    p = put_mac(p, dl_dst);
+  }
+  if (!field_wildcarded(kWildcardDlVlan)) {
+    field("vlan=");
+    p = put_decimal(p, dl_vlan);
+  }
+  if (!field_wildcarded(kWildcardDlType)) {
+    field("dl_type=");
+    p = put_decimal(p, dl_type);
+  }
+  if (const int plen = nw_src_prefix_len(); plen > 0) {
+    field("nw_src=");
+    p = put_ipv4(p, nw_src);
+    *p++ = '/';
+    p = put_decimal(p, static_cast<unsigned>(plen));
+  }
+  if (const int plen = nw_dst_prefix_len(); plen > 0) {
+    field("nw_dst=");
+    p = put_ipv4(p, nw_dst);
+    *p++ = '/';
+    p = put_decimal(p, static_cast<unsigned>(plen));
+  }
+  if (!field_wildcarded(kWildcardNwProto)) {
+    field("proto=");
+    p = put_decimal(p, nw_proto);
+  }
+  if (!field_wildcarded(kWildcardTpSrc)) {
+    field("tp_src=");
+    p = put_decimal(p, tp_src);
+  }
+  if (!field_wildcarded(kWildcardTpDst)) {
+    field("tp_dst=");
+    p = put_decimal(p, tp_dst);
+  }
+  *p++ = '}';
+  out.append(buf, p);
+}
+
 std::string Match::to_string() const {
-  std::string out = "{";
-  if (!field_wildcarded(kWildcardInPort)) out += "in_port=" + std::to_string(in_port) + ",";
-  if (!field_wildcarded(kWildcardDlSrc)) out += "dl_src=" + format_mac(dl_src) + ",";
-  if (!field_wildcarded(kWildcardDlDst)) out += "dl_dst=" + format_mac(dl_dst) + ",";
-  if (!field_wildcarded(kWildcardDlVlan)) out += "vlan=" + std::to_string(dl_vlan) + ",";
-  if (!field_wildcarded(kWildcardDlType)) out += "dl_type=" + std::to_string(dl_type) + ",";
-  if (nw_src_prefix_len() > 0) {
-    out += "nw_src=" + format_ipv4(nw_src) + "/" + std::to_string(nw_src_prefix_len()) + ",";
-  }
-  if (nw_dst_prefix_len() > 0) {
-    out += "nw_dst=" + format_ipv4(nw_dst) + "/" + std::to_string(nw_dst_prefix_len()) + ",";
-  }
-  if (!field_wildcarded(kWildcardNwProto)) out += "proto=" + std::to_string(nw_proto) + ",";
-  if (!field_wildcarded(kWildcardTpSrc)) out += "tp_src=" + std::to_string(tp_src) + ",";
-  if (!field_wildcarded(kWildcardTpDst)) out += "tp_dst=" + std::to_string(tp_dst) + ",";
-  if (out.size() > 1 && out.back() == ',') out.pop_back();
-  out += "}";
+  std::string out;
+  append_to(out);
   return out;
 }
 
@@ -285,17 +362,13 @@ std::size_t PacketHeaderHash::operator()(const PacketHeader& h) const {
 }
 
 std::string format_ipv4(std::uint32_t addr) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%u.%u.%u.%u", (addr >> 24) & 0xff,
-                (addr >> 16) & 0xff, (addr >> 8) & 0xff, addr & 0xff);
-  return buf;
+  char buf[kIpv4TextBuffer];
+  return std::string(buf, put_ipv4(buf, addr));
 }
 
 std::string format_mac(const MacAddr& mac) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%02x:%02x:%02x:%02x:%02x:%02x", mac[0],
-                mac[1], mac[2], mac[3], mac[4], mac[5]);
-  return buf;
+  char buf[17];
+  return std::string(buf, put_mac(buf, mac));
 }
 
 }  // namespace tango::of

@@ -97,6 +97,8 @@ struct Match {
   [[nodiscard]] bool is_wildcard_all() const;
 
   [[nodiscard]] std::string to_string() const;
+  /// Append to_string()'s text to `out` (rule keys extend it in place).
+  void append_to(std::string& out) const;
 };
 
 /// Deterministic hash for use as an exact-match (microflow) cache key.

@@ -1,5 +1,7 @@
 #include "scheduler/reconciler.h"
 
+#include <charconv>
+#include <unordered_set>
 #include <vector>
 
 #include "common/logging.h"
@@ -9,7 +11,66 @@
 namespace tango::sched {
 
 std::string rule_key(const of::Match& match, std::uint16_t priority) {
-  return match.to_string() + "/" + std::to_string(priority);
+  std::string key;
+  key.reserve(96);
+  match.append_to(key);
+  key += '/';
+  char buf[8];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), priority);
+  key.append(buf, res.ptr);
+  return key;
+}
+
+RuleKey::RuleKey(const of::Match& match, std::uint16_t priority)
+    : priority_(priority) {
+  // Exact fields to_string() prints keep their wildcard bit and, when
+  // constrained, their value; everything else stays at its default.
+  constexpr std::uint32_t kPrinted =
+      of::kWildcardInPort | of::kWildcardDlSrc | of::kWildcardDlDst |
+      of::kWildcardDlVlan | of::kWildcardDlType | of::kWildcardNwProto |
+      of::kWildcardTpSrc | of::kWildcardTpDst;
+  of::Match& m = match_;
+  m.wildcards = match.wildcards & kPrinted;
+  if (!m.field_wildcarded(of::kWildcardInPort)) m.in_port = match.in_port;
+  if (!m.field_wildcarded(of::kWildcardDlSrc)) m.dl_src = match.dl_src;
+  if (!m.field_wildcarded(of::kWildcardDlDst)) m.dl_dst = match.dl_dst;
+  if (!m.field_wildcarded(of::kWildcardDlVlan)) m.dl_vlan = match.dl_vlan;
+  if (!m.field_wildcarded(of::kWildcardDlType)) m.dl_type = match.dl_type;
+  if (!m.field_wildcarded(of::kWildcardNwProto)) m.nw_proto = match.nw_proto;
+  if (!m.field_wildcarded(of::kWildcardTpSrc)) m.tp_src = match.tp_src;
+  if (!m.field_wildcarded(of::kWildcardTpDst)) m.tp_dst = match.tp_dst;
+  // Prefix lengths in canonical form (wildcard counts above 32 read as 32);
+  // the address as stored, unmasked, as to_string() prints it.
+  const int src_plen = match.nw_src_prefix_len();
+  const int dst_plen = match.nw_dst_prefix_len();
+  m.wildcards |=
+      (static_cast<std::uint32_t>(32 - src_plen) << of::kWildcardNwSrcShift) |
+      (static_cast<std::uint32_t>(32 - dst_plen) << of::kWildcardNwDstShift);
+  if (src_plen > 0) m.nw_src = match.nw_src;
+  if (dst_plen > 0) m.nw_dst = match.nw_dst;
+}
+
+std::size_t RuleKeyHash::operator()(const RuleKey& key) const {
+  const of::Match& m = key.match();
+  std::uint64_t h = key.priority();
+  const auto mix = [&h](std::uint64_t v) {
+    h = (h ^ v) * 0x9e3779b97f4a7c15ULL;
+    h ^= h >> 29;
+  };
+  const auto mac = [](const of::MacAddr& a) {
+    std::uint64_t v = 0;
+    for (const auto b : a) v = (v << 8) | b;
+    return v;
+  };
+  mix(m.wildcards);
+  mix((std::uint64_t{m.in_port} << 32) | (std::uint64_t{m.dl_vlan} << 16) |
+      m.dl_type);
+  mix(mac(m.dl_src));
+  mix(mac(m.dl_dst));
+  mix((std::uint64_t{m.nw_src} << 32) | m.nw_dst);
+  mix((std::uint64_t{m.tp_src} << 24) | (std::uint64_t{m.tp_dst} << 8) |
+      m.nw_proto);
+  return static_cast<std::size_t>(h);
 }
 
 TableImage image_of(const of::FlowStatsReply& reply) {
@@ -135,25 +196,22 @@ ReconcileStats Reconciler::run(const std::map<SwitchId, TableImage>& desired,
 
     // --- collateral: a non-strict DELETE also sweeps desired rules its
     // match subsumes; re-add them behind it. --------------------------------
+    std::map<SwitchId, std::unordered_set<RuleKey, RuleKeyHash>> added;
+    for (const auto& r : repairs) {
+      if (r.type == RequestType::kAdd) {
+        added[r.sw].emplace(r.rule.match, r.rule.priority);
+      }
+    }
     const std::size_t direct = repairs.size();
     for (std::size_t i = 0; i < direct; ++i) {
       if (repairs[i].type != RequestType::kDel) continue;
-      const auto& want = desired.at(repairs[i].sw);
-      for (const auto& [key, rule] : want) {
+      const SwitchId sw = repairs[i].sw;
+      for (const auto& [key, rule] : desired.at(sw)) {
+        (void)key;
         if (!repairs[i].rule.match.subsumes(rule.match)) continue;
-        bool present = false;
-        for (const auto& r : repairs) {
-          if (r.sw == repairs[i].sw && r.type == RequestType::kAdd &&
-              rule_key(r.rule.match, r.rule.priority) == key) {
-            present = true;
-            break;
-          }
-        }
-        if (!present) {
-          repairs.push_back({repairs[i].sw, RequestType::kAdd, rule,
-                             author ? author(repairs[i].sw, rule)
-                                    : std::nullopt});
-        }
+        if (!added[sw].emplace(rule.match, rule.priority).second) continue;
+        repairs.push_back(
+            {sw, RequestType::kAdd, rule, author ? author(sw, rule) : std::nullopt});
       }
     }
 

@@ -27,6 +27,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 
 #include "net/network.h"
 #include "scheduler/executor.h"
@@ -52,6 +53,34 @@ using TableImage = std::map<std::string, RuleImage>;
 
 /// Canonical identity of a rule slot within a table.
 std::string rule_key(const of::Match& match, std::uint16_t priority);
+
+/// Typed rule identity: two keys are equal exactly when their rule_key()
+/// strings are. The constructor keeps only what Match::to_string() prints —
+/// each exact field's wildcard bit and, when constrained, its value; each IP
+/// prefix length and, when non-zero, the address as stored — so nw_tos,
+/// dl_vlan_pcp and the values of wildcarded fields do not count.
+class RuleKey {
+ public:
+  RuleKey(const of::Match& match, std::uint16_t priority);
+
+  /// The match as the key sees it; rule_key(match(), priority()) is the
+  /// string of the match the key was built from.
+  [[nodiscard]] const of::Match& match() const { return match_; }
+  [[nodiscard]] std::uint16_t priority() const { return priority_; }
+
+  bool operator==(const RuleKey&) const = default;
+
+ private:
+  of::Match match_;
+  std::uint16_t priority_ = 0;
+};
+
+struct RuleKeyHash {
+  std::size_t operator()(const RuleKey& key) const;
+};
+
+/// Rule identity -> the DAG node a transaction attributes it to.
+using RuleOwners = std::unordered_map<RuleKey, std::size_t, RuleKeyHash>;
 
 /// Project a readback reply into a table image.
 TableImage image_of(const of::FlowStatsReply& reply);

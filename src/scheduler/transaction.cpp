@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <deque>
 #include <numeric>
+#include <unordered_map>
 
 #include "common/logging.h"
+#include "tables/tuple_index.h"
 
 namespace tango::sched {
 
@@ -38,7 +42,206 @@ of::FlowMod erase_strict(const of::Match& match, std::uint16_t priority) {
   return fm;
 }
 
+/// The rule an ADD (or a MODIFY that hits nothing) installs.
+RuleImage installed(const of::FlowMod& fm) {
+  return RuleImage{fm.match, fm.priority, fm.actions, fm.cookie};
+}
+
+/// One switch's post image while the journal is built, indexed for the two
+/// queries the journal makes of it: a rule by identity (RuleKey), and the
+/// rules a MODIFY or DELETE filter subsumes (a tuple-space index). A slot
+/// per key also carries the key's attribution. Slots are never dropped: a
+/// deleted rule's slot keeps its map node, and so its key string, for a
+/// later ADD of the same key, and every slot remembers whether its key was
+/// in the pre image.
+class IndexedImage {
+ public:
+  static constexpr std::size_t kNobody = SIZE_MAX;
+
+  struct Slot {
+    FlowId id = 0;  // index in slots_, the tuple-space id
+    bool in_pre = false;
+    bool live = false;
+    TableImage::iterator it;        // the rule, while live
+    TableImage::node_type removed;  // its map node, after a DELETE
+    std::size_t writer = kNobody;   // DAG node that last wrote the key
+    std::size_t toucher = kNobody;  // first to destroy or overwrite it
+
+    [[nodiscard]] RuleImage& rule() const { return it->second; }
+    /// Only a pre-image key is attributed a touch, and only the first.
+    void touched_by(std::size_t node) {
+      if (in_pre && toucher == kNobody) toucher = node;
+    }
+  };
+
+  /// Indexes `rules`, the pre image, which then becomes the post image;
+  /// `requests` sizes the key index for the update's new keys.
+  IndexedImage(TableImage& rules, std::size_t requests) : rules_(rules) {
+    by_key_.reserve(rules_.size() + requests);
+    for (auto it = rules_.begin(); it != rules_.end(); ++it) {
+      Slot& s = slot(RuleKey(it->second.match, it->second.priority));
+      s.in_pre = true;
+      s.live = true;
+      s.it = it;
+      by_mask_.insert(it->second.match, s.id);
+    }
+  }
+
+  /// The slot of `key`, created empty (not live) on first use.
+  Slot& slot(const RuleKey& key) {
+    const auto [it, fresh] = by_key_.try_emplace(key, slots_.size());
+    if (fresh) slots_.emplace_back().id = it->second;
+    return slots_[it->second];
+  }
+
+  /// Install `rule` at `s`, replacing a live rule in place.
+  void assign(Slot& s, RuleImage rule) {
+    if (s.live) {
+      RuleImage& cur = s.rule();
+      if (!(cur.match == rule.match)) {
+        // Same key, different match (nw_tos, dl_vlan_pcp or a wildcarded
+        // value differs): the tuple-space entry follows the match.
+        by_mask_.erase(cur.match, s.id);
+        by_mask_.insert(rule.match, s.id);
+      }
+      cur = std::move(rule);
+      return;
+    }
+    if (s.removed.empty()) {
+      std::string key = rule_key(rule.match, rule.priority);
+      s.it = rules_.emplace(std::move(key), std::move(rule)).first;
+    } else {
+      s.removed.mapped() = std::move(rule);
+      s.it = rules_.insert(std::move(s.removed)).position;
+    }
+    s.live = true;
+    by_mask_.insert(s.rule().match, s.id);
+  }
+
+  void erase(Slot& s) {
+    by_mask_.erase(s.rule().match, s.id);
+    s.removed = rules_.extract(s.it);
+    s.live = false;
+  }
+
+  /// The live rules `filter` subsumes, in TableImage key order.
+  std::vector<Slot*> subsumed_by(const of::Match& filter) {
+    std::vector<Slot*> hits;
+    by_mask_.for_each_subsumable(filter, [&](FlowId id) {
+      Slot& s = slots_[id];
+      if (filter.subsumes(s.rule().match)) hits.push_back(&s);
+    });
+    std::sort(hits.begin(), hits.end(), [](const Slot* a, const Slot* b) {
+      return a->it->first < b->it->first;
+    });
+    return hits;
+  }
+
+  /// Ends the build: the key index, remapped from slots to last writers,
+  /// becomes the writers map, and the first touches fill `touched`.
+  void hand_over(RuleOwners& writers, RuleOwners& touched) {
+    for (auto it = by_key_.begin(); it != by_key_.end();) {
+      const Slot& s = slots_[it->second];
+      if (s.toucher != kNobody) touched.emplace(it->first, s.toucher);
+      if (s.writer == kNobody) {
+        it = by_key_.erase(it);
+      } else {
+        it->second = s.writer;
+        ++it;
+      }
+    }
+    writers = std::move(by_key_);
+  }
+
+ private:
+  TableImage& rules_;
+  RuleOwners by_key_;  // key -> index in slots_, until hand_over()
+  std::deque<Slot> slots_;
+  tables::TupleSpaceIndex by_mask_;
+};
+
 }  // namespace
+
+Journal build_journal(const RequestDag& dag,
+                      const std::map<SwitchId, TableImage>& pre,
+                      std::uint16_t default_priority) {
+  Journal journal;
+  journal.post = pre;
+
+  std::map<SwitchId, std::size_t> requests_at;
+  for (std::size_t id = 0; id < dag.size(); ++id) {
+    ++requests_at[dag.request(id).location];
+  }
+  std::map<SwitchId, IndexedImage> images;
+  for (const auto& [sw, requests] : requests_at) {
+    images.try_emplace(sw, journal.post[sw], requests);
+  }
+
+  const auto level = dag.levels();
+  std::vector<std::size_t> order(dag.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return level[a] < level[b];
+                   });
+
+  journal.entries.reserve(dag.size());
+  journal.entry_of.resize(dag.size());
+  for (const std::size_t id : order) {
+    const SwitchRequest& req = dag.request(id);
+    IndexedImage& image = images.find(req.location)->second;
+
+    JournalEntry entry;
+    entry.dag_id = id;
+    entry.location = req.location;
+    entry.intent = to_flow_mod(req, default_priority);
+    const of::FlowMod& fm = entry.intent;
+
+    switch (req.type) {
+      case RequestType::kAdd: {
+        IndexedImage::Slot& s = image.slot(RuleKey(fm.match, fm.priority));
+        entry.inverse.push_back(s.live ? restore(s.rule())
+                                       : erase_strict(fm.match, fm.priority));
+        s.touched_by(id);
+        s.writer = id;
+        image.assign(s, installed(fm));
+        break;
+      }
+      case RequestType::kMod: {
+        const auto hits = image.subsumed_by(fm.match);
+        for (IndexedImage::Slot* s : hits) {
+          entry.inverse.push_back(restore(s->rule()));
+          s->touched_by(id);
+          s->writer = id;
+          s->rule().actions = fm.actions;
+          s->rule().cookie = fm.cookie;
+        }
+        if (hits.empty()) {
+          // The modify will act as an ADD of a fresh entry.
+          entry.inverse.push_back(erase_strict(fm.match, fm.priority));
+          IndexedImage::Slot& s = image.slot(RuleKey(fm.match, fm.priority));
+          s.writer = id;
+          image.assign(s, installed(fm));
+        }
+        break;
+      }
+      case RequestType::kDel:
+        for (IndexedImage::Slot* s : image.subsumed_by(fm.match)) {
+          entry.inverse.push_back(restore(s->rule()));
+          s->touched_by(id);
+          image.erase(*s);
+        }
+        break;
+    }
+    journal.entry_of[id] = journal.entries.size();
+    journal.entries.push_back(std::move(entry));
+  }
+
+  for (auto& [sw, image] : images) {
+    image.hand_over(journal.writers[sw], journal.touched[sw]);
+  }
+  return journal;
+}
 
 UpdateTransaction::UpdateTransaction(net::Network& network, RequestDag dag,
                                      TransactionOptions options)
@@ -106,72 +309,7 @@ UpdateTransaction::UpdateTransaction(net::Network& network, RequestDag dag,
   report_.readback_lost += snap.readback_lost;
 
   // --- journal + post image, in DAG topological order ----------------------
-  post_ = pre_;
-  const auto level = dag_.levels();
-  std::vector<std::size_t> order(dag_.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return level[a] < level[b];
-                   });
-
-  for (const std::size_t id : order) {
-    const SwitchRequest& req = dag_.request(id);
-    const of::FlowMod fm = to_flow_mod(req, options_.exec.default_priority);
-    TableImage& image = post_[req.location];
-    const TableImage& pre = pre_[req.location];
-    auto& touched = touched_[req.location];
-    auto& writers = writers_[req.location];
-
-    JournalEntry entry;
-    entry.dag_id = id;
-    entry.location = req.location;
-    entry.intent = fm;
-
-    const std::string key = rule_key(fm.match, fm.priority);
-    switch (fm.command) {
-      case of::FlowModCommand::kAdd: {
-        const auto prev = image.find(key);
-        if (prev != image.end()) {
-          entry.inverse.push_back(restore(prev->second));
-        } else {
-          entry.inverse.push_back(erase_strict(fm.match, fm.priority));
-        }
-        if (pre.count(key) != 0) touched.emplace(key, id);
-        writers[key] = id;
-        break;
-      }
-      case of::FlowModCommand::kModify:
-      case of::FlowModCommand::kModifyStrict: {
-        std::size_t hits = 0;
-        for (const auto& [k, rule] : image) {
-          if (!fm.match.subsumes(rule.match)) continue;
-          entry.inverse.push_back(restore(rule));
-          if (pre.count(k) != 0) touched.emplace(k, id);
-          writers[k] = id;
-          ++hits;
-        }
-        if (hits == 0) {
-          // The modify will act as an ADD of a fresh entry.
-          entry.inverse.push_back(erase_strict(fm.match, fm.priority));
-          writers[key] = id;
-        }
-        break;
-      }
-      case of::FlowModCommand::kDelete:
-      case of::FlowModCommand::kDeleteStrict: {
-        for (const auto& [k, rule] : image) {
-          if (!fm.match.subsumes(rule.match)) continue;
-          entry.inverse.push_back(restore(rule));
-          if (pre.count(k) != 0) touched.emplace(k, id);
-        }
-        break;
-      }
-    }
-    apply_to_image(image, fm);
-    journal_of_dag_[id] = journal_.size();
-    journal_.push_back(std::move(entry));
-  }
+  journal_ = build_journal(dag_, pre_, options_.exec.default_priority);
 
   // --- crash-epoch baseline ------------------------------------------------
   for (const SwitchId sw : affected) {
@@ -184,9 +322,10 @@ UpdateTransaction::UpdateTransaction(net::Network& network, RequestDag dag,
                   telemetry::TraceCollector::kControllerLane, phase_begin,
                   network_.now(),
                   {telemetry::arg("txn", std::uint64_t{txn_id_}),
-                   telemetry::arg("entries", std::uint64_t{journal_.size()}),
+                   telemetry::arg("entries",
+                                  std::uint64_t{journal_.entries.size()}),
                    telemetry::arg("switches", std::uint64_t{affected.size()})});
-    t->metrics.counter("txn.journaled_entries").inc(journal_.size());
+    t->metrics.counter("txn.journaled_entries").inc(journal_.entries.size());
   }
 
   // WAL discipline: the standby holds the full intent journal before the
@@ -207,18 +346,14 @@ void UpdateTransaction::start_commit(UpdateScheduler& scheduler) {
   commit_begin_ = network_.now();
   ExecutorOptions exec = options_.exec;
   exec.on_complete = [this](std::size_t id, bool accepted) {
-    const auto it = journal_of_dag_.find(id);
-    if (it == journal_of_dag_.end()) return;
-    journal_[it->second].state =
+    journal_.entries[journal_.entry_of[id]].state =
         accepted ? JournalEntry::State::kAcked : JournalEntry::State::kFailed;
     if (options_.journal_sink != nullptr) {
       options_.journal_sink->on_entry_acked(*this, id, accepted);
     }
   };
   exec.on_failed = [this](std::size_t id) {
-    const auto it = journal_of_dag_.find(id);
-    if (it == journal_of_dag_.end()) return;
-    journal_[it->second].state = JournalEntry::State::kFailed;
+    journal_.entries[journal_.entry_of[id]].state = JournalEntry::State::kFailed;
     if (options_.journal_sink != nullptr) {
       options_.journal_sink->on_entry_acked(*this, id, /*accepted=*/false);
     }
@@ -277,7 +412,7 @@ const TransactionReport& UpdateTransaction::finish_commit() {
     // failed" cannot be taken at the switch's word.
     report_.committed = report_.unreconciled.empty();
     if (!options_.readback_verify.empty()) {
-      verify_readback(post_, /*forward=*/true);
+      verify_readback(journal_.post, /*forward=*/true);
     }
     close_commit_span();
     if (options_.journal_sink != nullptr) {
@@ -301,7 +436,7 @@ const TransactionReport& UpdateTransaction::finish_commit() {
     // policy was supposed to converge to — the re-read drains any remaining
     // lie budget or sees the truth, and repairs what it finds.
     const bool forward = options_.policy == RecoveryPolicy::kRollForward;
-    verify_readback(forward ? post_ : pre_, forward);
+    verify_readback(forward ? journal_.post : pre_, forward);
   }
   close_commit_span();
   if (options_.journal_sink != nullptr) {
@@ -366,21 +501,8 @@ void UpdateTransaction::verify_readback(
     // image with the same attribution/order machinery a crash would use.
     report_.reconciled = true;
     Reconciler::Author author = [this, forward](SwitchId sw,
-                                                const RuleImage& rule)
-        -> std::optional<std::size_t> {
-      if (txn_of_cookie(rule.cookie) == txn_key()) {
-        const auto id =
-            static_cast<std::size_t>(static_cast<std::uint32_t>(rule.cookie));
-        if (id < dag_.size()) return id;
-      }
-      const std::string key = rule_key(rule.match, rule.priority);
-      const auto& attribution = forward ? writers_ : touched_;
-      const auto per_switch = attribution.find(sw);
-      if (per_switch != attribution.end()) {
-        const auto hit = per_switch->second.find(key);
-        if (hit != per_switch->second.end()) return hit->second;
-      }
-      return std::nullopt;
+                                                const RuleImage& rule) {
+      return author_of(sw, rule, forward);
     };
     Reconciler::MustPrecede precede = [this, forward](std::size_t a,
                                                       std::size_t b) {
@@ -420,25 +542,11 @@ void UpdateTransaction::reconcile() {
   report_.reconciled = true;
   const bool forward = options_.policy == RecoveryPolicy::kRollForward;
   report_.rolled_back = !forward;
-  const auto& desired = forward ? post_ : pre_;
+  const auto& desired = forward ? journal_.post : pre_;
 
-  Reconciler::Author author = [this, forward](
-                                  SwitchId sw,
-                                  const RuleImage& rule) -> std::optional<std::size_t> {
-    // Rules carrying this transaction's cookie map straight to their node.
-    if (txn_of_cookie(rule.cookie) == txn_key()) {
-      const auto id = static_cast<std::size_t>(
-          static_cast<std::uint32_t>(rule.cookie));
-      if (id < dag_.size()) return id;
-    }
-    const std::string key = rule_key(rule.match, rule.priority);
-    const auto& attribution = forward ? writers_ : touched_;
-    const auto per_switch = attribution.find(sw);
-    if (per_switch != attribution.end()) {
-      const auto hit = per_switch->second.find(key);
-      if (hit != per_switch->second.end()) return hit->second;
-    }
-    return std::nullopt;
+  Reconciler::Author author = [this, forward](SwitchId sw,
+                                              const RuleImage& rule) {
+    return author_of(sw, rule, forward);
   };
   Reconciler::MustPrecede precede = [this, forward](std::size_t a,
                                                     std::size_t b) {
@@ -499,6 +607,24 @@ const VerifierReport& UpdateTransaction::verify(
         .inc(report_.verify.violations.size());
   }
   return report_.verify;
+}
+
+std::optional<std::size_t> UpdateTransaction::author_of(SwitchId sw,
+                                                        const RuleImage& rule,
+                                                        bool forward) const {
+  // Rules carrying this transaction's cookie map straight to their node.
+  if (txn_of_cookie(rule.cookie) == txn_key()) {
+    const auto id =
+        static_cast<std::size_t>(static_cast<std::uint32_t>(rule.cookie));
+    if (id < dag_.size()) return id;
+  }
+  const auto& attribution = forward ? journal_.writers : journal_.touched;
+  const auto per_switch = attribution.find(sw);
+  if (per_switch != attribution.end()) {
+    const auto hit = per_switch->second.find(RuleKey(rule.match, rule.priority));
+    if (hit != per_switch->second.end()) return hit->second;
+  }
+  return std::nullopt;
 }
 
 bool UpdateTransaction::reaches(std::size_t a, std::size_t b) {

@@ -32,6 +32,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -65,6 +66,32 @@ struct JournalEntry {
   std::vector<of::FlowMod> inverse;
   State state = State::kPlanned;
 };
+
+/// An update's write-ahead journal, with the post images and the rule
+/// attribution built alongside it.
+struct Journal {
+  /// One entry per DAG node, in DAG topological order.
+  std::vector<JournalEntry> entries;
+  /// DAG node id -> its index in `entries`.
+  std::vector<std::size_t> entry_of;
+  /// Per switch: the pre image with every intent applied in journal order.
+  std::map<SwitchId, TableImage> post;
+  /// Per switch: rule -> DAG node that last wrote it (post image).
+  std::map<SwitchId, RuleOwners> writers;
+  /// Per switch: pre-image rule -> DAG node that first destroyed or
+  /// overwrote it (for attributing rollback restores).
+  std::map<SwitchId, RuleOwners> touched;
+};
+
+/// Journal `dag` against the per-switch pre images `pre` (a switch missing
+/// there starts empty). Requests are visited by DAG level, then id; each is
+/// compiled with to_flow_mod(request, default_priority) and journaled with
+/// the inverses that undo it against the image it acts on, which is then
+/// updated with apply_to_image() semantics. A MODIFY or DELETE restores the
+/// rules it hits in TableImage key order.
+Journal build_journal(const RequestDag& dag,
+                      const std::map<SwitchId, TableImage>& pre,
+                      std::uint16_t default_priority);
 
 struct TransactionReport;
 class UpdateTransaction;
@@ -223,7 +250,7 @@ class UpdateTransaction {
   }
 
   [[nodiscard]] const std::vector<JournalEntry>& journal() const {
-    return journal_;
+    return journal_.entries;
   }
   [[nodiscard]] const TransactionOptions& options() const { return options_; }
   [[nodiscard]] const TransactionReport& report() const { return report_; }
@@ -231,7 +258,7 @@ class UpdateTransaction {
     return pre_.at(id);
   }
   [[nodiscard]] const TableImage& post_image(SwitchId id) const {
-    return post_.at(id);
+    return journal_.post.at(id);
   }
   [[nodiscard]] RequestDag& dag() { return dag_; }
   [[nodiscard]] const RequestDag& dag() const { return dag_; }
@@ -250,6 +277,12 @@ class UpdateTransaction {
   /// map and dependency direction, mirroring reconcile().
   void verify_readback(const std::map<SwitchId, TableImage>& want_images,
                        bool forward);
+  /// Reconciler::Author for this transaction: a rule carrying our cookie
+  /// maps to its node; any other rule by key through the writers (`forward`)
+  /// or the pre-image rules each node touched (rollback).
+  [[nodiscard]] std::optional<std::size_t> author_of(SwitchId sw,
+                                                     const RuleImage& rule,
+                                                     bool forward) const;
   /// True when original DAG node `a` must complete before `b` (rollback
   /// reverses the arguments). Lazily computes the reachability closure.
   bool reaches(std::size_t a, std::size_t b);
@@ -265,15 +298,8 @@ class UpdateTransaction {
   TransactionOptions options_;
   std::uint32_t txn_id_ = 0;
 
-  std::vector<JournalEntry> journal_;
-  std::map<std::size_t, std::size_t> journal_of_dag_;  // dag id -> journal idx
   std::map<SwitchId, TableImage> pre_;
-  std::map<SwitchId, TableImage> post_;
-  /// Per switch: rule key -> dag node that last wrote it (post image).
-  std::map<SwitchId, std::map<std::string, std::size_t>> writers_;
-  /// Per switch: pre-image rule key -> dag node that first destroyed or
-  /// overwrote it (for attributing rollback restores).
-  std::map<SwitchId, std::map<std::string, std::size_t>> touched_;
+  Journal journal_;
   /// Fault-injector crash counters at construction, for detecting crashes
   /// the notification hook could not observe.
   std::map<SwitchId, std::uint64_t> crashes_at_begin_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <unordered_map>
 
 namespace tango::core {
 
@@ -211,19 +212,21 @@ double TangoController::spot_check(SwitchId id, std::size_t batch) {
   // else: under an active fault injector some deletes can vanish after the
   // barrier reply made it back, leaking probe rules into the workload's
   // table. Verify by readback and re-issue deletes for survivors.
-  std::map<std::string, std::uint32_t> expect;
+  using ProbeRules =
+      std::unordered_map<sched::RuleKey, std::uint32_t, sched::RuleKeyHash>;
+  ProbeRules expect;
   for (std::size_t i = 0; i < batch; ++i) {
     const auto idx = first + static_cast<std::uint32_t>(i);
-    expect.emplace(sched::rule_key(ProbeEngine::probe_match(idx), priorities[i]),
+    expect.emplace(sched::RuleKey(ProbeEngine::probe_match(idx), priorities[i]),
                    idx);
   }
   for (std::size_t round = 0; round < 8 && !expect.empty(); ++round) {
     const auto reply = network_.try_flow_stats(id, of::Match::any(), millis(200));
     if (!reply.has_value()) continue;  // readback lost; try again
-    std::map<std::string, std::uint32_t> survivors;
+    ProbeRules survivors;
     std::vector<of::FlowMod> redel;
     for (const auto& entry : reply->entries) {
-      const auto hit = expect.find(sched::rule_key(entry.match, entry.priority));
+      const auto hit = expect.find(sched::RuleKey(entry.match, entry.priority));
       if (hit == expect.end()) continue;
       survivors.insert(*hit);
       auto fm = ProbeEngine::probe_add(hit->second);

@@ -2,11 +2,16 @@
 // prefix matching, overlap/subsumption, and layer classification — plus
 // the footprint shapes the intent service's ConflictGraph feeds through
 // overlaps()/subsumes() (classbench prefix-masked 5-tuples, tenant prefix
-// partitions, wildcard/mask corners).
+// partitions, wildcard/mask corners) — and the bytes of to_string() and the
+// format helpers, and the identity of the typed rule key built on them.
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <string>
 
 #include "common/rng.h"
 #include "openflow/match.h"
+#include "scheduler/reconciler.h"
 #include "workload/classbench.h"
 
 namespace tango::of {
@@ -353,6 +358,242 @@ TEST(MatchFootprint, WildcardAndMaskCorners) {
   EXPECT_TRUE(p8.overlaps(p24_in));
   EXPECT_FALSE(p8.overlaps(p24_out));
   EXPECT_FALSE(p24_in.subsumes(p8));
+}
+
+// ---------------------------------------------------------------------------
+// Key bytes: to_string() and the format helpers against the std::to_string /
+// snprintf formatting they replaced, kept here as the pin.
+// ---------------------------------------------------------------------------
+
+std::string legacy_format_ipv4(std::uint32_t addr) {
+  char buf[20];
+  std::snprintf(buf, sizeof(buf), "%u.%u.%u.%u", (addr >> 24) & 0xff,
+                (addr >> 16) & 0xff, (addr >> 8) & 0xff, addr & 0xff);
+  return buf;
+}
+
+std::string legacy_format_mac(const MacAddr& mac) {
+  char buf[20];
+  std::snprintf(buf, sizeof(buf), "%02x:%02x:%02x:%02x:%02x:%02x", mac[0],
+                mac[1], mac[2], mac[3], mac[4], mac[5]);
+  return buf;
+}
+
+std::string legacy_to_string(const Match& m) {
+  std::string out = "{";
+  if (!m.field_wildcarded(kWildcardInPort)) out += "in_port=" + std::to_string(m.in_port) + ",";
+  if (!m.field_wildcarded(kWildcardDlSrc)) out += "dl_src=" + legacy_format_mac(m.dl_src) + ",";
+  if (!m.field_wildcarded(kWildcardDlDst)) out += "dl_dst=" + legacy_format_mac(m.dl_dst) + ",";
+  if (!m.field_wildcarded(kWildcardDlVlan)) out += "vlan=" + std::to_string(m.dl_vlan) + ",";
+  if (!m.field_wildcarded(kWildcardDlType)) out += "dl_type=" + std::to_string(m.dl_type) + ",";
+  if (m.nw_src_prefix_len() > 0) {
+    out += "nw_src=" + legacy_format_ipv4(m.nw_src) + "/" +
+           std::to_string(m.nw_src_prefix_len()) + ",";
+  }
+  if (m.nw_dst_prefix_len() > 0) {
+    out += "nw_dst=" + legacy_format_ipv4(m.nw_dst) + "/" +
+           std::to_string(m.nw_dst_prefix_len()) + ",";
+  }
+  if (!m.field_wildcarded(kWildcardNwProto)) out += "proto=" + std::to_string(m.nw_proto) + ",";
+  if (!m.field_wildcarded(kWildcardTpSrc)) out += "tp_src=" + std::to_string(m.tp_src) + ",";
+  if (!m.field_wildcarded(kWildcardTpDst)) out += "tp_dst=" + std::to_string(m.tp_dst) + ",";
+  if (out.size() > 1 && out.back() == ',') out.pop_back();
+  out += "}";
+  return out;
+}
+
+/// The exact-field wildcard bits to_string() reads.
+constexpr std::uint32_t kPrintedBits[] = {
+    kWildcardInPort, kWildcardDlSrc,   kWildcardDlDst, kWildcardDlVlan,
+    kWildcardDlType, kWildcardNwProto, kWildcardTpSrc, kWildcardTpDst};
+
+constexpr std::uint32_t kBoundaryValues[] = {0, 9, 10, 99, 100, 255, 65535};
+
+/// Every field set to `v` (truncated to the field's width), MAC bytes too.
+Match all_fields(std::uint32_t v) {
+  Match m;
+  m.in_port = static_cast<std::uint16_t>(v);
+  m.dl_src.fill(static_cast<std::uint8_t>(v));
+  m.dl_dst.fill(static_cast<std::uint8_t>(v >> 4));
+  m.dl_vlan = static_cast<std::uint16_t>(v);
+  m.dl_vlan_pcp = static_cast<std::uint8_t>(v);
+  m.dl_type = static_cast<std::uint16_t>(v);
+  m.nw_tos = static_cast<std::uint8_t>(v);
+  m.nw_proto = static_cast<std::uint8_t>(v);
+  m.nw_src = v * 0x01010101u;
+  m.nw_dst = v;
+  m.tp_src = static_cast<std::uint16_t>(v);
+  m.tp_dst = static_cast<std::uint16_t>(v);
+  return m;
+}
+
+Match random_any_match(Rng& rng) {
+  Match m;
+  m.wildcards = static_cast<std::uint32_t>(rng.uniform_int(0, 0xffffffffLL));
+  m.in_port = static_cast<std::uint16_t>(rng.uniform_int(0, 65535));
+  for (auto& b : m.dl_src) b = static_cast<std::uint8_t>(rng.index(256));
+  for (auto& b : m.dl_dst) b = static_cast<std::uint8_t>(rng.index(256));
+  m.dl_vlan = static_cast<std::uint16_t>(rng.uniform_int(0, 65535));
+  m.dl_vlan_pcp = static_cast<std::uint8_t>(rng.index(256));
+  m.dl_type = static_cast<std::uint16_t>(rng.uniform_int(0, 65535));
+  m.nw_tos = static_cast<std::uint8_t>(rng.index(256));
+  m.nw_proto = static_cast<std::uint8_t>(rng.index(256));
+  m.nw_src = static_cast<std::uint32_t>(rng.uniform_int(0, 0xffffffffLL));
+  m.nw_dst = static_cast<std::uint32_t>(rng.uniform_int(0, 0xffffffffLL));
+  m.tp_src = static_cast<std::uint16_t>(rng.uniform_int(0, 65535));
+  m.tp_dst = static_cast<std::uint16_t>(rng.uniform_int(0, 65535));
+  return m;
+}
+
+TEST(MatchFormat, EveryPrintedWildcardCombinationAndBoundaryValue) {
+  Rng rng(5);
+  for (std::uint32_t combo = 0; combo < (1u << std::size(kPrintedBits)); ++combo) {
+    for (const std::uint32_t v : kBoundaryValues) {
+      Match m = all_fields(v);
+      m.wildcards = static_cast<std::uint32_t>(rng.uniform_int(0, 0xffffffffLL));
+      for (std::size_t b = 0; b < std::size(kPrintedBits); ++b) {
+        if ((combo >> b) & 1) {
+          m.wildcards |= kPrintedBits[b];
+        } else {
+          m.wildcards &= ~kPrintedBits[b];
+        }
+      }
+      ASSERT_EQ(m.to_string(), legacy_to_string(m))
+          << "wildcards " << m.wildcards << " value " << v;
+    }
+  }
+}
+
+TEST(MatchFormat, LongestTextIsEveryFieldAtItsWidest) {
+  Match m = all_fields(65535);
+  m.wildcards = 0;
+  m.dl_src.fill(0xff);
+  m.dl_dst.fill(0xff);
+  m.set_nw_src_prefix(0xffffffffu, 32);
+  m.set_nw_dst_prefix(0xffffffffu, 32);
+  EXPECT_EQ(m.to_string(), legacy_to_string(m));
+  EXPECT_EQ(m.to_string().size(), 178u);
+}
+
+TEST(MatchFormat, EveryPrefixLengthAndWildcardCount) {
+  Rng rng(6);
+  for (std::uint32_t src_count = 0; src_count < 64; ++src_count) {
+    for (std::uint32_t dst_count = 0; dst_count < 64; ++dst_count) {
+      Match m = all_fields(kBoundaryValues[rng.index(std::size(kBoundaryValues))]);
+      m.nw_src = static_cast<std::uint32_t>(rng.uniform_int(0, 0xffffffffLL));
+      m.wildcards = (src_count << kWildcardNwSrcShift) |
+                    (dst_count << kWildcardNwDstShift) | kWildcardInPort;
+      ASSERT_EQ(m.to_string(), legacy_to_string(m))
+          << "counts " << src_count << "/" << dst_count;
+    }
+  }
+}
+
+TEST(MatchFormat, Ipv4AndMacHelpersAreByteIdentical) {
+  constexpr std::uint32_t kOctets[] = {0, 9, 10, 99, 100, 255};
+  for (const auto a : kOctets) {
+    for (const auto b : kOctets) {
+      for (const auto c : kOctets) {
+        for (const auto d : kOctets) {
+          const std::uint32_t addr = (a << 24) | (b << 16) | (c << 8) | d;
+          ASSERT_EQ(format_ipv4(addr), legacy_format_ipv4(addr)) << addr;
+        }
+      }
+    }
+  }
+  for (std::uint32_t byte = 0; byte < 256; ++byte) {
+    for (std::size_t pos = 0; pos < 6; ++pos) {
+      MacAddr mac{0x0a, 0xbc, 0xde, 0xf0, 0x19, 0xa2};
+      mac[pos] = static_cast<std::uint8_t>(byte);
+      ASSERT_EQ(format_mac(mac), legacy_format_mac(mac)) << byte << "@" << pos;
+    }
+  }
+  Rng rng(7);
+  for (int i = 0; i < 20000; ++i) {
+    const Match m = random_any_match(rng);
+    ASSERT_EQ(format_ipv4(m.nw_src), legacy_format_ipv4(m.nw_src));
+    ASSERT_EQ(format_mac(m.dl_src), legacy_format_mac(m.dl_src));
+    ASSERT_EQ(m.to_string(), legacy_to_string(m));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Key identity: sched::RuleKey equals exactly when rule_key strings do.
+// ---------------------------------------------------------------------------
+
+/// A small-domain match, so random pairs often share a key.
+Match small_match(Rng& rng) {
+  Match m;
+  m.wildcards = kWildcardAll;
+  for (const std::uint32_t bit : kPrintedBits) {
+    if (rng.chance(0.3)) m.wildcards &= ~bit;
+  }
+  if (rng.chance(0.3)) m.wildcards &= ~kWildcardNwTos;
+  if (rng.chance(0.3)) m.wildcards &= ~kWildcardDlVlanPcp;
+  m.in_port = static_cast<std::uint16_t>(rng.index(2));
+  m.dl_src[5] = static_cast<std::uint8_t>(rng.index(2));
+  m.dl_dst[0] = static_cast<std::uint8_t>(rng.index(2));
+  m.dl_vlan = static_cast<std::uint16_t>(rng.index(2));
+  m.dl_vlan_pcp = static_cast<std::uint8_t>(rng.index(2));
+  m.dl_type = static_cast<std::uint16_t>(rng.index(2));
+  m.nw_tos = static_cast<std::uint8_t>(rng.index(2));
+  m.nw_proto = static_cast<std::uint8_t>(rng.index(2));
+  m.tp_src = static_cast<std::uint16_t>(rng.index(2));
+  m.tp_dst = static_cast<std::uint16_t>(rng.index(2));
+  const auto prefix = [&rng]() -> std::uint32_t {
+    // Wildcard counts: prefixes /32, /31, /0, and counts above 32.
+    constexpr std::uint32_t kCounts[] = {0, 1, 32, 33, 63};
+    return kCounts[rng.index(std::size(kCounts))];
+  };
+  m.wildcards = (m.wildcards & ~(kWildcardNwSrcMask | kWildcardNwDstMask)) |
+                (prefix() << kWildcardNwSrcShift) | (prefix() << kWildcardNwDstShift);
+  m.nw_src = static_cast<std::uint32_t>(rng.index(2));  // host bit
+  m.nw_dst = static_cast<std::uint32_t>(rng.index(2)) << 31;
+  return m;
+}
+
+/// `m` with one thing changed: something the key ignores (nw_tos,
+/// dl_vlan_pcp, their wildcard bits, a wildcarded value, a count above 32)
+/// or something it keeps.
+Match perturb(Match m, Rng& rng) {
+  switch (rng.index(8)) {
+    case 0: m.nw_tos ^= 1; break;
+    case 1: m.dl_vlan_pcp ^= 1; break;
+    case 2: m.wildcards ^= rng.chance(0.5) ? kWildcardNwTos : kWildcardDlVlanPcp; break;
+    case 3: m.in_port ^= 1; m.tp_dst ^= 1; break;
+    case 4: m.wildcards ^= kPrintedBits[rng.index(std::size(kPrintedBits))]; break;
+    case 5: m.nw_src ^= 1; break;
+    case 6: m.wildcards ^= 1u << 30; break;
+    default: m.dl_src[5] ^= 1; m.dl_type ^= 1; break;
+  }
+  return m;
+}
+
+TEST(RuleKeyTest, EqualWithEqualHashesExactlyWhenKeyStringsAre) {
+  Rng rng(8);
+  const sched::RuleKeyHash hash;
+  std::size_t equal = 0;
+  std::size_t unequal = 0;
+  for (int i = 0; i < 200000; ++i) {
+    const Match a = small_match(rng);
+    const Match b = rng.chance(0.7) ? perturb(a, rng) : small_match(rng);
+    const auto pa = static_cast<std::uint16_t>(rng.chance(0.9) ? 100 : 1000);
+    const auto pb = static_cast<std::uint16_t>(rng.chance(0.9) ? pa : 10);
+    const sched::RuleKey ka(a, pa);
+    const sched::RuleKey kb(b, pb);
+    const bool same = sched::rule_key(a, pa) == sched::rule_key(b, pb);
+    ASSERT_EQ(ka == kb, same) << sched::rule_key(a, pa) << " vs "
+                              << sched::rule_key(b, pb);
+    if (same) {
+      ASSERT_EQ(hash(ka), hash(kb)) << sched::rule_key(a, pa);
+      ++equal;
+    } else {
+      ++unequal;
+    }
+    ASSERT_EQ(sched::rule_key(ka.match(), ka.priority()), sched::rule_key(a, pa));
+  }
+  EXPECT_GT(equal, 20000u);
+  EXPECT_GT(unequal, 20000u);
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 //  * switch model: invariants hold under random op sequences,
 //  * executor: dependency order is never violated for random DAGs,
 //  * scheduler: orderings are permutations of the ready set, equal id for
-//    id to the pre-rewrite reference schedulers (reference_scheduler.h).
+//    id to the pre-rewrite reference schedulers (reference_scheduler.h),
+//  * transaction journal: the indexed journal equals the scan-based
+//    reference loop (reference_journal.h), and transactions repair a crash
+//    exactly as that journal's attribution would.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,12 +15,18 @@
 #include <set>
 #include <string>
 
+#include "bench/b4_te_update.h"
+#include "net/b4.h"
 #include "net/network.h"
 #include "openflow/codec.h"
 #include "scheduler/executor.h"
+#include "scheduler/reconciler.h"
 #include "scheduler/schedulers.h"
+#include "scheduler/transaction.h"
 #include "switchsim/profiles.h"
 #include "tango/probe_engine.h"
+#include "workload/classbench.h"
+#include "reference_journal.h"
 #include "reference_scheduler.h"
 
 namespace tango {
@@ -477,6 +486,400 @@ TEST_P(ExecutorProperties, SchedulerOutputsArePermutations) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExecutorProperties, ::testing::Values(7, 8, 9, 10));
+
+// ---------------------------------------------------------------------------
+// Transaction journal: indexed images vs the scan-based reference loop
+// ---------------------------------------------------------------------------
+
+using sched::testing::journal_difference;
+using sched::testing::reference_build_journal;
+
+constexpr std::uint16_t kDefaultPriority = 0x8000;
+
+/// Numeric and key-string order disagree on these ("1000" < "7" < "999").
+constexpr std::uint16_t kJournalPriorities[] = {7, 100, 999, 1000, 5000, 30000};
+
+std::uint16_t journal_priority(Rng& rng) {
+  return kJournalPriorities[rng.index(std::size(kJournalPriorities))];
+}
+
+/// ClassBench ACL matches: wildcards and nested, overlapping prefixes.
+std::vector<of::Match> acl_matches(Rng& rng, std::size_t n) {
+  workload::ClassbenchProfile profile;
+  profile.n_rules = n;
+  profile.seed = static_cast<std::uint64_t>(rng.uniform_int(1, 1 << 30));
+  profile.chain_len = 3 + rng.index(8);
+  profile.n_chains = 1 + rng.index(3);
+  std::vector<of::Match> out;
+  for (const auto& rule : workload::generate_classbench(profile)) {
+    out.push_back(rule.match);
+  }
+  return out;
+}
+
+/// `m` with what the rule key ignores perturbed: nw_tos, dl_vlan_pcp and the
+/// value of a wildcarded field.
+of::Match vary_unkeyed(of::Match m, Rng& rng) {
+  if (rng.chance(0.15)) {
+    m.wildcards &= ~of::kWildcardNwTos;
+    m.nw_tos = static_cast<std::uint8_t>(rng.index(3));
+  }
+  if (rng.chance(0.1)) {
+    m.wildcards &= ~of::kWildcardDlVlanPcp;
+    m.dl_vlan_pcp = static_cast<std::uint8_t>(rng.index(3));
+  }
+  if (rng.chance(0.15) && m.field_wildcarded(of::kWildcardInPort)) {
+    m.in_port = static_cast<std::uint16_t>(1 + rng.index(3));
+  }
+  return m;
+}
+
+/// A filter at least as wide as `m`: constraints dropped, prefixes shortened.
+of::Match widen(of::Match m, Rng& rng) {
+  if (rng.chance(0.5)) m.wildcards |= of::kWildcardTpDst | of::kWildcardTpSrc;
+  if (rng.chance(0.5)) m.wildcards |= of::kWildcardNwProto;
+  if (rng.chance(0.5)) {
+    m.set_nw_src_prefix(m.nw_src,
+                        m.nw_src_prefix_len() - static_cast<int>(rng.index(9)));
+  }
+  if (rng.chance(0.5)) {
+    m.set_nw_dst_prefix(m.nw_dst,
+                        m.nw_dst_prefix_len() - static_cast<int>(rng.index(9)));
+  }
+  return m;
+}
+
+of::FlowMod add_of(const of::Match& match, std::uint16_t priority,
+                   std::uint64_t cookie, std::uint16_t port) {
+  of::FlowMod fm;
+  fm.command = of::FlowModCommand::kAdd;
+  fm.match = match;
+  fm.priority = priority;
+  fm.cookie = cookie;
+  fm.actions = of::output_to(port);
+  return fm;
+}
+
+/// Pre images on switches 1..n and a DAG over them, cookies stamped the way
+/// a transaction stamps them.
+struct JournalCase {
+  std::map<SwitchId, sched::TableImage> pre;
+  sched::RequestDag dag;
+};
+
+constexpr std::uint32_t kJournalTxn = 7;
+
+void stamp_cookies(sched::RequestDag& dag) {
+  for (std::size_t i = 0; i < dag.size(); ++i) {
+    dag.request(i).cookie = (std::uint64_t{kJournalTxn} << 32) | i;
+  }
+}
+
+/// Switches holding ClassBench rules at several priorities; an update that
+/// ADDs over pre-image rules, MODIFYs and DELETEs through wide filters
+/// hitting several rules at several priorities, and DELETEs a pre-image
+/// rule before ADDing its key back.
+JournalCase random_journal_case(Rng& rng, std::size_t min_requests = 1) {
+  JournalCase c;
+  const std::size_t n_switches = 1 + rng.index(3);
+  const auto pool = acl_matches(rng, 20 + rng.index(60));
+  for (SwitchId sw = 1; sw <= n_switches; ++sw) {
+    auto& image = c.pre[sw];
+    const std::size_t rules = rng.index(50);
+    for (std::size_t k = 0; k < rules; ++k) {
+      sched::apply_to_image(
+          image, add_of(vary_unkeyed(pool[rng.index(pool.size())], rng),
+                        journal_priority(rng),
+                        rng.chance(0.5) ? 0 : 1 + rng.index(1 << 20),
+                        static_cast<std::uint16_t>(1 + rng.index(4))));
+    }
+  }
+
+  const std::size_t n = min_requests + rng.index(80);
+  for (std::size_t i = 0; i < n; ++i) {
+    sched::SwitchRequest req;
+    req.location = 1 + rng.index(n_switches);
+    const double roll = rng.uniform_real(0, 1);
+    req.type = roll < 0.45   ? sched::RequestType::kAdd
+               : roll < 0.75 ? sched::RequestType::kMod
+                             : sched::RequestType::kDel;
+    const auto& pre = c.pre[req.location];
+    if (!pre.empty() && rng.chance(0.4)) {
+      const auto& rule = std::next(pre.begin(), rng.index(pre.size()))->second;
+      req.match = rng.chance(0.7) ? rule.match : vary_unkeyed(rule.match, rng);
+      req.priority = rule.priority;
+    } else {
+      req.match = vary_unkeyed(pool[rng.index(pool.size())], rng);
+    }
+    if (req.type != sched::RequestType::kAdd && rng.chance(0.4)) {
+      req.match = widen(req.match, rng);
+    }
+    if (rng.chance(0.02)) req.match = of::Match::any();
+    if (!req.priority.has_value() || rng.chance(0.3)) {
+      if (rng.chance(0.85)) req.priority = journal_priority(rng);
+    }
+    req.actions = of::output_to(static_cast<std::uint16_t>(1 + rng.index(4)));
+    c.dag.add(req);
+  }
+
+  // A DELETE of a pre-image rule, then an ADD of the same key after it.
+  for (SwitchId sw = 1; sw <= n_switches; ++sw) {
+    const auto& pre = c.pre[sw];
+    if (pre.empty() || !rng.chance(0.6)) continue;
+    const auto& rule = std::next(pre.begin(), rng.index(pre.size()))->second;
+    sched::SwitchRequest del;
+    del.location = sw;
+    del.type = sched::RequestType::kDel;
+    del.match = rule.match;
+    sched::SwitchRequest add = del;
+    add.type = sched::RequestType::kAdd;
+    add.priority = rule.priority;
+    add.actions = of::output_to(9);
+    const std::size_t d = c.dag.add(del);
+    c.dag.add_dependency(d, c.dag.add(add));
+  }
+
+  // Forward edges (acyclic): none, sparse, or chains.
+  const std::size_t size = c.dag.size();
+  const std::size_t edge_mode = rng.index(3);
+  for (std::size_t e = 0; edge_mode == 1 && e < size / 2; ++e) {
+    const std::size_t u = rng.index(size);
+    const std::size_t v = rng.index(size);
+    if (u < v) c.dag.add_dependency(u, v);
+  }
+  for (std::size_t i = 1; edge_mode == 2 && i < size; ++i) {
+    if (rng.chance(0.5)) c.dag.add_dependency(i - 1, i);
+  }
+  stamp_cookies(c.dag);
+  return c;
+}
+
+class JournalProperties : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(JournalProperties, IndexedJournalMatchesScanReference) {
+  Rng rng(GetParam() + 300);
+  for (int trial = 0; trial < 150; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const auto c = random_journal_case(rng);
+    EXPECT_EQ(journal_difference(
+                  sched::build_journal(c.dag, c.pre, kDefaultPriority),
+                  reference_build_journal(c.dag, c.pre, kDefaultPriority)),
+              "");
+  }
+}
+
+TEST(JournalTest, HitsAreVisitedInKeyOrder) {
+  // The tuple-space index keeps a bucket's rules in insertion order: the
+  // pre-image rule at priority 5000 before the one the update adds at 1000.
+  // Key order is the reverse ("/1000" < "/5000"), so a MODIFY or DELETE that
+  // visited hits in index order would journal its inverses backwards.
+  const of::Match m = core::ProbeEngine::probe_match(3);
+  std::map<SwitchId, sched::TableImage> pre;
+  sched::apply_to_image(pre[1], add_of(m, 5000, 11, 1));
+  sched::apply_to_image(pre[1], add_of(core::ProbeEngine::probe_match(4), 5000, 12, 1));
+  sched::RequestDag dag;
+  const auto req = [&](sched::RequestType type, std::uint16_t priority) {
+    sched::SwitchRequest r;
+    r.location = 1;
+    r.type = type;
+    r.match = m;
+    r.priority = priority;
+    r.actions = of::output_to(2);
+    return dag.add(r);
+  };
+  const std::size_t add = req(sched::RequestType::kAdd, 1000);
+  const std::size_t mod = req(sched::RequestType::kMod, 30000);
+  const std::size_t del = req(sched::RequestType::kDel, 30000);
+  dag.add_dependency(add, mod);
+  dag.add_dependency(mod, del);
+  stamp_cookies(dag);
+
+  const auto got = sched::build_journal(dag, pre, kDefaultPriority);
+  EXPECT_EQ(journal_difference(got,
+                               reference_build_journal(dag, pre, kDefaultPriority)),
+            "");
+  ASSERT_EQ(got.entries.size(), 3u);
+  for (const std::size_t i : {std::size_t{1}, std::size_t{2}}) {
+    const auto& inverse = got.entries[i].inverse;
+    ASSERT_EQ(inverse.size(), 2u);
+    EXPECT_EQ(inverse[0].priority, 1000);
+    EXPECT_EQ(inverse[1].priority, 5000);
+  }
+  // The DELETE swept both; only the other flow's rule is left.
+  EXPECT_EQ(got.post.at(1).size(), 1u);
+}
+
+TEST_P(JournalProperties, TeUpdateJournalMatchesReference) {
+  // te_update_dag over B4 sites that already hold the flows' rules, at one
+  // to three priorities each, so MODIFYs and DELETEs hit several rules.
+  Rng rng(GetParam() + 400);
+  net::Network net;
+  const auto sites = net::build_b4(net, profiles::ovs());
+  auto dag = bench::b4_te_update(net, sites, 120, rng);
+  stamp_cookies(dag);
+  std::map<SwitchId, sched::TableImage> pre;
+  for (const SwitchId s : sites) {
+    pre[s] = sched::image_of(net.sw(s).flow_stats(of::Match::any()));
+  }
+  for (std::uint32_t flow = 0; flow < 140; ++flow) {
+    for (const SwitchId s : sites) {
+      if (!rng.chance(0.3)) continue;
+      for (std::size_t k = 0; k < 1 + rng.index(3); ++k) {
+        sched::apply_to_image(
+            pre[s], add_of(core::ProbeEngine::probe_match(flow),
+                           static_cast<std::uint16_t>(rng.uniform_int(1000, 9000)),
+                           flow, 2));
+      }
+    }
+  }
+  EXPECT_EQ(journal_difference(sched::build_journal(dag, pre, kDefaultPriority),
+                               reference_build_journal(dag, pre, kDefaultPriority)),
+            "");
+}
+
+/// Adds one quiet OVS switch per pre image (ids 1..n) and installs its rules.
+void populate(net::Network& net, const std::map<SwitchId, sched::TableImage>& tables) {
+  auto profile = profiles::ovs();
+  profile.costs.jitter_frac = 0;
+  profile.paths.jitter_frac = 0;
+  sched::RequestDag install;
+  for (const auto& [sw, image] : tables) {
+    ASSERT_EQ(net.add_switch(profile), sw);
+    for (const auto& [key, rule] : image) {
+      (void)key;
+      sched::SwitchRequest req;
+      req.location = sw;
+      req.priority = rule.priority;
+      req.match = rule.match;
+      req.actions = rule.actions;
+      req.cookie = rule.cookie;
+      install.add(req);
+    }
+  }
+  sched::DionysusScheduler scheduler;
+  ASSERT_EQ(sched::execute(net, install, scheduler).rejected, 0u);
+}
+
+/// Switch 1 crashes shortly after the commit starts.
+void crash_switch_one(net::Network& net) {
+  net::FaultConfig cfg;
+  cfg.seed = 41;
+  cfg.crash_at = net.now() + micros(400);
+  cfg.crash_downtime = millis(5);
+  net.enable_faults(1, cfg);
+}
+
+/// True when `a` reaches `b` through the DAG's edges.
+std::vector<std::vector<bool>> reachability(const sched::RequestDag& dag) {
+  const std::size_t n = dag.size();
+  std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
+  for (std::size_t src = 0; src < n; ++src) {
+    std::vector<std::size_t> stack(dag.successors(src).begin(),
+                                   dag.successors(src).end());
+    while (!stack.empty()) {
+      const std::size_t v = stack.back();
+      stack.pop_back();
+      if (reach[src][v]) continue;
+      reach[src][v] = true;
+      for (const std::size_t w : dag.successors(v)) stack.push_back(w);
+    }
+  }
+  return reach;
+}
+
+TEST_P(JournalProperties, TransactionsRepairCrashesLikeTheReference) {
+  // Twin worlds per case and policy. In A the transaction commits, sees the
+  // crash and reconciles itself. In B the same transaction stops when its
+  // execution drains, and the reconciler runs with the reference journal's
+  // images and string-keyed attribution, as the transaction used to. Both
+  // must issue the same repairs: same counts, same end time, same tables.
+  Rng rng(GetParam() + 500);
+  std::size_t reconciled = 0;
+  for (int trial = 0; trial < 8; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const JournalCase c = random_journal_case(rng, /*min_requests=*/20);
+    for (const auto policy :
+         {sched::RecoveryPolicy::kRollForward, sched::RecoveryPolicy::kRollBack}) {
+      SCOPED_TRACE(sched::to_string(policy));
+      const bool forward = policy == sched::RecoveryPolicy::kRollForward;
+      sched::TransactionOptions topts;
+      topts.policy = policy;
+      topts.txn_id = kJournalTxn;
+      topts.exec.request_timeout = millis(200);
+      topts.exec.max_retries = 6;
+      topts.exec.backoff_base = millis(5);
+
+      net::Network a;
+      populate(a, c.pre);
+      sched::UpdateTransaction txn_a(a, c.dag, topts);
+      std::map<SwitchId, sched::TableImage> pre;
+      for (const auto& entry : txn_a.journal()) {
+        pre.try_emplace(entry.location, txn_a.pre_image(entry.location));
+      }
+      const auto ref = reference_build_journal(txn_a.dag(), pre,
+                                               topts.exec.default_priority);
+      ASSERT_EQ(txn_a.journal().size(), ref.entries.size());
+      for (std::size_t i = 0; i < ref.entries.size(); ++i) {
+        EXPECT_EQ(txn_a.journal()[i].intent, ref.entries[i].intent) << i;
+        EXPECT_EQ(txn_a.journal()[i].inverse, ref.entries[i].inverse) << i;
+      }
+      for (const auto& [sw, image] : ref.post) {
+        EXPECT_TRUE(txn_a.post_image(sw) == image) << "switch " << sw;
+      }
+      crash_switch_one(a);
+      sched::DionysusScheduler scheduler_a;
+      const sched::TransactionReport report = txn_a.commit(scheduler_a);
+
+      net::Network b;
+      populate(b, c.pre);
+      sched::UpdateTransaction txn_b(b, c.dag, topts);
+      crash_switch_one(b);
+      sched::DionysusScheduler scheduler_b;
+      txn_b.start_commit(scheduler_b);
+      while (!txn_b.exec_done() && b.events().step()) {
+      }
+      txn_b.abandon();
+      if (!report.reconciled) continue;  // the crash missed the commit
+      ++reconciled;
+
+      sched::ReconcilerOptions ropts;
+      ropts.readback_timeout = topts.readback_timeout;
+      ropts.max_readback_retries = topts.max_readback_retries;
+      ropts.max_rounds = topts.max_reconcile_rounds;
+      ropts.exec = topts.exec;
+      const std::size_t dag_size = txn_b.dag().size();
+      const sched::Reconciler::Author author =
+          [&](SwitchId sw, const sched::RuleImage& rule) {
+            return sched::testing::reference_author(ref, txn_b.id(), dag_size, sw,
+                                                    rule, forward);
+          };
+      const auto reach = reachability(txn_b.dag());
+      const sched::Reconciler::MustPrecede precede = [&](std::size_t x,
+                                                         std::size_t y) {
+        return forward ? reach[x][y] : reach[y][x];
+      };
+      sched::Reconciler reconciler(b, ropts);
+      const auto stats = reconciler.run(forward ? ref.post : pre, author, precede);
+
+      EXPECT_EQ(report.reconcile_rounds, stats.rounds);
+      EXPECT_EQ(report.repairs_issued, stats.repairs_issued);
+      EXPECT_EQ(report.stale_rules_removed, stats.stale_rules_removed);
+      EXPECT_EQ(report.readback_requests,
+                txn_b.report().readback_requests + stats.readback_requests);
+      EXPECT_EQ(report.committed, stats.converged);
+      EXPECT_EQ(a.now(), b.now());
+      for (const auto& [sw, image] : c.pre) {
+        (void)image;
+        EXPECT_TRUE(sched::image_of(a.sw(sw).flow_stats(of::Match::any())) ==
+                    sched::image_of(b.sw(sw).flow_stats(of::Match::any())))
+            << "switch " << sw;
+      }
+    }
+  }
+  EXPECT_GT(reconciled, 6u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, JournalProperties, ::testing::Values(1, 2, 3));
 
 }  // namespace
 }  // namespace tango
