@@ -31,8 +31,7 @@ HaController::HaController(net::Network& network,
       link_(network.events(), options.replication_delay),
       replicator_(link_, &epoch_),
       standby_(StandbyOptions{options.heartbeat_interval,
-                              options.missed_heartbeats,
-                              options.adaptive_heartbeat}) {
+                              options.missed_heartbeats}) {
   link_.set_sink(
       [this](const ReplicationRecord& rec) { on_record(rec); });
 }
@@ -259,7 +258,7 @@ const TakeoverReport& HaController::take_over(
   // 6. Knowledge re-validation: the shadow may lag the dead primary by up to
   //    one checkpoint interval; when it does, force sentinel probes so the
   //    successor's knowledge is measured, not assumed, before admission.
-  if (!rep.aborted && options_.sentinel_revalidate) {
+  if (!rep.aborted) {
     const bool force = rep.knowledge_age > options_.checkpoint_interval;
     const auto actions = successor.run_sentinel({}, force);
     rep.sentinel_probes = actions.size();

@@ -48,9 +48,6 @@ namespace tango::ha {
 struct HaOptions {
   SimDuration heartbeat_interval = millis(10);
   std::size_t missed_heartbeats = 3;
-  /// Learn the heartbeat interval from arrivals (RttEstimator) instead of
-  /// trusting the configured value; the fixed threshold stays the ceiling.
-  bool adaptive_heartbeat = true;
   SimDuration checkpoint_interval = millis(50);
   /// One-way replication link delivery delay.
   SimDuration replication_delay = micros(150);
@@ -64,10 +61,6 @@ struct HaOptions {
   std::size_t max_reconcile_rounds = 6;
   /// Executor options for replay repair traffic.
   sched::ExecutorOptions replay_exec;
-  /// Re-validate knowledge through the sentinel before accepting intents;
-  /// the probe is forced when the shadow knowledge is older than one
-  /// checkpoint interval (standby lag exceeded the freshness budget).
-  bool sentinel_revalidate = true;
 };
 
 struct TakeoverReport {

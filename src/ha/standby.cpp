@@ -26,7 +26,7 @@ void StandbyController::receive(const ReplicationRecord& rec, SimTime now) {
   switch (rec.type) {
     case RecordType::kHeartbeat: {
       ++stats_.heartbeats_received;
-      if (armed_ && options_.adaptive) {
+      if (armed_) {
         interval_estimator_.observe(kHeartbeatPeer,
                                     now - stats_.last_heartbeat_at);
       }
@@ -80,17 +80,13 @@ void StandbyController::receive(const ReplicationRecord& rec, SimTime now) {
 }
 
 SimDuration StandbyController::threshold() const {
-  const auto fixed =
-      options_.heartbeat_interval *
-      static_cast<std::int64_t>(std::max<std::size_t>(1, options_.missed_heartbeats));
-  if (!options_.adaptive) return fixed;
-  // Adaptive: learned interval (srtt + 4*rttvar covers jitter), same missed
-  // budget, never looser than the configured fallback.
+  const auto misses = static_cast<std::int64_t>(
+      std::max<std::size_t>(1, options_.missed_heartbeats));
+  // Learned interval (srtt + 4*rttvar covers jitter), same missed budget,
+  // never looser than the configured fallback.
   const auto learned = interval_estimator_.timeout_for(
       kHeartbeatPeer, options_.heartbeat_interval);
-  return std::min(
-      fixed, learned * static_cast<std::int64_t>(
-                 std::max<std::size_t>(1, options_.missed_heartbeats)));
+  return std::min(options_.heartbeat_interval * misses, learned * misses);
 }
 
 bool StandbyController::primary_suspect(SimTime now) const {

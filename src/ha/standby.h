@@ -11,9 +11,8 @@
 //
 // Failover detection is a heartbeat watchdog: the threshold is
 // missed_heartbeats * expected-interval, where the expected interval is
-// learned from observed inter-arrival times via the same RttEstimator the
-// executor uses (satellite: adaptive deadlines instead of hand-tuned), with
-// the configured interval as the fallback/ceiling.
+// learned from observed inter-arrival times by a Jacobson/Karels
+// net::RttEstimator, with the configured interval as the fallback/ceiling.
 #pragma once
 
 #include <cstdint>
@@ -54,8 +53,6 @@ struct StandbyOptions {
   SimDuration heartbeat_interval = millis(10);
   /// Heartbeats that must go missing before the primary is suspected.
   std::size_t missed_heartbeats = 3;
-  /// Learn the interval from observed arrivals (off = fixed threshold).
-  bool adaptive = true;
 };
 
 class StandbyController {

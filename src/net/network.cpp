@@ -386,12 +386,6 @@ of::TableStatsReply Network::table_stats_sync(SwitchId id) {
                                             of::TableStatsRequest{});
 }
 
-of::FeaturesReply Network::features_sync(SwitchId id) {
-  return request_reply<of::FeaturesReply>(*this, events_, reply_cbs_, next_xid(),
-                                          *endpoint(id).channel,
-                                          of::FeaturesRequest{});
-}
-
 of::AggregateStatsReply Network::aggregate_stats_sync(SwitchId id,
                                                       const of::Match& filter) {
   of::AggregateStatsRequest req;

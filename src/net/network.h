@@ -161,9 +161,6 @@ class Network {
   /// Fetch per-table statistics (synchronous).
   of::TableStatsReply table_stats_sync(SwitchId id);
 
-  /// OpenFlow handshake: FEATURES_REQUEST/REPLY (synchronous).
-  of::FeaturesReply features_sync(SwitchId id);
-
   /// Aggregate flow statistics (synchronous).
   of::AggregateStatsReply aggregate_stats_sync(SwitchId id, const of::Match& filter);
 

@@ -1,22 +1,18 @@
-// Per-switch adaptive RTT estimation (Jacobson/Karels EWMA).
+// Adaptive round-trip estimation (Jacobson/Karels EWMA), keyed by peer.
 //
-// The executor's recovery machinery historically ran on one fixed
-// request_timeout knob. That is either too slow for a fast switch (dead
-// time before the first retry) or too twitchy for a slow one (spurious
-// timeouts that burn the retry budget). This estimator learns each
-// switch's control-plane round trip from traffic the controller already
-// generates — ECHO liveness probes and solo first-attempt flow_mod
-// completions — and derives a deadline the classic TCP way:
+// The HA standby's heartbeat watchdog learns the primary's heartbeat
+// interval with it (one peer) instead of trusting a hand-tuned value. The
+// deadline is derived the classic TCP way:
 //
 //   srtt   <- (1-alpha) * srtt + alpha * sample        (alpha = 1/8)
 //   rttvar <- (1-beta)  * rttvar + beta * |srtt-sample| (beta = 1/4)
 //   rto    =  srtt + k * rttvar                         (k = 4)
 //
-// The fixed knob stays as the fallback: before `warmup` samples exist for
-// a switch the fallback is returned verbatim, and an adaptive deadline is
-// clamped to never exceed it (adapting may only tighten recovery, never
-// loosen it past what the operator configured). Pure bookkeeping on
-// virtual-time durations — deterministic, no wall clock.
+// The configured value stays the fallback: before `warmup` samples exist
+// for a peer the fallback is returned verbatim, and an adaptive deadline is
+// clamped to never exceed it (adapting may only tighten, never loosen past
+// what the operator configured). Pure bookkeeping on virtual-time
+// durations — deterministic, no wall clock.
 #pragma once
 
 #include <cstdint>

@@ -9,11 +9,29 @@ namespace tango::of {
 
 namespace {
 
+/// Counts the bytes the encoders below would write. It has BufWriter's
+/// write calls, so wire_size() runs the encoders themselves and cannot
+/// drift from them.
+class ByteCounter {
+ public:
+  void u8(std::uint8_t) { n_ += 1; }
+  void u16(std::uint16_t) { n_ += 2; }
+  void u32(std::uint32_t) { n_ += 4; }
+  void u64(std::uint64_t) { n_ += 8; }
+  void raw(std::span<const std::uint8_t> data) { n_ += data.size(); }
+  void zeros(std::size_t n) { n_ += n; }
+  [[nodiscard]] std::size_t size() const { return n_; }
+
+ private:
+  std::size_t n_ = 0;
+};
+
 // ---------------------------------------------------------------------------
 // Match (ofp_match, 40 bytes)
 // ---------------------------------------------------------------------------
 
-void encode_match(BufWriter& w, const Match& m) {
+template <typename W>
+void encode_match(W& w, const Match& m) {
   w.u32(m.wildcards);
   w.u16(m.in_port);
   w.raw(m.dl_src);
@@ -57,18 +75,9 @@ Match decode_match(BufReader& r) {
 // Actions
 // ---------------------------------------------------------------------------
 
-struct ActionSizeVisitor {
-  std::size_t operator()(const ActionOutput&) const { return 8; }
-  std::size_t operator()(const ActionSetVlanVid&) const { return 8; }
-  std::size_t operator()(const ActionStripVlan&) const { return 8; }
-  std::size_t operator()(const ActionSetDlSrc&) const { return 16; }
-  std::size_t operator()(const ActionSetDlDst&) const { return 16; }
-  std::size_t operator()(const ActionSetNwSrc&) const { return 8; }
-  std::size_t operator()(const ActionSetNwDst&) const { return 8; }
-};
-
+template <typename W>
 struct ActionEncodeVisitor {
-  BufWriter& w;
+  W& w;
   void header(ActionType t, std::size_t len) const {
     w.u16(static_cast<std::uint16_t>(t));
     w.u16(static_cast<std::uint16_t>(len));
@@ -107,8 +116,9 @@ struct ActionEncodeVisitor {
   }
 };
 
-void encode_actions(BufWriter& w, const ActionList& actions) {
-  for (const auto& a : actions) std::visit(ActionEncodeVisitor{w}, a);
+template <typename W>
+void encode_actions(W& w, const ActionList& actions) {
+  for (const auto& a : actions) std::visit(ActionEncodeVisitor<W>{w}, a);
 }
 
 Result<ActionList> decode_actions(BufReader& r, std::size_t bytes) {
@@ -178,16 +188,17 @@ Result<ActionList> decode_actions(BufReader& r, std::size_t bytes) {
 }
 
 std::size_t actions_wire_size(const ActionList& actions) {
-  std::size_t n = 0;
-  for (const auto& a : actions) n += std::visit(ActionSizeVisitor{}, a);
-  return n;
+  ByteCounter c;
+  encode_actions(c, actions);
+  return c.size();
 }
 
 // ---------------------------------------------------------------------------
 // Fixed-width string fields (port / table names)
 // ---------------------------------------------------------------------------
 
-void encode_name(BufWriter& w, const std::string& name, std::size_t width) {
+template <typename W>
+void encode_name(W& w, const std::string& name, std::size_t width) {
   std::size_t n = std::min(name.size(), width - 1);
   w.raw(std::span<const std::uint8_t>(
       reinterpret_cast<const std::uint8_t*>(name.data()), n));
@@ -205,7 +216,8 @@ std::string decode_name(BufReader& r, std::size_t width) {
 // Physical ports (ofp_phy_port, 48 bytes)
 // ---------------------------------------------------------------------------
 
-void encode_phy_port(BufWriter& w, const PhyPort& p) {
+template <typename W>
+void encode_phy_port(W& w, const PhyPort& p) {
   w.u16(p.port_no);
   w.raw(p.hw_addr);
   encode_name(w, p.name, 16);
@@ -236,8 +248,9 @@ PhyPort decode_phy_port(BufReader& r) {
 // Message body encoders
 // ---------------------------------------------------------------------------
 
+template <typename W>
 struct BodyEncodeVisitor {
-  BufWriter& w;
+  W& w;
 
   void operator()(const Hello&) const {}
   void operator()(const EchoRequest& m) const { w.raw(m.payload); }
@@ -421,54 +434,6 @@ struct BodyEncodeVisitor {
       w.u64(e.lookup_count);
       w.u64(e.matched_count);
     }
-  }
-};
-
-// Body byte counts mirroring BodyEncodeVisitor field for field; the codec
-// test pins wire_size(msg) == encode(msg).size() for every message type so
-// the two visitors cannot drift apart.
-struct BodySizeVisitor {
-  std::size_t operator()(const Hello&) const { return 0; }
-  std::size_t operator()(const EchoRequest& m) const { return m.payload.size(); }
-  std::size_t operator()(const EchoReply& m) const { return m.payload.size(); }
-  std::size_t operator()(const ErrorMsg& m) const { return 4 + m.data.size(); }
-  std::size_t operator()(const FeaturesRequest&) const { return 0; }
-  std::size_t operator()(const FeaturesReply& m) const {
-    return 24 + 48 * m.ports.size();
-  }
-  std::size_t operator()(const FlowMod& m) const {
-    return 64 + actions_wire_size(m.actions);
-  }
-  std::size_t operator()(const FlowRemoved&) const { return 80; }
-  std::size_t operator()(const PacketIn& m) const { return 10 + m.data.size(); }
-  std::size_t operator()(const PacketOut& m) const {
-    return 8 + actions_wire_size(m.actions) + m.data.size();
-  }
-  std::size_t operator()(const BarrierRequest&) const { return 0; }
-  std::size_t operator()(const BarrierReply&) const { return 0; }
-  std::size_t operator()(const FlowStatsRequest&) const { return 48; }
-  std::size_t operator()(const FlowStatsReply& m) const {
-    std::size_t n = 4;
-    for (const auto& e : m.entries) n += 88 + actions_wire_size(e.actions);
-    return n;
-  }
-  std::size_t operator()(const GetConfigRequest&) const { return 0; }
-  std::size_t operator()(const GetConfigReply&) const { return 4; }
-  std::size_t operator()(const SetConfig&) const { return 4; }
-  std::size_t operator()(const PortStatus&) const { return 56; }
-  std::size_t operator()(const PortMod&) const { return 24; }
-  std::size_t operator()(const Vendor& m) const { return 4 + m.data.size(); }
-  std::size_t operator()(const AggregateStatsRequest&) const { return 48; }
-  std::size_t operator()(const AggregateStatsReply&) const { return 28; }
-  std::size_t operator()(const DescStatsRequest&) const { return 4; }
-  std::size_t operator()(const DescStatsReply&) const { return 4 + 1056; }
-  std::size_t operator()(const PortStatsRequest&) const { return 12; }
-  std::size_t operator()(const PortStatsReply& m) const {
-    return 4 + 72 * m.entries.size();
-  }
-  std::size_t operator()(const TableStatsRequest&) const { return 4; }
-  std::size_t operator()(const TableStatsReply& m) const {
-    return 4 + 64 * m.entries.size();
   }
 };
 
@@ -758,21 +723,9 @@ Result<MessageBody> decode_body(MsgType type, BufReader& r, std::size_t body_len
 }  // namespace
 
 std::size_t wire_size(const Action& action) {
-  return std::visit(ActionSizeVisitor{}, action);
-}
-
-std::vector<std::uint8_t> encode_match_bytes(const Match& match) {
-  BufWriter w;
-  encode_match(w, match);
-  return w.take();
-}
-
-Result<Match> decode_match_bytes(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() != 40) return Error{"ofp_match must be 40 bytes"};
-  BufReader r(bytes);
-  Match m = decode_match(r);
-  if (r.failed()) return Error{"truncated match"};
-  return m;
+  ByteCounter c;
+  std::visit(ActionEncodeVisitor<ByteCounter>{c}, action);
+  return c.size();
 }
 
 void encode_into(const Message& msg, std::vector<std::uint8_t>& out) {
@@ -781,7 +734,7 @@ void encode_into(const Message& msg, std::vector<std::uint8_t>& out) {
   w.u8(static_cast<std::uint8_t>(type_of(msg.body)));
   w.u16(0);  // length: patched below
   w.u32(msg.xid);
-  std::visit(BodyEncodeVisitor{w}, msg.body);
+  std::visit(BodyEncodeVisitor<BufWriter>{w}, msg.body);
   w.patch_u16(2, static_cast<std::uint16_t>(w.size()));
 }
 
@@ -803,7 +756,9 @@ std::size_t encode_batch(std::span<const Message> msgs,
 }
 
 std::size_t wire_size(const Message& msg) {
-  return kHeaderLen + std::visit(BodySizeVisitor{}, msg.body);
+  ByteCounter c;
+  std::visit(BodyEncodeVisitor<ByteCounter>{c}, msg.body);
+  return kHeaderLen + c.size();
 }
 
 Result<Message> decode(std::span<const std::uint8_t> frame) {

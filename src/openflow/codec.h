@@ -29,17 +29,11 @@ std::size_t encode_batch(std::span<const Message> msgs,
 
 Result<Message> decode(std::span<const std::uint8_t> frame);
 
-/// Standalone ofp_match wire form (40 bytes) — used by tooling that stores
-/// matches outside full messages (e.g. trace files).
-std::vector<std::uint8_t> encode_match_bytes(const Match& match);
-Result<Match> decode_match_bytes(std::span<const std::uint8_t> bytes);
-
 /// Serialized length of an encoded action (wire bytes).
 std::size_t wire_size(const Action& action);
 
-/// Serialized length of a whole message, computed without encoding (no
-/// allocation). Always equals encode(msg).size(); the codec test asserts
-/// this for every message type.
+/// Serialized length of a whole message, computed by running the encoder
+/// over a byte counter (no allocation). Always equals encode(msg).size().
 std::size_t wire_size(const Message& msg);
 
 /// Accumulates stream bytes and yields complete frames.

@@ -90,40 +90,11 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
   /// Virtual time when the last request reached a terminal state.
   SimTime end{};
   bool finished = false;
-  /// False for execute_async: per-run counters live in local_metrics and
-  /// are mirrored into the telemetry registry at finish() — interleaved
-  /// runs sharing counters would corrupt each other's delta-derived reports.
-  bool shared_counters = true;
   /// Injector stats at start, for the report's fault deltas.
   std::map<SwitchId, net::FaultStats> faults_before;
 
   // --- telemetry -----------------------------------------------------------
-  // All recovery/progress tallies live in a MetricsRegistry — the network's
-  // when telemetry is attached (so they surface in run reports), otherwise
-  // a private one — and ExecutionReport fields are *derived* from counter
-  // deltas when the run ends, never hand-incremented in parallel. The
-  // registry is cumulative across runs, hence the base_ snapshot.
   telemetry::Telemetry* tele = nullptr;
-  telemetry::MetricsRegistry local_metrics;
-  struct Ctr {
-    telemetry::Counter* issued = nullptr;
-    telemetry::Counter* rejected = nullptr;
-    telemetry::Counter* rejected_retryable = nullptr;
-    telemetry::Counter* rejected_fatal = nullptr;
-    telemetry::Counter* scheduling_rounds = nullptr;
-    telemetry::Counter* deadline_misses = nullptr;
-    telemetry::Counter* timeouts = nullptr;
-    telemetry::Counter* retries = nullptr;
-    telemetry::Counter* echo_probes = nullptr;
-    telemetry::Counter* failed_requests = nullptr;
-  } ctr;
-  /// Counter values at run start (this run's report = value - base).
-  struct CtrBase {
-    std::uint64_t issued = 0, rejected = 0, rejected_retryable = 0,
-                  rejected_fatal = 0, scheduling_rounds = 0,
-                  deadline_misses = 0, timeouts = 0, retries = 0,
-                  echo_probes = 0, failed_requests = 0;
-  } ctr0;
   telemetry::Histogram* latency_hist = nullptr;
   telemetry::Histogram* queue_hist = nullptr;
   /// Issue timestamps for request spans; sized only when telemetry is on.
@@ -138,8 +109,6 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
   std::vector<SimTime> obs_post;
   std::vector<SimTime> obs_busy;
   std::vector<std::uint8_t> obs_solo;
-  /// Post timestamps for RTT samples; sized only when options.rtt is set.
-  std::vector<SimTime> rtt_post;
 
   std::vector<std::size_t> remaining_preds;
   /// True once sent — or tombstoned by a failure before sending.
@@ -197,14 +166,6 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
     return options.request_timeout.ns() > 0;
   }
 
-  /// Recovery deadline for traffic to `loc`: the fixed knob, tightened by
-  /// the per-switch RTT estimator when one is attached (see net/rtt.h).
-  [[nodiscard]] SimDuration deadline_for(SwitchId loc) const {
-    return options.rtt != nullptr
-               ? options.rtt->timeout_for(loc, options.request_timeout)
-               : options.request_timeout;
-  }
-
   void init() {
     n = dag.size();
     start = network.now();
@@ -238,27 +199,7 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
     if (options.speculative_dependents) unsent_preds = remaining_preds;
 
     tele = network.telemetry();
-    auto& reg =
-        tele != nullptr && shared_counters ? tele->metrics : local_metrics;
-    ctr.issued = &reg.counter("executor.issued");
-    ctr.rejected = &reg.counter("executor.rejected");
-    ctr.rejected_retryable = &reg.counter("executor.rejected_retryable");
-    ctr.rejected_fatal = &reg.counter("executor.rejected_fatal");
-    ctr.scheduling_rounds = &reg.counter("executor.scheduling_rounds");
-    ctr.deadline_misses = &reg.counter("executor.deadline_misses");
-    ctr.timeouts = &reg.counter("executor.timeouts");
-    ctr.retries = &reg.counter("executor.retries");
-    ctr.echo_probes = &reg.counter("executor.echo_probes");
-    ctr.failed_requests = &reg.counter("executor.failed_requests");
-    ctr0 = CtrBase{ctr.issued->value(),          ctr.rejected->value(),
-                   ctr.rejected_retryable->value(),
-                   ctr.rejected_fatal->value(),
-                   ctr.scheduling_rounds->value(), ctr.deadline_misses->value(),
-                   ctr.timeouts->value(),        ctr.retries->value(),
-                   ctr.echo_probes->value(),     ctr.failed_requests->value()};
     if (tele != nullptr) {
-      // Histograms always live in the shared registry: observes are
-      // per-event (not delta-derived), so interleaved runs compose fine.
       latency_hist = &tele->metrics.histogram(
           "executor.request_latency_ms",
           {0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000});
@@ -272,43 +213,20 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
       obs_busy.assign(n, SimTime{});
       obs_solo.assign(n, 0);
     }
-    if (options.rtt != nullptr) rtt_post.assign(n, SimTime{});
   }
 
-  /// Derive the report's tallies from the registry — the counters are the
-  /// single source of truth; the report is a per-run view over them.
-  void finalize_report() {
-    report.issued = ctr.issued->value() - ctr0.issued;
-    report.rejected = ctr.rejected->value() - ctr0.rejected;
-    report.rejected_retryable =
-        ctr.rejected_retryable->value() - ctr0.rejected_retryable;
-    report.rejected_fatal = ctr.rejected_fatal->value() - ctr0.rejected_fatal;
-    report.scheduling_rounds =
-        ctr.scheduling_rounds->value() - ctr0.scheduling_rounds;
-    report.deadline_misses =
-        ctr.deadline_misses->value() - ctr0.deadline_misses;
-    report.timeouts = ctr.timeouts->value() - ctr0.timeouts;
-    report.retries = ctr.retries->value() - ctr0.retries;
-    report.echo_probes = ctr.echo_probes->value() - ctr0.echo_probes;
-    report.failed_requests =
-        ctr.failed_requests->value() - ctr0.failed_requests;
-  }
-
-  /// Close the run: derive the report, account lost requests, mirror
-  /// locally-kept counters into the shared registry, record fault deltas
-  /// and the execute span. Idempotent; shared by execute() and
+  /// Close the run: account lost requests, record fault deltas, add this
+  /// run's tallies to the registry's "executor.*" counters and record the
+  /// execute span. Idempotent; execute() reaches it through
   /// AsyncExecution::finish().
   void finish() {
     if (finished) return;
     finished = true;
-    if (n == 0) return;
-    finalize_report();
     report.makespan = (done_count == n ? end : network.now()) - start;
     report.lost_requests = n - done_count;
     assert(report.lost_requests == 0 || !retry_enabled());
-    if (tele != nullptr && !shared_counters) {
-      // Async runs tallied into local_metrics; fold the per-run deltas into
-      // the shared registry so its totals match what serial runs produce.
+    report_fault_deltas(network, faults_before, report);
+    if (tele != nullptr) {
       auto& reg = tele->metrics;
       reg.counter("executor.issued").inc(report.issued);
       reg.counter("executor.rejected").inc(report.rejected);
@@ -320,9 +238,6 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
       reg.counter("executor.retries").inc(report.retries);
       reg.counter("executor.echo_probes").inc(report.echo_probes);
       reg.counter("executor.failed_requests").inc(report.failed_requests);
-    }
-    report_fault_deltas(network, faults_before, report);
-    if (tele != nullptr) {
       tele->trace.span(
           "executor", "execute", telemetry::TraceCollector::kControllerLane,
           start, network.now(),
@@ -360,7 +275,7 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
   void send(std::size_t id) {
     issued[id] = true;
     mark_out(id);
-    ctr.issued->inc();
+    ++report.issued;
     attempts[id] = 1;
     ++in_flight[slot[id]];
     const SimDuration queued = network.now() - ready_time[id];
@@ -380,7 +295,6 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
       obs_busy[id] = network.channel(req.location).agent_busy_until();
       obs_solo[id] = in_flight[slot[id]] == 1 ? 1 : 0;
     }
-    if (options.rtt != nullptr) rtt_post[id] = network.now();
     network.post_flow_mod_ex(req.location,
                              to_flow_mod(req, options.default_priority),
                              [self, id](const net::Network::FlowModResult& res) {
@@ -388,7 +302,7 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
                              });
     if (retry_enabled()) {
       network.events().schedule_after(
-          deadline_for(req.location),
+          options.request_timeout,
           [self, id, gen]() { self->on_timeout(id, gen); });
     }
   }
@@ -411,42 +325,22 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
     const bool accepted = res.accepted;
     const SimTime at = res.completed_at;
     if (!accepted) {
-      const bool retryable = rejection_retryable(res);
-      if (retryable) {
-        ctr.rejected_retryable->inc();
+      if (rejection_retryable(res)) {
+        ++report.rejected_retryable;
       } else {
-        ctr.rejected_fatal->inc();
-      }
-      if (retryable && options.retry_rejections && retry_enabled() &&
-          attempts[id] <= options.max_retries && dead[slot[id]] == 0) {
-        // Mirror the timeout-retry path: back off, re-post, same budget.
-        const SimDuration backoff =
-            options.backoff_base * (std::int64_t{1} << (attempts[id] - 1));
-        ++attempts[id];
-        ctr.retries->inc();
-        auto self = shared_from_this();
-        network.events().schedule_after(backoff, [self, id]() {
-          if (self->finished || self->terminal[id]) return;
-          if (self->dead[self->slot[id]] != 0) {
-            self->fail_request(id);
-            self->dispatch();
-            return;
-          }
-          self->post_attempt(id);
-        });
-        return;
+        ++report.rejected_fatal;
       }
     }
     terminal[id] = true;
     ++done_count;
     if (done_count == n) end = network.now();
-    if (!accepted) ctr.rejected->inc();
+    if (!accepted) ++report.rejected;
     const auto& req = dag.request(id);
     auto& fl = in_flight[slot[id]];
     if (fl > 0) --fl;
     mark_active(slot[id]);
     if (req.deadline.has_value() && at - start > *req.deadline) {
-      ctr.deadline_misses->inc();
+      ++report.deadline_misses;
     }
     if (tele != nullptr) {
       tele->trace.span(
@@ -483,12 +377,6 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
                                     predicted_ms);
       }
     }
-    if (accepted && options.rtt != nullptr && attempts[id] == 1) {
-      // Karn's rule: only never-retransmitted requests are unambiguous RTT
-      // samples. Queueing behind sibling requests is deliberately included —
-      // the deadline must cover time-to-answer under current load.
-      options.rtt->observe(req.location, at - rtt_post[id]);
-    }
     if (options.on_complete) options.on_complete(id, accepted);
     for (std::size_t succ : dag.successors(id)) {
       if (remaining_preds[succ] > 0 && --remaining_preds[succ] == 0 &&
@@ -504,7 +392,7 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
   void on_timeout(std::size_t id, std::uint64_t gen) {
     if (finished || terminal[id]) return;
     if (gen != attempt_gen[id]) return;  // a newer attempt superseded this one
-    ctr.timeouts->inc();
+    ++report.timeouts;
     const SwitchId loc = dag.request(id).location;
     if (tele != nullptr) {
       tele->trace.instant("executor", "timeout", loc, network.now(),
@@ -520,7 +408,7 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
       const SimDuration backoff =
           options.backoff_base * (std::int64_t{1} << (attempts[id] - 1));
       ++attempts[id];
-      ctr.retries->inc();
+      ++report.retries;
       if (tele != nullptr) {
         tele->trace.instant("executor", "retry", loc, network.now(),
                             {telemetry::arg("id", std::uint64_t{id}),
@@ -560,26 +448,19 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
       return;
     }
     ++probe->sent;
-    ctr.echo_probes->inc();
+    ++report.echo_probes;
     if (tele != nullptr) {
       tele->trace.instant("executor", "echo_probe", loc, network.now(),
                           {telemetry::arg("id", std::uint64_t{id})});
     }
     auto self = shared_from_this();
-    const SimTime echo_sent = network.now();
-    const std::uint32_t xid =
-        network.post_echo(loc, [self, loc, id, probe, echo_sent]() {
-          if (self->finished || probe->answered) return;
-          probe->answered = true;
-          if (self->options.rtt != nullptr) {
-            // Liveness echoes double as free RTT samples (the pure channel
-            // round trip, no flow_mod processing on top).
-            self->options.rtt->observe(loc, self->network.now() - echo_sent);
-          }
-          self->on_alive(loc, id);
-        });
+    const std::uint32_t xid = network.post_echo(loc, [self, loc, id, probe]() {
+      if (self->finished || probe->answered) return;
+      probe->answered = true;
+      self->on_alive(loc, id);
+    });
     network.events().schedule_after(
-        deadline_for(loc), [self, loc, id, probe, xid]() {
+        options.request_timeout, [self, loc, id, probe, xid]() {
           if (self->finished || probe->answered) return;
           self->network.cancel_reply(xid);
           // A single echo can be lost to the same noise that stranded the
@@ -603,7 +484,7 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
       // The connection works; the losses were transient. Fresh round.
       ++rescued[id];
       attempts[id] = 1;
-      ctr.retries->inc();
+      ++report.retries;
       log::warn("executor: switch " + std::to_string(loc) +
                 " alive, rescuing request " + std::to_string(id));
       post_attempt(id);
@@ -629,7 +510,7 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
     terminal[id] = true;
     ++done_count;
     if (done_count == n) end = network.now();
-    ctr.failed_requests->inc();
+    ++report.failed_requests;
     if (tele != nullptr) {
       if (was_issued) {
         // The lifecycle span still closes — failure is an end state, not
@@ -649,6 +530,16 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
     for (std::size_t succ : dag.successors(id)) {
       if (!terminal[succ] && !issued[succ]) fail_request(succ);
     }
+  }
+
+  /// Every request of a cycle waits on one that waits on it, so the run
+  /// could never drain: fail them all unsent and close the run.
+  void fail_cyclic() {
+    report.cyclic = true;
+    log::warn("executor: request DAG has a cycle; failing all " +
+              std::to_string(n) + " requests unsent");
+    for (std::size_t id = 0; id < n; ++id) fail_request(id);
+    finish();
   }
 
   void fail_switch(SwitchId loc, std::uint32_t s) {
@@ -686,7 +577,7 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
     if (finished) return;
     if (pending_dirty) {
       std::erase_if(pending, [&](std::size_t id) { return issued[id]; });
-      ctr.scheduling_rounds->inc();
+      ++report.scheduling_rounds;
       ordered = scheduler.order(dag, pending);
       pending_dirty = false;
       split_round();
@@ -789,19 +680,11 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
 ExecutionReport execute(net::Network& network, const RequestDag& dag,
                         UpdateScheduler& scheduler,
                         const ExecutorOptions& options) {
-  if (dag.size() == 0) return {};
-  assert(dag.is_acyclic());
-
-  auto st =
-      std::make_shared<detail::ExecState>(network, dag, scheduler, options);
-  st->faults_before = snapshot_faults(network, dag);
-  st->init();
-  st->dispatch();
-  while (st->done_count < st->n && network.events().step()) {
+  AsyncExecution run = execute_async(network, dag, scheduler, options);
+  while (!run.done() && network.events().step()) {
   }
   // Timers still queued beyond this point hold the state alive and no-op.
-  st->finish();
-  return st->report;
+  return run.valid() ? run.finish() : ExecutionReport{};
 }
 
 bool AsyncExecution::done() const {
@@ -827,14 +710,16 @@ AsyncExecution execute_async(net::Network& network, const RequestDag& dag,
                              const ExecutorOptions& options) {
   AsyncExecution handle;
   if (dag.size() == 0) return handle;
-  assert(dag.is_acyclic());
 
   auto st =
       std::make_shared<detail::ExecState>(network, dag, scheduler, options);
-  st->shared_counters = false;
   st->faults_before = snapshot_faults(network, dag);
   st->init();
-  st->dispatch();
+  if (dag.is_acyclic()) {
+    st->dispatch();
+  } else {
+    st->fail_cyclic();
+  }
   handle.state_ = std::move(st);
   return handle;
 }

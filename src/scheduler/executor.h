@@ -17,7 +17,8 @@
 // declaring the switch dead. Dead switches fail their outstanding requests
 // (and, transitively, dependents that can now never become ready), all of
 // which is reported so the caller can distinguish "installed" from
-// "consciously abandoned" — nothing is silently lost.
+// "consciously abandoned" — nothing is silently lost. A cyclic DAG is
+// never dispatched: every request fails unsent and the report says why.
 #pragma once
 
 #include <cstddef>
@@ -27,7 +28,6 @@
 #include <set>
 
 #include "net/network.h"
-#include "net/rtt.h"
 #include "scheduler/request.h"
 #include "scheduler/schedulers.h"
 
@@ -70,20 +70,6 @@ struct ExecutorOptions {
   /// After an ECHO proves the switch alive, the request gets a fresh round
   /// of retries — at most this many times before the request is failed.
   std::size_t max_echo_rescues = 2;
-  /// Re-issue requests the switch rejected with a *retryable* error class
-  /// (today: OFPET_FLOW_MOD_FAILED / ALL_TABLES_FULL — transient table
-  /// pressure can clear; EPERM or a bad command never will). Uses the same
-  /// backoff and attempt budget as timeout retries. Off by default so
-  /// existing runs are bit-identical: rejections stay terminal.
-  bool retry_rejections = false;
-  /// Per-switch adaptive deadlines (non-owning; see net/rtt.h). When set,
-  /// every request/echo deadline becomes rtt->timeout_for(switch,
-  /// request_timeout) — learned from echo round trips and solo
-  /// first-attempt flow_mod completions, never exceeding request_timeout.
-  /// Null (the default) keeps the fixed knob and a bit-identical schedule:
-  /// adaptive deadlines move when timer events fire, which shifts the
-  /// post-drain virtual clock, so the estimator is strictly opt-in.
-  net::RttEstimator* rtt = nullptr;
 
   // --- knowledge-health observer -------------------------------------------
   /// Fires on each clean first-attempt acceptance for a switch with a cost
@@ -105,19 +91,19 @@ struct ExecutorOptions {
   std::function<void(std::size_t id)> on_failed;
 };
 
-// Progress/recovery tallies are kept in a telemetry::MetricsRegistry during
-// the run (the network's registry when telemetry is attached, a private one
-// otherwise) under "executor.*" names; the report's count fields are
-// derived from counter deltas when execute() returns — one source of truth,
-// two views.
+// The count fields are this run's own tallies, updated as the run goes.
+// When the network has telemetry attached, finish() adds them to the
+// registry's "executor.*" counters once, so interleaved runs never see each
+// other's counts.
 struct ExecutionReport {
   SimDuration makespan{};
   std::size_t issued = 0;
-  /// Requests whose *terminal* state is a rejection.
+  /// Requests whose *terminal* state is a rejection. Rejections are never
+  /// retried.
   std::size_t rejected = 0;
-  /// Rejection completions by error class (counts every rejection the
-  /// switch returned, including ones a retry later recovered — so
-  /// rejected_retryable + rejected_fatal >= rejected).
+  /// Rejections by error class: table pressure (OFPET_FLOW_MOD_FAILED /
+  /// ALL_TABLES_FULL) can clear, EPERM or a bad command never will.
+  /// rejected_retryable + rejected_fatal == rejected.
   std::size_t rejected_retryable = 0;
   std::size_t rejected_fatal = 0;
   std::size_t scheduling_rounds = 0;
@@ -152,6 +138,8 @@ struct ExecutionReport {
   std::size_t lost_requests = 0;
   /// Switches that stopped answering ECHO probes.
   std::set<SwitchId> failed_switches;
+  /// The DAG had a cycle: nothing was sent and every request failed.
+  bool cyclic = false;
 
   // --- fault-injector activity during this execution -----------------------
   // Deltas of each touched switch's FaultStats across the run (all zero when
@@ -175,12 +163,9 @@ ExecutionReport execute(net::Network& network, const RequestDag& dag,
 /// the pumping of that queue — which is what lets several executions over
 /// disjoint switch sets interleave in virtual time. Poll done() between
 /// event-queue steps; call finish() once afterwards to finalize the report.
-///
-/// Concurrency note: an async execution keeps its per-run progress counters
-/// in a private registry and mirrors the final deltas into the network's
-/// telemetry registry at finish() — two interleaved runs would otherwise
-/// corrupt each other's counter-delta reports. Registry end totals, trace
-/// events, and histograms are identical to the synchronous path's.
+/// Each run tallies into its own report and publishes it to the telemetry
+/// registry only at finish(), so interleaved runs count exactly as serial
+/// ones do.
 class AsyncExecution {
  public:
   AsyncExecution() = default;
@@ -189,10 +174,10 @@ class AsyncExecution {
   /// failed). Also true for a default-constructed (empty) handle.
   [[nodiscard]] bool done() const;
 
-  /// Finalize the report (makespan, lost requests, fault deltas, telemetry
-  /// span) and return it. Idempotent. Calling before done() counts the
-  /// still-pending requests as lost — only do that once the event queue has
-  /// drained.
+  /// Finalize the report (makespan, lost requests, fault deltas, registry
+  /// counters, telemetry span) and return it. Idempotent. Calling before
+  /// done() counts the still-pending requests as lost — only do that once
+  /// the event queue has drained.
   const ExecutionReport& finish();
 
   /// Kill the execution in place: every still-pending timer, retry and
@@ -215,7 +200,9 @@ class AsyncExecution {
 /// Start executing `dag` without pumping the event queue to completion —
 /// the building block for dispatching independent updates concurrently.
 /// `dag` and `scheduler` must outlive the returned handle's finish().
-/// execute() is exactly execute_async + pump-until-done + finish.
+/// execute() is exactly execute_async + pump-until-done + finish. A cyclic
+/// `dag` fails every request unsent (on_failed fires for each) and returns
+/// a finished handle whose report has `cyclic` set.
 AsyncExecution execute_async(net::Network& network, const RequestDag& dag,
                              UpdateScheduler& scheduler,
                              const ExecutorOptions& options = {});

@@ -76,7 +76,7 @@ SubmitResult IntentService::submit(Intent intent) {
   }
 
   auto& queue = queues_[intent.tenant];
-  if (options_.coalesce && intent.coalesce_key != 0) {
+  if (intent.coalesce_key != 0) {
     for (Queued& slot : queue) {
       if (slot.intent.coalesce_key != intent.coalesce_key) continue;
       // Supersede in place: the slot keeps its queue position (the tenant

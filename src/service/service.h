@@ -57,8 +57,6 @@ struct ServiceOptions {
   /// cheaper intents dispatch more of them per round; a big intent waits
   /// for its deficit to accrue.
   std::size_t drr_quantum = 4;
-  /// Collapse queued same-tenant intents that share a coalesce key.
-  bool coalesce = true;
   /// Template for every dispatched transaction; policy comes from the
   /// intent and txn_id from txn_id_base.
   sched::TransactionOptions txn;

@@ -53,6 +53,63 @@ TEST(ExecutorEdge, EmptyDagIsANoop) {
   EXPECT_EQ(report.makespan.ns(), 0);
 }
 
+TEST(ExecutorEdge, CyclicDagFailsEveryRequestUnsent) {
+  // A cycle never drains. A ready root in front of one must not reach the
+  // scheduler (Dionysus's depth pass would recurse forever), and a bare
+  // cycle must not end with requests neither sent nor failed.
+  for (const bool behind_root : {false, true}) {
+    for (const bool use_tango : {false, true}) {
+      for (const bool async : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "behind_root=" << behind_root
+                     << " tango=" << use_tango << " async=" << async);
+        net::Network net;
+        const auto s1 = net.add_switch(profiles::switch1());
+        sched::RequestDag dag;
+        auto add = [&](std::uint32_t i) {
+          sched::SwitchRequest r;
+          r.location = s1;
+          r.priority = static_cast<std::uint16_t>(100 + i);
+          r.match = ProbeEngine::probe_match(i);
+          r.actions = of::output_to(2);
+          return dag.add(r);
+        };
+        const auto a = add(0);
+        const auto b = add(1);
+        const auto c = add(2);
+        dag.add_dependency(a, b);
+        dag.add_dependency(b, c);
+        dag.add_dependency(c, a);
+        if (behind_root) dag.add_dependency(add(3), a);
+
+        std::size_t failed = 0;
+        sched::ExecutorOptions options;
+        options.on_failed = [&](std::size_t) { ++failed; };
+        sched::DionysusScheduler dionysus;
+        sched::BasicTangoScheduler tango({{s1, core::OpCostEstimate{}}});
+        sched::UpdateScheduler& scheduler =
+            use_tango ? static_cast<sched::UpdateScheduler&>(tango) : dionysus;
+        sched::ExecutionReport report;
+        if (async) {
+          auto run = sched::execute_async(net, dag, scheduler, options);
+          EXPECT_TRUE(run.done());
+          net.run_all();
+          report = run.finish();
+        } else {
+          report = sched::execute(net, dag, scheduler, options);
+        }
+        EXPECT_TRUE(report.cyclic);
+        EXPECT_EQ(report.issued, 0u);
+        EXPECT_EQ(report.failed_requests, dag.size());
+        EXPECT_EQ(report.lost_requests, 0u);
+        EXPECT_EQ(failed, dag.size());
+        EXPECT_EQ(net.channel(s1).stats().flow_mods, 0u);
+        EXPECT_EQ(net.sw(s1).total_rules(), 1u);  // the table-miss rule
+      }
+    }
+  }
+}
+
 TEST(CachePolicyEdge, PrefersInducesConsistentTotalOrder) {
   // Sorting under prefers() must be a strict weak ordering: sort a shuffled
   // set twice from different starting permutations and get the same order.

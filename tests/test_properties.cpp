@@ -879,7 +879,10 @@ TEST_P(JournalProperties, TransactionsRepairCrashesLikeTheReference) {
   EXPECT_GT(reconciled, 6u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, JournalProperties, ::testing::Values(1, 2, 3));
+// Seeds 20, 28 and 29 make the reconciler build a cyclic repair DAG under
+// roll-back; both worlds must fail it the same way instead of crashing.
+INSTANTIATE_TEST_SUITE_P(Seeds, JournalProperties,
+                         ::testing::Range<std::uint64_t>(1, 31));
 
 }  // namespace
 }  // namespace tango

@@ -432,8 +432,8 @@ TEST(TelemetryDeterminismTest, AttachingTelemetryIsZeroOverhead) {
 
 TEST(TelemetryDeterminismTest, ReportCountersMatchRegistry) {
   const auto run = run_scenario(true);
-  // Satellite (b): ExecutionReport recovery fields are derived views of the
-  // registry counters, so the two can never drift apart.
+  // The run publishes its report's tallies to the registry once, at
+  // finish(); a lone run's counters equal its report.
   EXPECT_EQ(run.report.retries, run.retries);
   EXPECT_GT(run.flow_mods, 0u);
   EXPECT_GE(run.flow_mods, run.report.issued);
@@ -443,6 +443,124 @@ TEST(TelemetryDeterminismTest, ReportCountersMatchRegistry) {
   // Per-switch lanes present by name.
   EXPECT_NE(json.find("controller"), std::string::npos);
   EXPECT_NE(json.find("s1"), std::string::npos);
+}
+
+/// Two fig10 link-failure updates on disjoint testbeds of one network, with
+/// 4% drops on every switch so timeouts and retries are non-zero.
+std::vector<sched::RequestDag> twin_link_failures(net::Network& net) {
+  Rng rng(11);
+  std::vector<sched::RequestDag> dags;
+  for (int t = 0; t < 2; ++t) {
+    workload::TestbedIds ids;
+    ids.s1 = net.add_switch(profiles::switch1());
+    ids.s2 = net.add_switch(profiles::switch1());
+    ids.s3 = net.add_switch(profiles::switch3());
+    for (const auto id : {ids.s1, ids.s2, ids.s3}) {
+      net::FaultConfig cfg;
+      cfg.drop_to_switch = 0.04;
+      cfg.drop_to_controller = 0.04;
+      cfg.seed = 51 + id;
+      net.enable_faults(id, cfg);
+    }
+    dags.push_back(workload::link_failure_scenario(ids, 60, rng, 0));
+  }
+  return dags;
+}
+
+TEST(TelemetryDeterminismTest, InterleavedRunsPublishTheirOwnCounts) {
+  sched::ExecutorOptions opts;
+  opts.request_timeout = millis(50);
+  opts.max_retries = 5;
+  opts.backoff_base = millis(2);
+
+  // A: the two updates one after the other through execute().
+  net::Network net_a;
+  Telemetry tele_a;
+  net_a.set_telemetry(&tele_a);
+  const auto dags_a = twin_link_failures(net_a);
+  sched::DionysusScheduler sched_a;
+  std::vector<sched::ExecutionReport> serial;
+  for (const auto& dag : dags_a) serial.push_back(execute(net_a, dag, sched_a, opts));
+
+  // B: both at once through execute_async(), one event queue pumping both;
+  // each is finished as soon as it is done, as execute() does.
+  net::Network net_b;
+  Telemetry tele_b;
+  net_b.set_telemetry(&tele_b);
+  const auto dags_b = twin_link_failures(net_b);
+  sched::DionysusScheduler sched_b[2];
+  sched::AsyncExecution runs[2] = {
+      sched::execute_async(net_b, dags_b[0], sched_b[0], opts),
+      sched::execute_async(net_b, dags_b[1], sched_b[1], opts)};
+  std::vector<sched::ExecutionReport> interleaved(2);
+  bool finished[2] = {false, false};
+  for (bool more = true; more;) {
+    for (int t = 0; t < 2; ++t) {
+      if (!finished[t] && runs[t].done()) {
+        interleaved[t] = runs[t].finish();
+        finished[t] = true;
+      }
+    }
+    more = !(finished[0] && finished[1]) && net_b.events().step();
+  }
+  ASSERT_TRUE(finished[0] && finished[1]);
+
+  for (int t = 0; t < 2; ++t) {
+    SCOPED_TRACE("update " + std::to_string(t));
+    const auto& a = serial[static_cast<std::size_t>(t)];
+    const auto& b = interleaved[static_cast<std::size_t>(t)];
+    EXPECT_GT(a.retries, 0u);
+    EXPECT_GT(a.timeouts, 0u);
+    EXPECT_EQ(a.makespan.ns(), b.makespan.ns());
+    EXPECT_EQ(a.issued, b.issued);
+    EXPECT_EQ(a.rejected, b.rejected);
+    EXPECT_EQ(a.rejected_retryable, b.rejected_retryable);
+    EXPECT_EQ(a.rejected_fatal, b.rejected_fatal);
+    EXPECT_EQ(a.scheduling_rounds, b.scheduling_rounds);
+    EXPECT_EQ(a.deadline_misses, b.deadline_misses);
+    EXPECT_EQ(a.per_switch_busy, b.per_switch_busy);
+    EXPECT_EQ(a.total_queueing_delay.ns(), b.total_queueing_delay.ns());
+    EXPECT_EQ(a.max_queueing_delay.ns(), b.max_queueing_delay.ns());
+    EXPECT_EQ(a.timeouts, b.timeouts);
+    EXPECT_EQ(a.retries, b.retries);
+    EXPECT_EQ(a.echo_probes, b.echo_probes);
+    EXPECT_EQ(a.failed_requests, b.failed_requests);
+    EXPECT_EQ(a.lost_requests, b.lost_requests);
+    EXPECT_EQ(a.failed_switches, b.failed_switches);
+    EXPECT_EQ(a.cyclic, b.cyclic);
+    EXPECT_EQ(a.fault_crashes, b.fault_crashes);
+    EXPECT_EQ(a.fault_lost_to_crash, b.fault_lost_to_crash);
+    EXPECT_EQ(a.fault_dropped_to_switch, b.fault_dropped_to_switch);
+    EXPECT_EQ(a.fault_dropped_to_controller, b.fault_dropped_to_controller);
+    EXPECT_EQ(a.crashed_switches, b.crashed_switches);
+  }
+
+  // Each network's executor counters hold exactly the sum of its two runs.
+  const std::pair<const char*, std::size_t sched::ExecutionReport::*>
+      tallies[] = {
+          {"executor.issued", &sched::ExecutionReport::issued},
+          {"executor.rejected", &sched::ExecutionReport::rejected},
+          {"executor.rejected_retryable",
+           &sched::ExecutionReport::rejected_retryable},
+          {"executor.rejected_fatal", &sched::ExecutionReport::rejected_fatal},
+          {"executor.scheduling_rounds",
+           &sched::ExecutionReport::scheduling_rounds},
+          {"executor.deadline_misses", &sched::ExecutionReport::deadline_misses},
+          {"executor.timeouts", &sched::ExecutionReport::timeouts},
+          {"executor.retries", &sched::ExecutionReport::retries},
+          {"executor.echo_probes", &sched::ExecutionReport::echo_probes},
+          {"executor.failed_requests", &sched::ExecutionReport::failed_requests},
+      };
+  const std::pair<const Telemetry*, const std::vector<sched::ExecutionReport>*>
+      sides[] = {{&tele_a, &serial}, {&tele_b, &interleaved}};
+  for (const auto& [tele, reports] : sides) {
+    for (const auto& [name, field] : tallies) {
+      SCOPED_TRACE(name);
+      const auto* counter = tele->metrics.find_counter(name);
+      ASSERT_NE(counter, nullptr);
+      EXPECT_EQ(counter->value(), (*reports)[0].*field + (*reports)[1].*field);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
