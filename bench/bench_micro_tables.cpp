@@ -132,6 +132,50 @@ Pair bench_tcam_churn(std::size_t n) {
   return p;
 }
 
+Pair bench_tcam_shift_churn(std::size_t n) {
+  // Install below every rule, then delete it: the middle-of-table case,
+  // where the install shifts all n residents up and the delete shifts them
+  // back down.
+  ReferenceTcam ref({n + 16, tables::TcamMode::kSingleWide});
+  tables::Tcam idx({n + 16, tables::TcamMode::kSingleWide});
+  fill(ref, n);
+  fill(idx, n);
+  std::uint32_t next = 1u << 20;
+  Pair p;
+  p.ref = ops_per_sec([&] {
+    ref.insert(make_entry(next, 1));
+    ref.erase(next);
+    ++next;
+  });
+  next = 1u << 20;
+  p.idx = ops_per_sec([&] {
+    idx.insert(make_entry(next, 1));
+    idx.erase(next);
+    ++next;
+  });
+  return p;
+}
+
+Pair bench_soft_erase_oldest(std::size_t n) {
+  // Erase the oldest entry, then append a new one: the front of a long
+  // software table leaves on every cycle, as under FIFO promotion.
+  ReferenceSoftwareTable ref(0);
+  tables::SoftwareTable idx(0);
+  fill(ref, n);
+  fill(idx, n);
+  std::uint32_t oldest = 0;
+  auto cycle = [&](auto& table) {
+    table.erase(oldest);
+    table.insert(make_entry(static_cast<std::uint32_t>(oldest + n), 1000));
+    ++oldest;
+  };
+  Pair p;
+  p.ref = ops_per_sec([&] { cycle(ref); });
+  oldest = 0;
+  p.idx = ops_per_sec([&] { cycle(idx); });
+  return p;
+}
+
 Pair bench_victim_select(std::size_t n) {
   const auto policy = tables::LexCachePolicy::lru();
   ReferenceTcam ref({n + 16, tables::TcamMode::kSingleWide});
@@ -201,6 +245,8 @@ int main() {
   for (const std::size_t n : sizes) {
     record(report, "tcam_lookup", n, bench_tcam_lookup(n));
     record(report, "tcam_churn", n, bench_tcam_churn(n));
+    record(report, "tcam_shift_churn", n, bench_tcam_shift_churn(n));
+    record(report, "soft_erase_oldest", n, bench_soft_erase_oldest(n));
     record(report, "victim_select", n, bench_victim_select(n));
     record(report, "soft_lookup", n, bench_soft_lookup(n));
   }

@@ -275,6 +275,9 @@ bool SimulatedSwitch::cascade_insert(tables::FlowEntry entry, std::size_t* shift
   }
   tables::FlowEntry pending = std::move(entry);
   for (auto& level : levels_) {
+    // A level whose mode cannot hold this shape is skipped: evicting its
+    // victim would leave the newcomer nowhere to go.
+    if (!level.slots_for(pending.match)) continue;
     if (level.can_fit(pending.match)) {
       auto res = level.insert(std::move(pending));
       assert(res.accepted);
@@ -285,7 +288,7 @@ bool SimulatedSwitch::cascade_insert(tables::FlowEntry entry, std::size_t* shift
     // level's lowest-ordered entry (which then cascades down) or sinks.
     const auto victim_id = level.victim_id();
     if (!victim_id) {
-      continue;  // level is empty: entry shape doesn't fit it at all
+      continue;  // level is empty but too small for this entry
     }
     const tables::FlowEntry& victim_ref = *level.find_by_id(*victim_id);
     if (profile_.policy.prefers(pending, victim_ref)) {
@@ -710,9 +713,11 @@ ForwardOutcome SimulatedSwitch::forward(const of::Packet& pkt, SimTime now) {
   hit_at(*best, best_level);
 
   if (profile_.arch == Architecture::kPolicyCache && best_level > 0 &&
-      out.kind == ForwardOutcome::Kind::kForwarded) {
+      out.kind == ForwardOutcome::Kind::kForwarded &&
+      levels_[best_level - 1].slots_for(best->match)) {
     // Hit below the top: the (now-updated) entry may outrank the level
-    // above's victim; if so they swap residences.
+    // above's victim; if so they swap residences. A level whose mode cannot
+    // hold the entry's shape never takes it.
     const FlowId id = best->id;
     const std::size_t above = best_level - 1;
     auto take_hit = [&]() -> std::optional<tables::FlowEntry> {

@@ -18,28 +18,21 @@ void SoftwareTable::push_age(const FlowEntry& e, std::uint64_t seq) {
 }
 
 void SoftwareTable::compact_age_heap() {
-  if (age_heap_.size() <= 2 * entries_.size() + 64) return;
+  if (age_heap_.size() <= 2 * store_.size() + 64) return;
   std::vector<AgeRecord> kept;
-  kept.reserve(entries_.size());
+  kept.reserve(store_.size());
   for (const auto& r : age_heap_) {
-    const auto it = pos_.find(r.id);
-    if (it != pos_.end() &&
-        entries_[it->second].attrs.insert_time.ns() == r.insert_ns) {
-      kept.push_back(r);
-    }
+    const FlowEntry* e = store_.find(r.id);
+    if (e != nullptr && e->attrs.insert_time.ns() == r.insert_ns) kept.push_back(r);
   }
   age_heap_ = std::move(kept);
   std::make_heap(age_heap_.begin(), age_heap_.end(), age_after);
 }
 
 bool SoftwareTable::insert(FlowEntry entry) {
-  if (capacity_ != 0 && entries_.size() >= capacity_) return false;
-  const std::size_t pos = entries_.size();
+  if (capacity_ != 0 && store_.size() >= capacity_) return false;
   const std::uint64_t seq = next_seq_++;
-  entries_.push_back(std::move(entry));
-  seqs_.push_back(seq);
-  const FlowEntry& e = entries_[pos];
-  pos_[e.id] = pos;
+  const FlowEntry& e = store_.at(store_.insert(seq, std::move(entry)));
   tuple_.insert(e.match, e.id);
   strict_.insert(e.match, e.priority, e.id);
   if (is_timed(e)) ++timed_;
@@ -48,66 +41,41 @@ bool SoftwareTable::insert(FlowEntry entry) {
   return true;
 }
 
-void SoftwareTable::remove_at(std::size_t pos) {
-  FlowEntry& e = entries_[pos];
+void SoftwareTable::unindex(const FlowEntry& e) {
   if (is_timed(e)) --timed_;
   tuple_.erase(e.match, e.id);
   strict_.erase(e.match, e.priority, e.id);
-  pos_.erase(e.id);
-  for (std::size_t i = pos + 1; i < entries_.size(); ++i) --pos_[entries_[i].id];
-  entries_.erase(entries_.begin() + static_cast<long>(pos));
-  seqs_.erase(seqs_.begin() + static_cast<long>(pos));
+}
+
+FlowEntry SoftwareTable::remove_at(std::size_t pos) {
+  FlowEntry out = store_.remove_at(pos);
+  unindex(out);
+  return out;
 }
 
 std::optional<FlowEntry> SoftwareTable::erase(FlowId id) {
-  const auto it = pos_.find(id);
-  if (it == pos_.end()) return std::nullopt;
-  const std::size_t pos = it->second;
-  FlowEntry out = entries_[pos];
-  remove_at(pos);
-  return out;
+  const OrderedSlots::Slot s = store_.slot_of(id);
+  if (s == OrderedSlots::kNoSlot) return std::nullopt;
+  return remove_at(store_.position(s));
 }
 
 std::vector<FlowEntry> SoftwareTable::remove_batch(
     const std::vector<std::size_t>& desc) {
-  std::vector<FlowEntry> removed;
-  removed.reserve(desc.size());
-  for (const std::size_t p : desc) {
-    FlowEntry& e = entries_[p];
-    if (is_timed(e)) --timed_;
-    tuple_.erase(e.match, e.id);
-    strict_.erase(e.match, e.priority, e.id);
-    pos_.erase(e.id);
-    removed.push_back(std::move(e));
-  }
-  // One-pass compaction over the holes (desc is strictly descending, so its
-  // reverse view is ascending).
-  const std::size_t n = entries_.size();
-  std::size_t write = desc.back();
-  std::size_t next = desc.size();
-  std::size_t next_hole = desc[next - 1];
-  for (std::size_t read = write; read < n; ++read) {
-    if (next > 0 && read == next_hole) {
-      --next;
-      next_hole = next > 0 ? desc[next - 1] : n;
-      continue;
-    }
-    entries_[write] = std::move(entries_[read]);
-    seqs_[write] = seqs_[read];
-    pos_[entries_[write].id] = write;
-    ++write;
-  }
-  entries_.resize(write);
-  seqs_.resize(write);
+  auto removed = store_.remove_batch(desc);
+  for (const auto& e : removed) unindex(e);
   return removed;
 }
 
-std::vector<FlowEntry> SoftwareTable::erase_matching(const of::Match& filter) {
+void SoftwareTable::collect_matching(const of::Match& filter) {
   scratch_.clear();
   tuple_.for_each_subsumable(filter, [&](FlowId id) {
-    const std::size_t pos = pos_.find(id)->second;
-    if (filter.subsumes(entries_[pos].match)) scratch_.push_back(pos);
+    const OrderedSlots::Slot s = store_.slot_of(id);
+    if (filter.subsumes(store_.entry(s).match)) scratch_.push_back(store_.position(s));
   });
+}
+
+std::vector<FlowEntry> SoftwareTable::erase_matching(const of::Match& filter) {
+  collect_matching(filter);
   if (scratch_.empty()) return {};
   // Removed entries come back in descending table order — the order the
   // original one-at-a-time reverse sweep produced.
@@ -120,8 +88,8 @@ std::vector<FlowEntry> SoftwareTable::take_expired(SimTime now) {
   // Expiry is time-based, not match-based, so collect by scan; the timed_
   // fast path above keeps the common (no timeouts resident) case O(1).
   scratch_.clear();
-  for (std::size_t i = entries_.size(); i-- > 0;) {
-    if (entries_[i].expired(now)) scratch_.push_back(i);
+  for (std::size_t i = store_.size(); i-- > 0;) {
+    if (store_.at(i).expired(now)) scratch_.push_back(i);
   }
   if (scratch_.empty()) return {};
   return remove_batch(scratch_);
@@ -132,33 +100,31 @@ std::optional<FlowEntry> SoftwareTable::pop_oldest() {
     const AgeRecord top = age_heap_.front();
     std::pop_heap(age_heap_.begin(), age_heap_.end(), age_after);
     age_heap_.pop_back();
-    const auto it = pos_.find(top.id);
-    if (it == pos_.end()) continue;  // stale: entry left the table
-    const std::size_t pos = it->second;
-    if (entries_[pos].attrs.insert_time.ns() != top.insert_ns) continue;
-    FlowEntry out = entries_[pos];
-    remove_at(pos);
-    return out;
+    const OrderedSlots::Slot s = store_.slot_of(top.id);
+    if (s == OrderedSlots::kNoSlot) continue;  // stale: entry left the table
+    if (store_.entry(s).attrs.insert_time.ns() != top.insert_ns) continue;
+    return remove_at(store_.position(s));
   }
   return std::nullopt;
 }
 
 FlowEntry* SoftwareTable::lookup(const of::PacketHeader& pkt) {
   // Winner: highest priority; ties go to the earliest-inserted entry
-  // (lowest position), matching the original front-to-back strict-> scan.
-  std::size_t best_pos = 0;
-  bool found = false;
+  // (lowest order key), matching the original front-to-back strict-> scan.
+  FlowEntry* best = nullptr;
+  OrderedSlots::Key best_key = 0;
   tuple_.for_each_candidate(pkt, [&](FlowId id) {
-    const std::size_t pos = pos_.find(id)->second;
-    const FlowEntry& e = entries_[pos];
+    const OrderedSlots::Slot s = store_.slot_of(id);
+    FlowEntry& e = store_.entry(s);
     if (!e.match.matches(pkt)) return;
-    if (!found || e.priority > entries_[best_pos].priority ||
-        (e.priority == entries_[best_pos].priority && pos < best_pos)) {
-      best_pos = pos;
-      found = true;
+    const OrderedSlots::Key key = store_.key(s);
+    if (best == nullptr || e.priority > best->priority ||
+        (e.priority == best->priority && key < best_key)) {
+      best = &e;
+      best_key = key;
     }
   });
-  return found ? &entries_[best_pos] : nullptr;
+  return best;
 }
 
 FlowEntry* SoftwareTable::find_strict(const of::Match& match, std::uint16_t priority) {
@@ -168,46 +134,33 @@ FlowEntry* SoftwareTable::find_strict(const of::Match& match, std::uint16_t prio
   // (match, priority) keys is insertion order too, so the first verified
   // candidate is the front-to-back scan's first hit.
   for (const FlowId id : *ids) {
-    FlowEntry& e = entries_[pos_.find(id)->second];
-    if (e.priority == priority && e.match == match) return &e;
+    FlowEntry* e = store_.find(id);
+    if (e->priority == priority && e->match == match) return e;
   }
   return nullptr;
 }
 
-const FlowEntry* SoftwareTable::find_by_id(FlowId id) const {
-  const auto it = pos_.find(id);
-  return it == pos_.end() ? nullptr : &entries_[it->second];
-}
+const FlowEntry* SoftwareTable::find_by_id(FlowId id) const { return store_.find(id); }
 
-FlowEntry* SoftwareTable::find_by_id(FlowId id) {
-  const auto it = pos_.find(id);
-  return it == pos_.end() ? nullptr : &entries_[it->second];
-}
-
-std::size_t SoftwareTable::modify_matching(const of::Match& filter,
-                                           const of::ActionList& actions) {
-  return for_each_matching(filter, [&](FlowEntry& e) { e.actions = actions; });
-}
+FlowEntry* SoftwareTable::find_by_id(FlowId id) { return store_.find(id); }
 
 bool SoftwareTable::replace(FlowId id, FlowEntry entry) {
-  const auto it = pos_.find(id);
-  if (it == pos_.end()) return false;
-  FlowEntry& old = entries_[it->second];
+  const OrderedSlots::Slot s = store_.slot_of(id);
+  if (s == OrderedSlots::kNoSlot) return false;
+  FlowEntry& old = store_.entry(s);
   if (is_timed(old)) --timed_;
   if (is_timed(entry)) ++timed_;
   old = std::move(entry);
   // The replacement restarts the entry's clock; record the new insertion
   // time under the original serial so age order still follows position.
-  push_age(old, seqs_[it->second]);
+  push_age(old, store_.key(s));
   compact_age_heap();
   return true;
 }
 
 void SoftwareTable::clear() {
-  entries_.clear();
-  seqs_.clear();
+  store_.clear();
   timed_ = 0;
-  pos_.clear();
   tuple_.clear();
   strict_.clear();
   age_heap_.clear();

@@ -5,12 +5,13 @@
 // many kernel microflows).
 //
 // Both tables are index-backed so wall-clock cost per simulated operation
-// stays near O(1): the wildcard table shares the TCAM's tuple-space/strict/
-// id indexes plus a lazy min-heap over insertion times for pop_oldest; the
-// microflow cache keeps a per-rule key index and a sequence-guarded FIFO so
-// rule invalidation no longer walks the whole cache. Observable behaviour is
-// bit-identical to the linear-scan implementations these replaced (see
-// tests/test_table_diff.cpp).
+// stays near O(1). Like the TCAM, the wildcard table keeps its entries in
+// an OrderedSlots store, keyed by insertion serial, so an erase from the
+// middle moves no other entry; it uses the TCAM's tuple-space and strict
+// indexes and adds a lazy min-heap over insertion times for pop_oldest. The microflow cache keeps a per-rule key index and a
+// sequence-guarded FIFO so rule invalidation no longer walks the whole
+// cache. Observable behaviour is bit-identical to the linear-scan
+// implementations these replaced (see tests/test_table_diff.cpp).
 #pragma once
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "tables/flow_entry.h"
+#include "tables/ordered_slots.h"
 #include "tables/tuple_index.h"
 
 namespace tango::tables {
@@ -59,26 +61,21 @@ class SoftwareTable {
   /// Returns the number of entries visited.
   template <typename Fn>
   std::size_t for_each_matching(const of::Match& filter, Fn&& fn) {
-    scratch_.clear();
-    tuple_.for_each_subsumable(filter, [&](FlowId id) {
-      const std::size_t pos = pos_.find(id)->second;
-      if (filter.subsumes(entries_[pos].match)) scratch_.push_back(pos);
-    });
+    collect_matching(filter);
     std::sort(scratch_.begin(), scratch_.end());
-    for (const std::size_t pos : scratch_) fn(entries_[pos]);
+    for (const std::size_t pos : scratch_) fn(store_.at(pos));
     return scratch_.size();
   }
-
-  std::size_t modify_matching(const of::Match& filter, const of::ActionList& actions);
 
   /// Overwrite the entry with this id in place (ADD-replaces-duplicate).
   /// Must carry the same id, match, and priority; false if absent.
   bool replace(FlowId id, FlowEntry entry);
 
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] std::size_t size() const { return store_.size(); }
   [[nodiscard]] bool unbounded() const { return capacity_ == 0; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] const std::vector<FlowEntry>& entries() const { return entries_; }
+  /// Entries in table (insertion) order.
+  [[nodiscard]] OrderedSlots::View entries() const { return store_.view(); }
   void clear();
 
  private:
@@ -93,17 +90,18 @@ class SoftwareTable {
   static bool age_after(const AgeRecord& a, const AgeRecord& b);
   void push_age(const FlowEntry& e, std::uint64_t seq);
   void compact_age_heap();
-  void remove_at(std::size_t pos);
+  void unindex(const FlowEntry& e);
+  FlowEntry remove_at(std::size_t pos);
+  /// Fill scratch_ with the positions of the entries `filter` subsumes.
+  void collect_matching(const of::Match& filter);
   /// Remove the entries at `desc` (positions, strictly descending), in that
-  /// order, with one-pass compaction.
+  /// order.
   std::vector<FlowEntry> remove_batch(const std::vector<std::size_t>& desc);
 
   std::size_t capacity_;
-  std::vector<FlowEntry> entries_;  // insertion order
-  std::vector<std::uint64_t> seqs_;  // parallel to entries_
+  OrderedSlots store_;  // keyed by insertion serial
   std::uint64_t next_seq_ = 0;
   std::size_t timed_ = 0;
-  std::unordered_map<FlowId, std::size_t> pos_;
   TupleSpaceIndex tuple_;
   StrictIndex strict_;
   /// Lazy min-heap on (insert_ns, seq); stale records (id gone or

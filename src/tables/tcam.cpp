@@ -33,12 +33,11 @@ bool Tcam::can_fit(const of::Match& match) const {
   return slots.has_value() && slots_used_ + *slots <= config_.capacity_slots;
 }
 
-void Tcam::index_entry(const FlowEntry& e, std::size_t pos) {
-  pos_[e.id] = pos;
-  tuple_.insert(e.match, e.id);
-  strict_.insert(e.match, e.priority, e.id);
-  if (is_timed(e)) ++timed_;
-  heap_.push(e);
+void Tcam::unindex(const FlowEntry& e) {
+  slots_used_ -= slots_for(e.match).value_or(0);
+  if (is_timed(e)) --timed_;
+  tuple_.erase(e.match, e.id);
+  strict_.erase(e.match, e.priority, e.id);
 }
 
 TcamInsertOutcome Tcam::insert(FlowEntry entry) {
@@ -52,18 +51,21 @@ TcamInsertOutcome Tcam::insert(FlowEntry entry) {
     out.reject_reason = "TCAM full";
     return out;
   }
-  // Physical array is ascending by priority; insert after any equal-priority
-  // entries so equal-priority appends cost zero shifts.
-  const auto it = std::upper_bound(
-      entries_.begin(), entries_.end(), entry.priority,
-      [](std::uint16_t p, const FlowEntry& e) { return p < e.priority; });
-  const std::size_t pos = static_cast<std::size_t>(it - entries_.begin());
-  out.shifts = entries_.size() - pos;
-  for (std::size_t i = pos; i < entries_.size(); ++i) ++pos_[entries_[i].id];
-  entries_.insert(it, std::move(entry));
-  index_entry(entries_[pos], pos);
+  // Physical order is ascending by priority with equal priorities in
+  // insertion order: the new key sorts after every equal-priority entry, so
+  // equal-priority appends cost zero shifts.
+  assert(next_serial_ < (std::uint64_t{1} << 48));
+  const OrderedSlots::Key key =
+      (static_cast<OrderedSlots::Key>(entry.priority) << 48) | next_serial_++;
+  const std::size_t pos = store_.insert(key, std::move(entry));
+  out.shifts = store_.size() - 1 - pos;
+  const FlowEntry& e = store_.at(pos);
+  tuple_.insert(e.match, e.id);
+  strict_.insert(e.match, e.priority, e.id);
+  if (is_timed(e)) ++timed_;
+  heap_.push(e);
   slots_used_ += *slots;
-  heap_.maybe_compact(entries_.size(),
+  heap_.maybe_compact(store_.size(),
                       [this](FlowId id) { return find_by_id(id); });
   out.accepted = true;
   return out;
@@ -71,78 +73,45 @@ TcamInsertOutcome Tcam::insert(FlowEntry entry) {
 
 TcamEraseOutcome Tcam::erase(FlowId id) {
   TcamEraseOutcome out;
-  const auto it = pos_.find(id);
-  if (it == pos_.end()) return out;
-  const std::size_t pos = it->second;
-  FlowEntry& e = entries_[pos];
-  slots_used_ -= slots_for(e.match).value_or(0);
-  if (is_timed(e)) --timed_;
-  tuple_.erase(e.match, e.id);
-  strict_.erase(e.match, e.priority, e.id);
-  pos_.erase(it);
-  out.shifts = entries_.size() - pos - 1;
-  for (std::size_t i = pos + 1; i < entries_.size(); ++i) --pos_[entries_[i].id];
-  entries_.erase(entries_.begin() + static_cast<long>(pos));
-  out.removed = 1;
+  if (take(id, &out.shifts)) out.removed = 1;
   return out;
 }
 
 std::optional<FlowEntry> Tcam::take(FlowId id, std::size_t* shifts) {
-  const auto it = pos_.find(id);
-  if (it == pos_.end()) return std::nullopt;
-  FlowEntry out = entries_[it->second];
-  const auto res = erase(id);
-  if (shifts != nullptr) *shifts += res.shifts;
+  const OrderedSlots::Slot s = store_.slot_of(id);
+  if (s == OrderedSlots::kNoSlot) return std::nullopt;
+  const std::size_t pos = store_.position(s);
+  if (shifts != nullptr) *shifts += store_.size() - pos - 1;
+  FlowEntry out = store_.remove_at(pos);
+  unindex(out);
   return out;
 }
 
 std::vector<FlowEntry> Tcam::remove_batch(const std::vector<std::size_t>& desc,
                                           std::size_t* shifts_out) {
-  const std::size_t n = entries_.size();
-  std::size_t shifts = 0;
-  std::vector<FlowEntry> removed;
-  removed.reserve(desc.size());
   // Removing position p_j as the j-th one-at-a-time erasure (descending
   // order, j entries already gone) moves (n - j) - p_j - 1 entries.
-  for (std::size_t j = 0; j < desc.size(); ++j) {
-    const std::size_t p = desc[j];
-    FlowEntry& e = entries_[p];
-    shifts += n - j - 1 - p;
-    slots_used_ -= slots_for(e.match).value_or(0);
-    if (is_timed(e)) --timed_;
-    tuple_.erase(e.match, e.id);
-    strict_.erase(e.match, e.priority, e.id);
-    pos_.erase(e.id);
-    removed.push_back(std::move(e));
-  }
-  // One-pass compaction over the holes (desc is strictly descending, so the
-  // reverse view is ascending).
-  std::size_t write = desc.back();
-  std::size_t next = desc.size();  // walks desc from the back (ascending)
-  std::size_t next_hole = desc[next - 1];
-  for (std::size_t read = write; read < n; ++read) {
-    if (next > 0 && read == next_hole) {
-      --next;
-      next_hole = next > 0 ? desc[next - 1] : n;
-      continue;
-    }
-    entries_[write] = std::move(entries_[read]);
-    pos_[entries_[write].id] = write;
-    ++write;
-  }
-  entries_.resize(write);
+  const std::size_t n = store_.size();
+  std::size_t shifts = 0;
+  for (std::size_t j = 0; j < desc.size(); ++j) shifts += n - j - 1 - desc[j];
+  auto removed = store_.remove_batch(desc);
+  for (const auto& e : removed) unindex(e);
   if (shifts_out != nullptr) *shifts_out = shifts;
   return removed;
+}
+
+void Tcam::collect_matching(const of::Match& filter) {
+  scratch_.clear();
+  tuple_.for_each_subsumable(filter, [&](FlowId id) {
+    const OrderedSlots::Slot s = store_.slot_of(id);
+    if (filter.subsumes(store_.entry(s).match)) scratch_.push_back(store_.position(s));
+  });
 }
 
 std::vector<FlowEntry> Tcam::erase_matching(const of::Match& filter,
                                             std::size_t* shifts_out) {
   if (shifts_out != nullptr) *shifts_out = 0;
-  scratch_.clear();
-  tuple_.for_each_subsumable(filter, [&](FlowId id) {
-    const std::size_t pos = pos_.find(id)->second;
-    if (filter.subsumes(entries_[pos].match)) scratch_.push_back(pos);
-  });
+  collect_matching(filter);
   if (scratch_.empty()) return {};
   std::sort(scratch_.begin(), scratch_.end(), std::greater<>());
   return remove_batch(scratch_, shifts_out);
@@ -151,8 +120,8 @@ std::vector<FlowEntry> Tcam::erase_matching(const of::Match& filter,
 std::vector<FlowEntry> Tcam::take_expired(SimTime now) {
   if (timed_ == 0) return {};
   scratch_.clear();
-  for (std::size_t i = entries_.size(); i-- > 0;) {
-    if (entries_[i].expired(now)) scratch_.push_back(i);
+  for (std::size_t i = store_.size(); i-- > 0;) {
+    if (store_.at(i).expired(now)) scratch_.push_back(i);
   }
   if (scratch_.empty()) return {};
   return remove_batch(scratch_, nullptr);
@@ -161,56 +130,46 @@ std::vector<FlowEntry> Tcam::take_expired(SimTime now) {
 FlowEntry* Tcam::lookup(const of::PacketHeader& pkt) {
   // Physical order is ascending (priority, insertion age), so the top-down
   // first match of a real TCAM is simply the matching entry with the
-  // greatest position.
-  std::size_t best_pos = 0;
-  bool found = false;
+  // greatest order key.
+  FlowEntry* best = nullptr;
+  OrderedSlots::Key best_key = 0;
   tuple_.for_each_candidate(pkt, [&](FlowId id) {
-    const std::size_t pos = pos_.find(id)->second;
-    if (!entries_[pos].match.matches(pkt)) return;
-    if (!found || pos > best_pos) {
-      best_pos = pos;
-      found = true;
+    const OrderedSlots::Slot s = store_.slot_of(id);
+    FlowEntry& e = store_.entry(s);
+    if (!e.match.matches(pkt)) return;
+    const OrderedSlots::Key key = store_.key(s);
+    if (best == nullptr || key > best_key) {
+      best = &e;
+      best_key = key;
     }
   });
-  return found ? &entries_[best_pos] : nullptr;
+  return best;
 }
 
 FlowEntry* Tcam::find_strict(const of::Match& match, std::uint16_t priority) {
   const auto* ids = strict_.candidates(match, priority);
   if (ids == nullptr) return nullptr;
   for (const FlowId id : *ids) {
-    FlowEntry& e = entries_[pos_.find(id)->second];
-    if (e.priority == priority && e.match == match) return &e;
+    FlowEntry* e = store_.find(id);
+    if (e->priority == priority && e->match == match) return e;
   }
   return nullptr;
 }
 
-const FlowEntry* Tcam::find_by_id(FlowId id) const {
-  const auto it = pos_.find(id);
-  return it == pos_.end() ? nullptr : &entries_[it->second];
-}
+const FlowEntry* Tcam::find_by_id(FlowId id) const { return store_.find(id); }
 
-FlowEntry* Tcam::find_by_id(FlowId id) {
-  const auto it = pos_.find(id);
-  return it == pos_.end() ? nullptr : &entries_[it->second];
-}
-
-std::size_t Tcam::modify_matching(const of::Match& filter,
-                                  const of::ActionList& actions) {
-  return for_each_matching(filter, [&](FlowEntry& e) { e.actions = actions; });
-}
+FlowEntry* Tcam::find_by_id(FlowId id) { return store_.find(id); }
 
 bool Tcam::replace(FlowId id, FlowEntry entry) {
-  const auto it = pos_.find(id);
-  if (it == pos_.end()) return false;
-  FlowEntry& old = entries_[it->second];
-  assert(entry.id == id && entry.match == old.match &&
-         entry.priority == old.priority);
-  if (is_timed(old)) --timed_;
+  FlowEntry* old = store_.find(id);
+  if (old == nullptr) return false;
+  assert(entry.id == id && entry.match == old->match &&
+         entry.priority == old->priority);
+  if (is_timed(*old)) --timed_;
   if (is_timed(entry)) ++timed_;
-  old = std::move(entry);
-  heap_.push(old);
-  heap_.maybe_compact(entries_.size(),
+  *old = std::move(entry);
+  heap_.push(*old);
+  heap_.maybe_compact(store_.size(),
                       [this](FlowId id2) { return find_by_id(id2); });
   return true;
 }
@@ -218,7 +177,7 @@ bool Tcam::replace(FlowId id, FlowEntry entry) {
 void Tcam::set_eviction_policy(const LexCachePolicy* policy) {
   heap_.set_policy(policy);
   if (policy != nullptr) {
-    for (const auto& e : entries_) heap_.push(e);
+    for (const auto& e : store_.view()) heap_.push(e);
   }
 }
 
@@ -235,16 +194,15 @@ void Tcam::note_attrs_changed(FlowId id) {
   if (!heap_.rank_depends_on_hits()) return;
   if (const auto* e = find_by_id(id)) {
     heap_.push(*e);
-    heap_.maybe_compact(entries_.size(),
+    heap_.maybe_compact(store_.size(),
                         [this](FlowId id2) { return find_by_id(id2); });
   }
 }
 
 void Tcam::clear() {
-  entries_.clear();
+  store_.clear();
   slots_used_ = 0;
   timed_ = 0;
-  pos_.clear();
   tuple_.clear();
   strict_.clear();
   heap_.clear();

@@ -12,14 +12,17 @@
 // each), double-wide mode (every entry occupies 2 slots, any layer mix), or
 // adaptive mode (L2-only/L3-only cost 1 slot, L2+L3 cost 2 — Switch #3).
 //
-// The physical array is the source of truth (entries() order is the
-// observable physical order and the shift counts derive from it), but all
-// point operations go through side indexes so nothing scans the array:
-// a tuple-space index for lookup/subsumption, a strict (match, priority)
-// hash for OpenFlow strict ops, an id -> position map, and a lazy eviction
-// heap when a cache policy is attached. The indexes are accelerators only —
-// results are bit-identical to the linear scans they replaced (see the
-// ReferenceTcam differential suite in tests/test_table_diff.cpp).
+// Physical order is the source of truth (entries() is the observable
+// physical order and the shift counts derive from it). Entries sit in an
+// OrderedSlots store keyed by priority << 48 | insertion serial, so the
+// physical position of an entry is the rank of its key and an insert or
+// erase moves no other entry. All point operations go through side indexes
+// so nothing scans the table: a tuple-space index for lookup/subsumption, a
+// strict (match, priority) hash for OpenFlow strict ops, the store's
+// id -> slot map, and a lazy eviction heap when a cache policy is attached.
+// The indexes are accelerators only — results are bit-identical to the
+// linear scans they replaced (see the ReferenceTcam differential suite in
+// tests/test_table_diff.cpp).
 #pragma once
 
 #include <algorithm>
@@ -27,11 +30,11 @@
 #include <cstddef>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "tables/eviction_heap.h"
 #include "tables/flow_entry.h"
+#include "tables/ordered_slots.h"
 #include "tables/tuple_index.h"
 
 namespace tango::tables {
@@ -102,19 +105,11 @@ class Tcam {
   /// number of entries visited.
   template <typename Fn>
   std::size_t for_each_matching(const of::Match& filter, Fn&& fn) {
-    scratch_.clear();
-    tuple_.for_each_subsumable(filter, [&](FlowId id) {
-      const std::size_t pos = pos_.find(id)->second;
-      if (filter.subsumes(entries_[pos].match)) scratch_.push_back(pos);
-    });
+    collect_matching(filter);
     std::sort(scratch_.begin(), scratch_.end());
-    for (const std::size_t pos : scratch_) fn(entries_[pos]);
+    for (const std::size_t pos : scratch_) fn(store_.at(pos));
     return scratch_.size();
   }
-
-  /// In-place modification of actions for all entries subsumed by `filter`
-  /// (OpenFlow MODIFY). Returns number updated; no shifts are incurred.
-  std::size_t modify_matching(const of::Match& filter, const of::ActionList& actions);
 
   /// Overwrite the entry with this id in place (the OpenFlow ADD-replaces-
   /// duplicate path). The replacement must carry the same id, match, and
@@ -135,7 +130,7 @@ class Tcam {
   /// (e.g. record_hit). No-op when no policy is attached.
   void note_attrs_changed(FlowId id);
 
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] std::size_t size() const { return store_.size(); }
   [[nodiscard]] std::size_t slots_used() const { return slots_used_; }
   [[nodiscard]] std::size_t slots_total() const { return config_.capacity_slots; }
   [[nodiscard]] const TcamConfig& config() const { return config_; }
@@ -149,7 +144,7 @@ class Tcam {
   }
 
   /// Entries in physical (ascending-priority) order.
-  [[nodiscard]] const std::vector<FlowEntry>& entries() const { return entries_; }
+  [[nodiscard]] OrderedSlots::View entries() const { return store_.view(); }
 
   void clear();
 
@@ -157,17 +152,19 @@ class Tcam {
   static bool is_timed(const FlowEntry& e) {
     return e.idle_timeout != 0 || e.hard_timeout != 0;
   }
-  void index_entry(const FlowEntry& e, std::size_t pos);
+  void unindex(const FlowEntry& e);
+  /// Fill scratch_ with the positions of the entries `filter` subsumes.
+  void collect_matching(const of::Match& filter);
   /// Remove the entries at `desc` (positions, strictly descending), in that
   /// order, mirroring the shift accounting of one-at-a-time erasure.
   std::vector<FlowEntry> remove_batch(const std::vector<std::size_t>& desc,
                                       std::size_t* shifts_out);
 
   TcamConfig config_;
-  std::vector<FlowEntry> entries_;  // ascending priority; equal-priority FIFO
+  OrderedSlots store_;          // ascending priority; equal-priority FIFO
+  std::uint64_t next_serial_ = 0;
   std::size_t slots_used_ = 0;
-  std::size_t timed_ = 0;           // resident entries with a timeout set
-  std::unordered_map<FlowId, std::size_t> pos_;
+  std::size_t timed_ = 0;       // resident entries with a timeout set
   TupleSpaceIndex tuple_;
   StrictIndex strict_;
   EvictionHeap heap_;

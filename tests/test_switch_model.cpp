@@ -272,6 +272,34 @@ TEST(PolicyCacheSwitch, NoBackingRejectsWhenAllLevelsFull) {
   EXPECT_EQ(sw.total_rules(), 2u);
 }
 
+// A single-wide level cannot hold an L2+L3 rule at all. Such a rule must
+// sink past the level instead of evicting a victim it cannot replace.
+TEST(PolicyCacheSwitch, WideAddSkipsLevelThatCannotHoldIt) {
+  SimulatedSwitch sw(1, lru_cache_profile(2));
+  ASSERT_TRUE(sw.apply_flow_mod(add_rule(0), at(0)).accepted);
+  ASSERT_TRUE(sw.apply_flow_mod(add_rule(1), at(1)).accepted);
+  const auto wide = ProbeEngine::probe_add(2, 0x8000, core::RuleShape::kL2AndL3);
+  EXPECT_TRUE(sw.apply_flow_mod(wide, at(2)).accepted);
+  EXPECT_EQ(sw.total_rules(), 3u);
+  EXPECT_EQ(sw.level_size(0), 2u);
+  EXPECT_TRUE(sw.resident_at_level(wide.match, wide.priority, 1));
+}
+
+TEST(PolicyCacheSwitch, HitOnWideSoftwareRuleKeepsIt) {
+  SimulatedSwitch sw(1, lru_cache_profile(2));
+  const auto wide = ProbeEngine::probe_add(2, 0x8000, core::RuleShape::kL2AndL3);
+  ASSERT_TRUE(sw.apply_flow_mod(wide, at(0)).accepted);
+  ASSERT_TRUE(sw.apply_flow_mod(add_rule(0), at(1)).accepted);
+  ASSERT_TRUE(sw.apply_flow_mod(add_rule(1), at(2)).accepted);
+  ASSERT_EQ(sw.total_rules(), 3u);
+  of::Packet pkt;
+  pkt.header = ProbeEngine::probe_packet(2, core::RuleShape::kL2AndL3);
+  EXPECT_EQ(sw.forward(pkt, at(10)).kind, ForwardOutcome::Kind::kForwarded);
+  EXPECT_EQ(sw.total_rules(), 3u);
+  EXPECT_EQ(sw.level_size(0), 2u);
+  EXPECT_TRUE(sw.resident_at_level(wide.match, wide.priority, 1));
+}
+
 // ---------------------------------------------------------------------------
 // Generic OpenFlow semantics
 // ---------------------------------------------------------------------------

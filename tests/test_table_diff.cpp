@@ -89,7 +89,9 @@ FlowEntry random_entry(Rng& rng, FlowId id, std::int64_t now_ns) {
   return e;
 }
 
-std::vector<FlowId> ids_of(const std::vector<FlowEntry>& entries) {
+/// Ids in order, from a returned vector or a table's entries() view.
+template <typename Entries>
+std::vector<FlowId> ids_of(const Entries& entries) {
   std::vector<FlowId> ids;
   ids.reserve(entries.size());
   for (const auto& e : entries) ids.push_back(e.id);
@@ -99,6 +101,16 @@ std::vector<FlowId> ids_of(const std::vector<FlowEntry>& entries) {
 #define ASSERT_SAME_ENTRIES(idx_entries, ref_entries, step)              \
   do {                                                                   \
     ASSERT_EQ(ids_of(idx_entries), ids_of(ref_entries)) << "step " << (step); \
+  } while (0)
+
+/// Every entry's id and actions, in table order.
+#define ASSERT_SAME_ACTIONS(idx_entries, ref_entries, step)                 \
+  do {                                                                      \
+    ASSERT_SAME_ENTRIES(idx_entries, ref_entries, step);                    \
+    for (std::size_t i = 0; i < (ref_entries).size(); ++i) {                \
+      ASSERT_TRUE((idx_entries)[i].actions == (ref_entries)[i].actions)     \
+          << "step " << (step) << " position " << i;                        \
+    }                                                                       \
   } while (0)
 
 // ---------------------------------------------------------------------------
@@ -168,12 +180,13 @@ void run_tcam_diff(TcamMode mode, std::uint64_t seed, std::size_t steps) {
       auto* b = ref.find_strict(m, prio);
       ASSERT_EQ(a != nullptr, b != nullptr) << "step " << step;
       if (a != nullptr) { ASSERT_EQ(a->id, b->id) << "step " << step; }
-    } else if (op < 95) {  // modify_matching
+    } else if (op < 95) {  // MODIFY: for_each_matching vs modify_matching
       const auto filter = random_match(rng);
       const auto actions = of::output_to(static_cast<std::uint16_t>(1 + rng.index(4)));
-      ASSERT_EQ(idx.modify_matching(filter, actions),
+      ASSERT_EQ(idx.for_each_matching(filter, [&](FlowEntry& e) { e.actions = actions; }),
                 ref.modify_matching(filter, actions))
           << "step " << step;
+      ASSERT_SAME_ACTIONS(idx.entries(), ref.entries(), step);
     } else if (op < 99) {  // replace (same id/match/priority, new payload)
       if (idx.size() == 0) continue;
       const FlowId id = idx.entries()[rng.index(idx.size())].id;
@@ -272,12 +285,13 @@ void run_software_diff(std::size_t capacity, std::uint64_t seed,
       auto* b = ref.find_strict(m, prio);
       ASSERT_EQ(a != nullptr, b != nullptr) << "step " << step;
       if (a != nullptr) { ASSERT_EQ(a->id, b->id) << "step " << step; }
-    } else if (op < 95) {  // modify_matching
+    } else if (op < 95) {  // MODIFY: for_each_matching vs modify_matching
       const auto filter = random_match(rng);
       const auto actions = of::output_to(static_cast<std::uint16_t>(1 + rng.index(4)));
-      ASSERT_EQ(idx.modify_matching(filter, actions),
+      ASSERT_EQ(idx.for_each_matching(filter, [&](FlowEntry& e) { e.actions = actions; }),
                 ref.modify_matching(filter, actions))
           << "step " << step;
+      ASSERT_SAME_ACTIONS(idx.entries(), ref.entries(), step);
     } else if (op < 99) {  // replace
       if (idx.size() == 0) continue;
       const FlowId id = idx.entries()[rng.index(idx.size())].id;
@@ -304,6 +318,162 @@ TEST(SoftwareTableDiff, RandomOpSequencesUnbounded) {
 
 TEST(SoftwareTableDiff, RandomOpSequencesBounded) {
   run_software_diff(24, 103, 2000);
+}
+
+// ---------------------------------------------------------------------------
+// Full-size fill and churn: the learns fill 4,096-entry tables, then insert
+// and remove in the middle of them. Each run inserts until the table is
+// full, then churns at random positions (re-inserts land in freed storage)
+// with priorities from three values, so removals and re-inserts move the
+// middle of a long physical order.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kFullSize = 4096;
+
+// Narrow L3 rules over 512 sources, so a full table holds about eight rules
+// per source: erase_matching on one source removes a handful of entries
+// spread through the table, and a lookup chooses among several overlapping
+// rules, ties included.
+FlowEntry dense_entry(Rng& rng, FlowId id, std::int64_t now_ns) {
+  FlowEntry e;
+  e.id = id;
+  e.match.with_dl_type(0x0800);
+  e.match.set_nw_src_prefix(0x0a000000u + static_cast<std::uint32_t>(rng.index(512)), 32);
+  if (rng.chance(0.5)) e.match.with_tp_dst(static_cast<std::uint16_t>(80 + rng.index(3)));
+  e.priority = static_cast<std::uint16_t>(0x2000 + rng.index(3));
+  e.attrs.insert_time = SimTime(now_ns);
+  e.attrs.last_use_time = SimTime(now_ns);
+  return e;
+}
+
+of::PacketHeader dense_packet(Rng& rng) {
+  of::PacketHeader p;
+  p.dl_type = 0x0800;
+  p.nw_proto = 6;
+  p.nw_src = 0x0a000000u + static_cast<std::uint32_t>(rng.index(512));
+  p.tp_dst = static_cast<std::uint16_t>(80 + rng.index(3));
+  return p;
+}
+
+/// Filter on the source of a resident entry.
+of::Match source_filter(const FlowEntry& e) {
+  of::Match m;
+  m.with_dl_type(0x0800);
+  m.set_nw_src_prefix(e.match.nw_src, 32);
+  return m;
+}
+
+TEST(TcamDiff, FullSizeFillThenChurn) {
+  Rng rng(4096);
+  Tcam idx({kFullSize, TcamMode::kSingleWide});
+  ReferenceTcam ref({kFullSize, TcamMode::kSingleWide});
+  FlowId next_id = 1;
+  std::int64_t now_ns = 0;
+  bool filled = false;
+  std::size_t refills = 0;  // accepted inserts once the table was full
+  constexpr std::size_t kSteps = 16000;
+
+  for (std::size_t step = 0; step < kSteps; ++step) {
+    now_ns += rng.uniform_int(0, 1'000'000);
+    const int op = filled ? static_cast<int>(rng.index(100)) : 0;
+
+    if (op < 50) {  // insert
+      const auto e = dense_entry(rng, next_id++, now_ns);
+      const auto a = idx.insert(e);
+      const auto b = ref.insert(e);
+      ASSERT_EQ(a.accepted, b.accepted) << "step " << step;
+      ASSERT_EQ(a.shifts, b.shifts) << "step " << step;
+      if (!a.accepted) filled = true;
+      if (a.accepted && filled) ++refills;
+    } else if (op < 68) {  // erase at a random position
+      const FlowId id = idx.entries()[rng.index(idx.size())].id;
+      const auto a = idx.erase(id);
+      const auto b = ref.erase(id);
+      ASSERT_EQ(a.removed, b.removed) << "step " << step;
+      ASSERT_EQ(a.shifts, b.shifts) << "step " << step;
+    } else if (op < 78) {  // take at a random position
+      const FlowId id = idx.entries()[rng.index(idx.size())].id;
+      std::size_t sa = 0, sb = 0;
+      const auto a = idx.take(id, &sa);
+      const auto b = ref.take(id, &sb);
+      ASSERT_TRUE(a.has_value() && b.has_value()) << "step " << step;
+      ASSERT_EQ(a->id, b->id) << "step " << step;
+      ASSERT_EQ(sa, sb) << "step " << step;
+    } else if (op < 80) {  // erase_matching on a resident entry's source
+      const auto filter = source_filter(idx.entries()[rng.index(idx.size())]);
+      std::size_t sa = 0, sb = 0;
+      const auto a = idx.erase_matching(filter, &sa);
+      const auto b = ref.erase_matching(filter, &sb);
+      ASSERT_SAME_ENTRIES(a, b, step);
+      ASSERT_EQ(sa, sb) << "step " << step;
+    } else {  // lookup
+      const auto pkt = dense_packet(rng);
+      const auto* a = idx.lookup(pkt);
+      auto* b = ref.lookup(pkt);
+      ASSERT_EQ(a != nullptr, b != nullptr) << "step " << step;
+      if (a != nullptr) { ASSERT_EQ(a->id, b->id) << "step " << step; }
+    }
+
+    ASSERT_EQ(idx.size(), ref.size()) << "step " << step;
+    ASSERT_EQ(idx.slots_used(), ref.slots_used()) << "step " << step;
+    if (step % 256 == 0) ASSERT_SAME_ENTRIES(idx.entries(), ref.entries(), step);
+  }
+  ASSERT_SAME_ENTRIES(idx.entries(), ref.entries(), kSteps);
+  EXPECT_TRUE(filled);
+  EXPECT_GT(refills, kSteps / 10);
+}
+
+TEST(SoftwareTableDiff, FullSizeFillThenChurn) {
+  Rng rng(4097);
+  SoftwareTable idx(kFullSize);
+  ReferenceSoftwareTable ref(kFullSize);
+  FlowId next_id = 1;
+  std::int64_t now_ns = 0;
+  bool filled = false;
+  std::size_t refills = 0;
+  constexpr std::size_t kSteps = 16000;
+
+  for (std::size_t step = 0; step < kSteps; ++step) {
+    // Coarse clock: equal insertion times make pop_oldest break ties by
+    // position.
+    now_ns += 1000 * rng.uniform_int(0, 1);
+    const int op = filled ? static_cast<int>(rng.index(100)) : 0;
+
+    if (op < 50) {  // insert
+      const auto e = dense_entry(rng, next_id++, now_ns);
+      const bool a = idx.insert(e);
+      ASSERT_EQ(a, ref.insert(e)) << "step " << step;
+      if (!a) filled = true;
+      if (a && filled) ++refills;
+    } else if (op < 65) {  // erase at a random position
+      const FlowId id = idx.entries()[rng.index(idx.size())].id;
+      const auto a = idx.erase(id);
+      const auto b = ref.erase(id);
+      ASSERT_TRUE(a.has_value() && b.has_value()) << "step " << step;
+      ASSERT_EQ(a->id, b->id) << "step " << step;
+    } else if (op < 78) {  // pop_oldest
+      const auto a = idx.pop_oldest();
+      const auto b = ref.pop_oldest();
+      ASSERT_EQ(a.has_value(), b.has_value()) << "step " << step;
+      if (a) { ASSERT_EQ(a->id, b->id) << "step " << step; }
+    } else if (op < 80) {  // erase_matching on a resident entry's source
+      const auto filter = source_filter(idx.entries()[rng.index(idx.size())]);
+      ASSERT_SAME_ENTRIES(idx.erase_matching(filter), ref.erase_matching(filter),
+                          step);
+    } else {  // lookup
+      const auto pkt = dense_packet(rng);
+      const auto* a = idx.lookup(pkt);
+      auto* b = ref.lookup(pkt);
+      ASSERT_EQ(a != nullptr, b != nullptr) << "step " << step;
+      if (a != nullptr) { ASSERT_EQ(a->id, b->id) << "step " << step; }
+    }
+
+    ASSERT_EQ(idx.size(), ref.size()) << "step " << step;
+    if (step % 256 == 0) ASSERT_SAME_ENTRIES(idx.entries(), ref.entries(), step);
+  }
+  ASSERT_SAME_ENTRIES(idx.entries(), ref.entries(), kSteps);
+  EXPECT_TRUE(filled);
+  EXPECT_GT(refills, kSteps / 10);
 }
 
 // ---------------------------------------------------------------------------

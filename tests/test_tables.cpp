@@ -241,7 +241,8 @@ TEST(TcamTest, ModifyMatchingUpdatesActionsWithoutShifts) {
   Tcam t({10, TcamMode::kSingleWide});
   t.insert(entry(1, 5));
   t.insert(entry(2, 6));
-  const auto n = t.modify_matching(of::Match::any(), of::output_to(9));
+  const auto n = t.for_each_matching(
+      of::Match::any(), [](FlowEntry& e) { e.actions = of::output_to(9); });
   EXPECT_EQ(n, 2u);
   for (const auto& e : t.entries()) {
     EXPECT_EQ(of::output_port(e.actions), 9);
