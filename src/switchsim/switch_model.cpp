@@ -19,6 +19,23 @@ std::string to_string(Architecture arch) {
   return "?";
 }
 
+namespace {
+
+/// True when `level`, once a resident entry shaped like `leaving` is gone,
+/// has the slots an entry shaped like `arriving` needs. In an adaptive
+/// level an L2+L3 entry takes 2 slots, which a 1-slot victim alone does not
+/// free; in single- and double-wide levels every resident entry frees
+/// enough for any shape the mode holds.
+bool room_after_swap(const tables::Tcam& level, const of::Match& leaving,
+                     const of::Match& arriving) {
+  const auto need = level.slots_for(arriving);
+  return need.has_value() &&
+         level.slots_used() - level.slots_for(leaving).value_or(0) + *need <=
+             level.slots_total();
+}
+
+}  // namespace
+
 SimulatedSwitch::SimulatedSwitch(SwitchId id, SwitchProfile profile,
                                  std::uint64_t seed)
     : id_(id),
@@ -285,13 +302,15 @@ bool SimulatedSwitch::cascade_insert(tables::FlowEntry entry, std::size_t* shift
       return true;
     }
     // Level is full: the policy decides whether the newcomer displaces the
-    // level's lowest-ordered entry (which then cascades down) or sinks.
+    // level's lowest-ordered entry (which then cascades down) or sinks. It
+    // also sinks when the victim's slots would not make room for it.
     const auto victim_id = level.victim_id();
     if (!victim_id) {
       continue;  // level is empty but too small for this entry
     }
     const tables::FlowEntry& victim_ref = *level.find_by_id(*victim_id);
-    if (profile_.policy.prefers(pending, victim_ref)) {
+    if (profile_.policy.prefers(pending, victim_ref) &&
+        room_after_swap(level, victim_ref.match, pending.match)) {
       auto victim = level.take(*victim_id, shifts);
       assert(victim.has_value());
       auto res = level.insert(std::move(pending));
@@ -716,8 +735,9 @@ ForwardOutcome SimulatedSwitch::forward(const of::Packet& pkt, SimTime now) {
       out.kind == ForwardOutcome::Kind::kForwarded &&
       levels_[best_level - 1].slots_for(best->match)) {
     // Hit below the top: the (now-updated) entry may outrank the level
-    // above's victim; if so they swap residences. A level whose mode cannot
-    // hold the entry's shape never takes it.
+    // above's victim; if so they swap residences, provided each fits where
+    // the other was. A level whose mode cannot hold the entry's shape never
+    // takes it.
     const FlowId id = best->id;
     const std::size_t above = best_level - 1;
     auto take_hit = [&]() -> std::optional<tables::FlowEntry> {
@@ -736,7 +756,11 @@ ForwardOutcome SimulatedSwitch::forward(const of::Packet& pkt, SimTime now) {
       levels_[above].insert(std::move(*moved));
     } else if (const auto vid = levels_[above].victim_id()) {
       const tables::FlowEntry& victim_ref = *levels_[above].find_by_id(*vid);
-      if (profile_.policy.prefers(*best, victim_ref)) {
+      const bool fits_below =
+          best_level == levels_.size() ||
+          room_after_swap(levels_[best_level], best->match, victim_ref.match);
+      if (profile_.policy.prefers(*best, victim_ref) && fits_below &&
+          room_after_swap(levels_[above], victim_ref.match, best->match)) {
         auto victim = levels_[above].take(*vid);
         auto moved = take_hit();
         levels_[above].insert(std::move(*moved));

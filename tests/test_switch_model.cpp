@@ -300,6 +300,42 @@ TEST(PolicyCacheSwitch, HitOnWideSoftwareRuleKeepsIt) {
   EXPECT_TRUE(sw.resident_at_level(wide.match, wide.priority, 1));
 }
 
+// In an adaptive level an L2+L3 rule takes 2 slots and a narrow victim
+// frees only 1: the wide rule must not evict it, or it is left nowhere.
+SwitchProfile adaptive_lru_cache_profile(std::size_t size) {
+  auto profile = lru_cache_profile(size);
+  profile.cache_levels[0].mode = tables::TcamMode::kAdaptive;
+  return profile;
+}
+
+TEST(PolicyCacheSwitch, WideAddSinksWhenNarrowVictimFreesTooLittle) {
+  SimulatedSwitch sw(1, adaptive_lru_cache_profile(2));
+  ASSERT_TRUE(sw.apply_flow_mod(add_rule(0), at(0)).accepted);
+  ASSERT_TRUE(sw.apply_flow_mod(add_rule(1), at(1)).accepted);
+  const auto wide = ProbeEngine::probe_add(2, 0x8000, core::RuleShape::kL2AndL3);
+  EXPECT_TRUE(sw.apply_flow_mod(wide, at(2)).accepted);
+  EXPECT_EQ(sw.total_rules(), 3u);
+  EXPECT_EQ(sw.level_size(0), 2u);
+  EXPECT_TRUE(sw.resident_at_level(wide.match, wide.priority, 1));
+}
+
+TEST(PolicyCacheSwitch, HitOnWideRuleStaysWhenNarrowVictimFreesTooLittle) {
+  SimulatedSwitch sw(1, adaptive_lru_cache_profile(2));
+  const auto wide = ProbeEngine::probe_add(2, 0x8000, core::RuleShape::kL2AndL3);
+  ASSERT_TRUE(sw.apply_flow_mod(wide, at(0)).accepted);
+  ASSERT_TRUE(sw.apply_flow_mod(add_rule(0), at(1)).accepted);
+  ASSERT_TRUE(sw.apply_flow_mod(add_rule(1), at(2)).accepted);
+  ASSERT_EQ(sw.total_rules(), 3u);
+  of::Packet pkt;
+  pkt.header = ProbeEngine::probe_packet(2, core::RuleShape::kL2AndL3);
+  for (std::int64_t t = 10; t < 13; ++t) {
+    EXPECT_EQ(sw.forward(pkt, at(t)).kind, ForwardOutcome::Kind::kForwarded);
+  }
+  EXPECT_EQ(sw.total_rules(), 3u);
+  EXPECT_EQ(sw.level_size(0), 2u);
+  EXPECT_TRUE(sw.resident_at_level(wide.match, wide.priority, 1));
+}
+
 // ---------------------------------------------------------------------------
 // Generic OpenFlow semantics
 // ---------------------------------------------------------------------------
