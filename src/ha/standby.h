@@ -87,10 +87,6 @@ class StandbyController {
     return now - stats_.last_checkpoint_at;
   }
 
-  [[nodiscard]] const std::map<std::uint32_t, TxnShadow>& txns() const {
-    return txns_;
-  }
-
   /// Unfinished shadows — the transactions in flight at the crash.
   [[nodiscard]] std::map<std::uint32_t, TxnShadow> inflight() const;
 

@@ -2,25 +2,6 @@
 
 namespace tango::of {
 
-namespace {
-
-struct ApplyVisitor {
-  PacketHeader& pkt;
-  void operator()(const ActionOutput&) const {}
-  void operator()(const ActionSetVlanVid& a) const { pkt.dl_vlan = a.vlan_vid; }
-  void operator()(const ActionStripVlan&) const { pkt.dl_vlan = 0xffff; }
-  void operator()(const ActionSetDlSrc& a) const { pkt.dl_src = a.addr; }
-  void operator()(const ActionSetDlDst& a) const { pkt.dl_dst = a.addr; }
-  void operator()(const ActionSetNwSrc& a) const { pkt.nw_src = a.addr; }
-  void operator()(const ActionSetNwDst& a) const { pkt.nw_dst = a.addr; }
-};
-
-}  // namespace
-
-void apply_action(const Action& action, PacketHeader& pkt) {
-  std::visit(ApplyVisitor{pkt}, action);
-}
-
 std::uint16_t output_port(const ActionList& actions) {
   for (const auto& a : actions) {
     if (const auto* out = std::get_if<ActionOutput>(&a)) return out->port;

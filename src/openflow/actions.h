@@ -54,10 +54,6 @@ using Action = std::variant<ActionOutput, ActionSetVlanVid, ActionStripVlan,
 
 using ActionList = std::vector<Action>;
 
-/// Apply an action's header rewrite to a packet (output actions are handled
-/// by the switch forwarding logic, not here).
-void apply_action(const Action& action, PacketHeader& pkt);
-
 /// Output port of the first output action, or kPortNone when the list drops.
 std::uint16_t output_port(const ActionList& actions);
 

@@ -473,12 +473,6 @@ const MisbehaviorStats& SimulatedSwitch::misbehavior_stats() const {
   return mis_ != nullptr ? mis_->stats : kEmpty;
 }
 
-std::size_t SimulatedSwitch::misbehavior_pending() const {
-  if (mis_ == nullptr) return 0;
-  return (mis_->events.size() - mis_->next_event) + mis_->silent_drop_budget +
-         mis_->inversion_budget + mis_->stale_budget;
-}
-
 std::size_t SimulatedSwitch::shrink_level(std::size_t level,
                                           std::size_t new_capacity_slots) {
   if (level >= levels_.size()) return 0;

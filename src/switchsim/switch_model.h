@@ -171,9 +171,6 @@ class SimulatedSwitch {
 
   [[nodiscard]] const MisbehaviorStats& misbehavior_stats() const;
 
-  /// Events not yet activated + lie occurrences still armed.
-  [[nodiscard]] std::size_t misbehavior_pending() const;
-
   /// Truncate bounded level `level` to `new_capacity_slots`, displacing
   /// highest-physical-position entries into the software table when the
   /// profile has one (else they are lost). Returns entries displaced.

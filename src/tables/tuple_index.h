@@ -61,8 +61,6 @@ class TupleSpaceIndex {
   void erase(const of::Match& m, FlowId id);
   void clear();
 
-  [[nodiscard]] std::size_t group_count() const { return groups_.size(); }
-
   /// Invoke fn(id) for every entry in some group's bucket the packet hashes
   /// into. Callers re-verify with match.matches(pkt).
   template <typename Fn>

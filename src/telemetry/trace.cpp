@@ -1,6 +1,5 @@
 #include "telemetry/trace.h"
 
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 
@@ -9,12 +8,6 @@
 namespace tango::telemetry {
 
 namespace {
-
-std::int64_t wall_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Simulated ns -> Chrome's microsecond timestamps, keeping ns resolution
 /// as a fractional part.
@@ -37,17 +30,11 @@ std::pair<std::string, std::string> arg_str(std::string key,
 
 TraceCollector::TraceCollector() = default;
 
-void TraceCollector::enable_wall_clock(bool on) {
-  wall_clock_ = on;
-  if (on && wall_epoch_ns_ == 0) wall_epoch_ns_ = wall_now_ns();
-}
-
 void TraceCollector::record(TraceEvent ev) {
   if (events_.size() >= capacity_) {
     ++dropped_;
     return;
   }
-  if (wall_clock_) ev.wall_ns = wall_now_ns() - wall_epoch_ns_;
   events_.push_back(std::move(ev));
 }
 
@@ -132,7 +119,7 @@ std::string TraceCollector::to_chrome_json() const {
     } else {
       out += ",\"s\":\"t\"";  // thread-scoped instant
     }
-    if (!ev.args.empty() || ev.wall_ns != 0) {
+    if (!ev.args.empty()) {
       out += ",\"args\":{";
       bool first_arg = true;
       for (const auto& [k, v] : ev.args) {
@@ -141,10 +128,6 @@ std::string TraceCollector::to_chrome_json() const {
         append_quoted(out, k);
         out += ':';
         out += v;
-      }
-      if (ev.wall_ns != 0) {
-        if (!first_arg) out += ',';
-        out += "\"wall_ns\":" + std::to_string(ev.wall_ns);
       }
       out += '}';
     }

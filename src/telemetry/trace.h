@@ -7,11 +7,8 @@
 // controller, lane N is switch N (datapath id) — the exporter maps lanes to
 // named threads, so every switch gets its own swim-lane.
 //
-// Wall-clock stamping is off by default: with it off, a trace is a pure
-// function of the (topology, workload, seed) triple and two same-seed runs
-// export byte-identical JSON (test_telemetry asserts this). Turning it on
-// adds a wall_ns arg per event for overhead accounting at the cost of that
-// reproducibility.
+// A trace is a pure function of the (topology, workload, seed) triple: two
+// same-seed runs export byte-identical JSON (test_telemetry asserts this).
 //
 // Recording never touches the event queue or any RNG — attaching a
 // collector cannot perturb simulated behaviour.
@@ -57,9 +54,6 @@ struct TraceEvent {
   std::uint64_t lane = 0;
   SimTime begin{};
   SimDuration dur{};  // zero for instants
-  /// Wall-clock stamp (ns since collector construction); 0 unless
-  /// wall-clock stamping is enabled.
-  std::int64_t wall_ns = 0;
   TraceArgs args;
 };
 
@@ -73,9 +67,6 @@ class TraceCollector {
   /// dropped_events() instead of stored (keeps week-long inference runs
   /// from eating the heap). Default 1<<20.
   void set_capacity(std::size_t max_events) { capacity_ = max_events; }
-
-  /// Stamp each event with wall time (breaks same-seed byte-identity).
-  void enable_wall_clock(bool on);
 
   void set_process_name(std::string name) { process_name_ = std::move(name); }
   void set_lane_name(std::uint64_t lane, std::string name) {
@@ -103,8 +94,6 @@ class TraceCollector {
   void record(TraceEvent ev);
 
   std::size_t capacity_ = std::size_t{1} << 20;
-  bool wall_clock_ = false;
-  std::int64_t wall_epoch_ns_ = 0;
   std::string process_name_ = "tango";
   std::map<std::uint64_t, std::string> lane_names_;
   std::vector<TraceEvent> events_;
