@@ -42,6 +42,61 @@ std::string SwitchKnowledge::summary() const {
   return out;
 }
 
+namespace {
+
+/// Infer property `kind` of `know` over `probe`, leaving the probe rules in
+/// place. learn() runs this step for each property it infers, reinfer()
+/// for one.
+void infer_property(ProbeEngine& probe, SwitchKnowledge& know,
+                    PropertyKind kind, const LearnOptions& options,
+                    ScoreDb& scores) {
+  switch (kind) {
+    case PropertyKind::kSizes:
+      know.sizes = infer_sizes(probe, options.size);
+      break;
+    case PropertyKind::kPolicy: {
+      const std::size_t fast = [&]() -> std::size_t {
+        if (know.sizes.layer_sizes.empty()) return 0;
+        if (know.sizes.clusters.size() <= 1) return 0;
+        return static_cast<std::size_t>(
+            std::llround(know.sizes.layer_sizes.front()));
+      }();
+      if (fast > 0 && fast <= options.max_policy_cache_size) {
+        PolicyInferenceConfig pc;
+        pc.cache_size = fast;
+        know.policy = infer_policy(probe, pc);
+      }
+      break;
+    }
+    case PropertyKind::kCosts: {
+      // Size the profiling batches to the switch: the probe workload must
+      // fit inside a bounded table or every measurement would just be
+      // rejections.
+      auto latency_config = options.latency;
+      std::size_t total_capacity = 0;
+      if (!know.sizes.hit_rule_cap) total_capacity = know.sizes.installed;
+      if (total_capacity > 0) {
+        latency_config.preinstalled =
+            std::min(latency_config.preinstalled, total_capacity / 2);
+        latency_config.batch_size =
+            std::min(latency_config.batch_size,
+                     std::max<std::size_t>(1, total_capacity / 3));
+      }
+      know.costs = profile_op_costs(probe, latency_config, &scores);
+      break;
+    }
+    case PropertyKind::kWidth: {
+      WidthInferenceConfig wc;
+      wc.size = options.size;
+      wc.max_rules = std::max<std::size_t>(options.size.max_rules, 256);
+      know.width = infer_width(probe, wc);
+      break;
+    }
+  }
+}
+
+}  // namespace
+
 const SwitchKnowledge& TangoController::learn(SwitchId id,
                                               const LearnOptions& options) {
   if (const auto it = knowledge_.find(id); it != knowledge_.end()) {
@@ -51,45 +106,19 @@ const SwitchKnowledge& TangoController::learn(SwitchId id,
   know.switch_id = id;
   know.name = network_.sw(id).profile().name;
 
+  // Policy and cost inference read the inferred sizes, so sizes go first.
   ProbeEngine probe(network_, id);
   probe.clear_rules();
-  know.sizes = infer_sizes(probe, options.size);
+  infer_property(probe, know, PropertyKind::kSizes, options, scores_);
   probe.clear_rules();
-
-  const std::size_t fast = [&]() -> std::size_t {
-    if (know.sizes.layer_sizes.empty()) return 0;
-    if (know.sizes.clusters.size() <= 1) return 0;
-    return static_cast<std::size_t>(std::llround(know.sizes.layer_sizes.front()));
-  }();
-  if (options.infer_policy && fast > 0 && fast <= options.max_policy_cache_size) {
-    PolicyInferenceConfig pc;
-    pc.cache_size = fast;
-    know.policy = infer_policy(probe, pc);
+  if (options.infer_policy) {
+    infer_property(probe, know, PropertyKind::kPolicy, options, scores_);
   }
   probe.clear_rules();
-
-  // Size the profiling batches to the switch: the probe workload must fit
-  // inside a bounded table or every measurement would just be rejections.
-  auto latency_config = options.latency;
-  std::size_t total_capacity = 0;
-  if (!know.sizes.hit_rule_cap) {
-    total_capacity = know.sizes.installed;
-  }
-  if (total_capacity > 0) {
-    latency_config.preinstalled =
-        std::min(latency_config.preinstalled, total_capacity / 2);
-    latency_config.batch_size =
-        std::min(latency_config.batch_size,
-                 std::max<std::size_t>(1, total_capacity / 3));
-  }
-  know.costs = profile_op_costs(probe, latency_config, &scores_);
+  infer_property(probe, know, PropertyKind::kCosts, options, scores_);
   probe.clear_rules();
-
   if (options.infer_width) {
-    WidthInferenceConfig wc;
-    wc.size = options.size;
-    wc.max_rules = std::max<std::size_t>(options.size.max_rules, 256);
-    know.width = infer_width(probe, wc);
+    infer_property(probe, know, PropertyKind::kWidth, options, scores_);
     probe.clear_rules();
   }
 
@@ -115,46 +144,7 @@ const SwitchKnowledge& TangoController::reinfer(SwitchId id, PropertyKind kind,
 
   ProbeEngine probe(network_, id);
   probe.clear_rules();
-  switch (kind) {
-    case PropertyKind::kSizes:
-      know.sizes = infer_sizes(probe, options.size);
-      break;
-    case PropertyKind::kPolicy: {
-      const std::size_t fast = [&]() -> std::size_t {
-        if (know.sizes.layer_sizes.empty()) return 0;
-        if (know.sizes.clusters.size() <= 1) return 0;
-        return static_cast<std::size_t>(
-            std::llround(know.sizes.layer_sizes.front()));
-      }();
-      if (fast > 0 && fast <= options.max_policy_cache_size) {
-        PolicyInferenceConfig pc;
-        pc.cache_size = fast;
-        know.policy = infer_policy(probe, pc);
-      }
-      break;
-    }
-    case PropertyKind::kCosts: {
-      auto latency_config = options.latency;
-      std::size_t total_capacity = 0;
-      if (!know.sizes.hit_rule_cap) total_capacity = know.sizes.installed;
-      if (total_capacity > 0) {
-        latency_config.preinstalled =
-            std::min(latency_config.preinstalled, total_capacity / 2);
-        latency_config.batch_size =
-            std::min(latency_config.batch_size,
-                     std::max<std::size_t>(1, total_capacity / 3));
-      }
-      know.costs = profile_op_costs(probe, latency_config, &scores_);
-      break;
-    }
-    case PropertyKind::kWidth: {
-      WidthInferenceConfig wc;
-      wc.size = options.size;
-      wc.max_rules = std::max<std::size_t>(options.size.max_rules, 256);
-      know.width = infer_width(probe, wc);
-      break;
-    }
-  }
+  infer_property(probe, know, kind, options, scores_);
   probe.clear_rules();
   health_.mark_reinferred(id, kind, network_.now());
   return know;
