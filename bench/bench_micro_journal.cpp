@@ -135,11 +135,10 @@ std::pair<double, double> best_ms(const A& a, const B& b) {
 /// Times reference vs production on one update; false if they differ.
 bool compare(bench::BenchReport& report, const Update& u) {
   const auto production = [&u] {
-    return sched::build_journal(u.dag, u.pre, kDefaultPriority);
+    return sched::build_journal(u.dag, u.pre);
   };
   const auto reference = [&u] {
-    return sched::testing::reference_build_journal(u.dag, u.pre,
-                                                   kDefaultPriority);
+    return sched::testing::reference_build_journal(u.dag, u.pre);
   };
   const std::string diff =
       sched::testing::journal_difference(production(), reference());

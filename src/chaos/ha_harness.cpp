@@ -105,10 +105,6 @@ HaChaosResult run_ha_chaos(const HaChaosSpec& spec) {
   for (const auto id : all) primary.adopt(synthetic_knowledge(net, id));
 
   ha::HaOptions hopts;
-  hopts.heartbeat_interval = millis(10);
-  hopts.missed_heartbeats = 3;
-  hopts.checkpoint_interval = millis(50);
-  hopts.replication_delay = micros(150);
   hopts.replay_exec = recovery_budget().exec;
   ha::HaController ha(net, primary, hopts);
   ha.start();

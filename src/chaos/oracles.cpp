@@ -105,9 +105,7 @@ void check_image_agreement(const OracleInput& in,
 }
 
 void check_readback(const OracleInput& in, std::vector<OracleViolation>& out) {
-  sched::ReconcilerOptions opts;
-  opts.readback_timeout = millis(200);
-  sched::Reconciler reconciler(*in.net, opts);
+  sched::Reconciler reconciler(*in.net);
   for (const auto id : affected_switches(*in.txn)) {
     sched::ReconcileStats stats;
     const auto wire = reconciler.read_table(id, stats);

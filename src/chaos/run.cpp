@@ -53,8 +53,6 @@ sched::TransactionOptions recovery_budget() {
   topts.exec.request_timeout = millis(200);
   topts.exec.max_retries = 6;
   topts.exec.backoff_base = millis(5);
-  topts.readback_timeout = millis(200);
-  topts.max_readback_retries = 6;
   topts.max_reconcile_rounds = 6;
   return topts;
 }

@@ -50,8 +50,10 @@ switchsim::SwitchProfile quiet_profile(switchsim::SwitchProfile profile);
 /// profiles at s1 and s2, a quiet switch3 at s3.
 workload::TestbedIds quiet_testbed(net::Network& net);
 
-/// Timeout/retry budget of every harness transaction: 200 ms request and
-/// readback timeouts, 6 retries of each, 5 ms backoff, 6 reconcile rounds.
+/// Timeout/retry budget of every harness transaction: a 200 ms request
+/// timeout, 6 retries, 5 ms backoff and 6 reconcile rounds. Readbacks use
+/// the reconciler's own budget (sched::kReadbackTimeout, 200 ms, and
+/// sched::kMaxReadbackRetries, 6).
 sched::TransactionOptions recovery_budget();
 
 /// Each switch's table, read straight from the simulator.

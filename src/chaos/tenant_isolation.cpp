@@ -163,7 +163,6 @@ TenantChaosResult run_tenant_chaos(const TenantChaosSpec& raw) {
   service::ServiceOptions sopts;
   sopts.per_tenant_queue_cap = spec.intents_per_tenant + 1;
   sopts.max_concurrent = spec.n_tenants + 1;
-  sopts.drr_quantum = 4;
   // Pinned so cookies replay identically; the service adds the intent id.
   sopts.txn_id_base = static_cast<std::uint32_t>(spec.seed % 0xfffff) + 0x100;
   sopts.txn = recovery_budget();

@@ -28,10 +28,8 @@ HaController::HaController(net::Network& network,
     : network_(network),
       options_(options),
       active_(&primary),
-      link_(network.events(), options.replication_delay),
-      replicator_(link_, &epoch_),
-      standby_(StandbyOptions{options.heartbeat_interval,
-                              options.missed_heartbeats}) {
+      link_(network.events(), kReplicationDelay),
+      replicator_(link_, &epoch_) {
   link_.set_sink(
       [this](const ReplicationRecord& rec) { on_record(rec); });
 }
@@ -94,7 +92,7 @@ void HaController::arm_watchdog() {
 
 void HaController::schedule_heartbeat() {
   const std::uint64_t gen = pulse_gen_;
-  network_.events().schedule_after(options_.heartbeat_interval, [this, gen] {
+  network_.events().schedule_after(kHeartbeatInterval, [this, gen] {
     if (gen != pulse_gen_ || !running_ || primary_down_) return;
     ReplicationRecord rec;
     rec.type = RecordType::kHeartbeat;
@@ -107,7 +105,7 @@ void HaController::schedule_heartbeat() {
 
 void HaController::schedule_checkpoint() {
   const std::uint64_t gen = pulse_gen_;
-  network_.events().schedule_after(options_.checkpoint_interval, [this, gen] {
+  network_.events().schedule_after(kCheckpointInterval, [this, gen] {
     if (gen != pulse_gen_ || !running_ || primary_down_) return;
     ship_checkpoint();
     schedule_checkpoint();
@@ -158,10 +156,9 @@ const TakeoverReport& HaController::take_over(
   //    switch rather than racing the replay. Retries outlast reboot windows.
   for (SwitchId id = 1; id <= network_.switch_count(); ++id) {
     bool fenced = false;
-    for (std::size_t attempt = 0;
-         attempt < options_.fence_attempts && !fenced; ++attempt) {
-      const auto verdict =
-          network_.claim_epoch_sync(id, epoch_, options_.fence_timeout);
+    for (std::size_t attempt = 0; attempt < kFenceAttempts && !fenced;
+         ++attempt) {
+      const auto verdict = network_.claim_epoch_sync(id, epoch_, kFenceTimeout);
       fenced = !verdict.lost && verdict.accepted;
     }
     if (fenced) {
@@ -181,8 +178,7 @@ const TakeoverReport& HaController::take_over(
     ++rep.knowledge_restored;
   }
   for (const auto& [id, snap] : health) {
-    successor.health().restore(id, snap.trust, snap.quarantined,
-                               network_.now());
+    successor.health().restore(id, snap.trust, snap.quarantined);
   }
 
   // 3. WAL discipline: re-arm the *next* standby before replaying anything —
@@ -259,7 +255,7 @@ const TakeoverReport& HaController::take_over(
   //    one checkpoint interval; when it does, force sentinel probes so the
   //    successor's knowledge is measured, not assumed, before admission.
   if (!rep.aborted) {
-    const bool force = rep.knowledge_age > options_.checkpoint_interval;
+    const bool force = rep.knowledge_age > kCheckpointInterval;
     const auto actions = successor.run_sentinel({}, force);
     rep.sentinel_probes = actions.size();
   }
@@ -330,9 +326,7 @@ bool HaController::replay_txn(const TxnShadow& shadow, TakeoverReport& rep) {
   };
 
   sched::ReconcilerOptions ropts;
-  ropts.readback_timeout = options_.readback_timeout;
-  ropts.max_readback_retries = options_.max_readback_retries;
-  ropts.max_rounds = options_.max_reconcile_rounds;
+  ropts.max_rounds = kMaxReplayRounds;
   ropts.exec = options_.replay_exec;
   // Stale leftovers still carry the deposed primary's epoch; their DELETEs
   // must be stamped with ours or the fence we just raised refuses them.

@@ -45,20 +45,19 @@
 
 namespace tango::ha {
 
+/// The acting primary ships a heartbeat every kHeartbeatInterval (see
+/// standby.h) and a knowledge checkpoint every kCheckpointInterval.
+inline constexpr SimDuration kCheckpointInterval = millis(50);
+/// One-way replication link delivery delay.
+inline constexpr SimDuration kReplicationDelay = micros(150);
+/// Per-attempt round-trip budget and attempts when fencing the new epoch
+/// onto a switch at takeover (the retries outlast a reboot window).
+inline constexpr SimDuration kFenceTimeout = millis(50);
+inline constexpr std::size_t kFenceAttempts = 10;
+/// Reconciler repair rounds for each replayed transaction at takeover.
+inline constexpr std::size_t kMaxReplayRounds = 6;
+
 struct HaOptions {
-  SimDuration heartbeat_interval = millis(10);
-  std::size_t missed_heartbeats = 3;
-  SimDuration checkpoint_interval = millis(50);
-  /// One-way replication link delivery delay.
-  SimDuration replication_delay = micros(150);
-  /// Per-attempt round-trip budget + attempts when fencing the new epoch
-  /// onto a switch at takeover (retries outlast a reboot window).
-  SimDuration fence_timeout = millis(50);
-  std::size_t fence_attempts = 10;
-  /// Reconciler knobs for takeover journal replay.
-  SimDuration readback_timeout = millis(200);
-  std::size_t max_readback_retries = 6;
-  std::size_t max_reconcile_rounds = 6;
   /// Executor options for replay repair traffic.
   sched::ExecutorOptions replay_exec;
 };

@@ -1,6 +1,7 @@
 #include "ha/standby.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "common/logging.h"
@@ -9,9 +10,13 @@
 namespace tango::ha {
 
 namespace {
-/// The estimator keys samples by SwitchId; the heartbeat stream is a single
-/// "peer", so it lives under one well-known key.
-constexpr SwitchId kHeartbeatPeer = 0;
+constexpr double kAlpha = 0.125;
+constexpr double kBeta = 0.25;
+/// Intervals observed before the learned one replaces kHeartbeatInterval.
+constexpr std::uint64_t kWarmupIntervals = 2;
+/// Floor of the learned interval: a degenerate zero-variance estimate must
+/// not fire faster than the link can physically deliver.
+constexpr SimDuration kIntervalFloor = millis(1);
 }  // namespace
 
 void StandbyController::receive(const ReplicationRecord& rec, SimTime now) {
@@ -27,8 +32,18 @@ void StandbyController::receive(const ReplicationRecord& rec, SimTime now) {
     case RecordType::kHeartbeat: {
       ++stats_.heartbeats_received;
       if (armed_) {
-        interval_estimator_.observe(kHeartbeatPeer,
-                                    now - stats_.last_heartbeat_at);
+        const double sample_ms =
+            static_cast<double>((now - stats_.last_heartbeat_at).ns()) / 1e6;
+        if (intervals_ == 0) {
+          // The first sample seeds the classic way: srtt = R, rttvar = R/2.
+          srtt_ms_ = sample_ms;
+          rttvar_ms_ = sample_ms / 2.0;
+        } else {
+          rttvar_ms_ = (1.0 - kBeta) * rttvar_ms_ +
+                       kBeta * std::abs(srtt_ms_ - sample_ms);
+          srtt_ms_ = (1.0 - kAlpha) * srtt_ms_ + kAlpha * sample_ms;
+        }
+        ++intervals_;
       }
       stats_.last_heartbeat_at = now;
       armed_ = true;
@@ -80,13 +95,12 @@ void StandbyController::receive(const ReplicationRecord& rec, SimTime now) {
 }
 
 SimDuration StandbyController::threshold() const {
-  const auto misses = static_cast<std::int64_t>(
-      std::max<std::size_t>(1, options_.missed_heartbeats));
-  // Learned interval (srtt + 4*rttvar covers jitter), same missed budget,
-  // never looser than the configured fallback.
-  const auto learned = interval_estimator_.timeout_for(
-      kHeartbeatPeer, options_.heartbeat_interval);
-  return std::min(options_.heartbeat_interval * misses, learned * misses);
+  constexpr auto misses = static_cast<std::int64_t>(kMissedHeartbeats);
+  if (intervals_ < kWarmupIntervals) return kHeartbeatInterval * misses;
+  // srtt + 4*rttvar covers the jitter.
+  const SimDuration learned = std::clamp(
+      millis(srtt_ms_ + 4.0 * rttvar_ms_), kIntervalFloor, kHeartbeatInterval);
+  return learned * misses;
 }
 
 bool StandbyController::primary_suspect(SimTime now) const {

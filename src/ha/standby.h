@@ -10,9 +10,17 @@
 // back.
 //
 // Failover detection is a heartbeat watchdog: the threshold is
-// missed_heartbeats * expected-interval, where the expected interval is
-// learned from observed inter-arrival times by a Jacobson/Karels
-// net::RttEstimator, with the configured interval as the fallback/ceiling.
+// kMissedHeartbeats * expected interval, where the expected interval is
+// learned from observed inter-arrival times the Jacobson/Karels way (as
+// TCP learns its retransmission timeout):
+//
+//   srtt   <- (1-alpha) * srtt + alpha * sample        (alpha = 1/8)
+//   rttvar <- (1-beta)  * rttvar + beta * |srtt-sample| (beta = 1/4)
+//   interval = srtt + 4 * rttvar, clamped to [1 ms, kHeartbeatInterval]
+//
+// The shipping interval kHeartbeatInterval stands in until two intervals
+// have been observed, and stays the ceiling after: learning may only
+// tighten the watchdog. Pure bookkeeping on virtual time.
 #pragma once
 
 #include <cstdint>
@@ -20,10 +28,14 @@
 #include <optional>
 
 #include "ha/replication.h"
-#include "net/rtt.h"
 #include "tango/tango.h"
 
 namespace tango::ha {
+
+/// The acting primary ships a heartbeat every kHeartbeatInterval; the
+/// standby suspects it after kMissedHeartbeats go missing.
+inline constexpr SimDuration kHeartbeatInterval = millis(10);
+inline constexpr std::size_t kMissedHeartbeats = 3;
 
 /// One journaled transaction as mirrored by the standby.
 struct TxnShadow {
@@ -48,17 +60,8 @@ struct StandbyStats {
   SimDuration max_replication_lag{};
 };
 
-struct StandbyOptions {
-  /// Expected heartbeat interval (fallback for the adaptive watchdog).
-  SimDuration heartbeat_interval = millis(10);
-  /// Heartbeats that must go missing before the primary is suspected.
-  std::size_t missed_heartbeats = 3;
-};
-
 class StandbyController {
  public:
-  explicit StandbyController(StandbyOptions options) : options_(options) {}
-
   /// Consume one delivered record at virtual time `now`.
   void receive(const ReplicationRecord& rec, SimTime now);
 
@@ -66,8 +69,8 @@ class StandbyController {
   /// at least one received heartbeat (arm() seeds the clock at start).
   [[nodiscard]] bool primary_suspect(SimTime now) const;
 
-  /// Current miss threshold: missed_heartbeats * learned interval, capped
-  /// at missed_heartbeats * configured interval.
+  /// Current miss threshold: kMissedHeartbeats * learned interval, capped
+  /// at kMissedHeartbeats * kHeartbeatInterval.
   [[nodiscard]] SimDuration threshold() const;
 
   /// Seed the watchdog clock (HA start / post-takeover re-arm): heartbeats
@@ -101,10 +104,13 @@ class StandbyController {
   [[nodiscard]] const StandbyStats& stats() const { return stats_; }
 
  private:
-  StandbyOptions options_;
   bool armed_ = false;
   std::uint64_t last_seq_ = 0;
-  net::RttEstimator interval_estimator_;
+  /// Learned heartbeat inter-arrival time (ms) and its mean deviation,
+  /// over `intervals_` observed intervals.
+  double srtt_ms_ = 0.0;
+  double rttvar_ms_ = 0.0;
+  std::uint64_t intervals_ = 0;
   std::map<SwitchId, core::SwitchKnowledge> knowledge_;
   std::map<SwitchId, HealthSnapshot> health_;
   std::map<std::uint32_t, TxnShadow> txns_;

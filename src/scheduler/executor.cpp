@@ -14,12 +14,11 @@
 
 namespace tango::sched {
 
-of::FlowMod to_flow_mod(const SwitchRequest& request,
-                        std::uint16_t default_priority) {
+of::FlowMod to_flow_mod(const SwitchRequest& request) {
   of::FlowMod fm;
   fm.command = to_command(request.type);
   fm.match = request.match;
-  fm.priority = request.priority.value_or(default_priority);
+  fm.priority = request.priority.value_or(kDefaultPriority);
   fm.actions = request.actions;
   fm.cookie = request.cookie.value_or(0);
   return fm;
@@ -295,8 +294,7 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
       obs_busy[id] = network.channel(req.location).agent_busy_until();
       obs_solo[id] = in_flight[slot[id]] == 1 ? 1 : 0;
     }
-    network.post_flow_mod_ex(req.location,
-                             to_flow_mod(req, options.default_priority),
+    network.post_flow_mod_ex(req.location, to_flow_mod(req),
                              [self, id](const net::Network::FlowModResult& res) {
                                self->complete(id, res);
                              });
@@ -361,7 +359,7 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
         const SimTime arrival = obs_post[id] + network.control_latency();
         const SimTime started = std::max(obs_busy[id], arrival);
         const double actual_ms = (at - started).ms();
-        double predicted_ms = options.default_op_estimate.ms();
+        double predicted_ms = kDefaultOpEstimate.ms();
         switch (req.type) {
           case RequestType::kAdd:
             predicted_ms = hint->second.add_ascending_ms;
@@ -480,7 +478,7 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
       dispatch();
       return;
     }
-    if (rescued[id] < options.max_echo_rescues) {
+    if (rescued[id] < kMaxEchoRescues) {
       // The connection works; the losses were transient. Fresh round.
       ++rescued[id];
       attempts[id] = 1;
@@ -622,7 +620,7 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
       auto est_duration = [&](std::size_t rid) {
         const auto& req = dag.request(rid);
         const auto it = options.cost_hints.find(req.location);
-        if (it == options.cost_hints.end()) return options.default_op_estimate;
+        if (it == options.cost_hints.end()) return kDefaultOpEstimate;
         switch (req.type) {
           case RequestType::kAdd:
             return millis(it->second.add_ascending_ms);
@@ -631,7 +629,7 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
           case RequestType::kDel:
             return millis(it->second.del_ms);
         }
-        return options.default_op_estimate;
+        return kDefaultOpEstimate;
       };
       auto est_finish = [&](std::size_t rid) {
         const SimTime backlog =

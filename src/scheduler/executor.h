@@ -37,6 +37,14 @@ namespace detail {
 struct ExecState;
 }  // namespace detail
 
+/// Per-op duration assumed for a switch without a cost hint.
+inline constexpr SimDuration kDefaultOpEstimate = millis(1);
+/// Priority of a request that carries none (enforcement did not run).
+inline constexpr std::uint16_t kDefaultPriority = 0x8000;
+/// Times an ECHO proving the switch alive buys a request a fresh round of
+/// retries before the request is failed.
+inline constexpr std::size_t kMaxEchoRescues = 2;
+
 struct ExecutorOptions {
   /// Issue dependents early when the timing estimate allows (guard below):
   /// a blocked request goes out once every predecessor's *estimated finish*
@@ -47,11 +55,8 @@ struct ExecutorOptions {
   bool speculative_dependents = false;
   SimDuration guard = millis(5);
   /// Measured per-op costs used for the speculation estimates (from
-  /// TangoController::learn). Unlisted switches use `default_op_estimate`.
+  /// TangoController::learn). Unlisted switches use kDefaultOpEstimate.
   std::map<SwitchId, core::OpCostEstimate> cost_hints;
-  SimDuration default_op_estimate = millis(1);
-  /// Priority used when a request carries none and enforcement didn't run.
-  std::uint16_t default_priority = 0x8000;
   /// Commands in flight per switch. Small windows keep the agent fed over
   /// the channel latency while leaving the backlog at the controller where
   /// the scheduler can still re-order it.
@@ -67,9 +72,6 @@ struct ExecutorOptions {
   std::size_t max_retries = 4;
   /// First retry waits this long; each further retry doubles it.
   SimDuration backoff_base = millis(20);
-  /// After an ECHO proves the switch alive, the request gets a fresh round
-  /// of retries — at most this many times before the request is failed.
-  std::size_t max_echo_rescues = 2;
 
   // --- knowledge-health observer -------------------------------------------
   /// Fires on each clean first-attempt acceptance for a switch with a cost
@@ -207,8 +209,8 @@ AsyncExecution execute_async(net::Network& network, const RequestDag& dag,
                              UpdateScheduler& scheduler,
                              const ExecutorOptions& options = {});
 
-/// Build the flow_mod a request maps to.
-of::FlowMod to_flow_mod(const SwitchRequest& request,
-                        std::uint16_t default_priority = 0x8000);
+/// Build the flow_mod a request maps to (kDefaultPriority when the request
+/// carries no priority).
+of::FlowMod to_flow_mod(const SwitchRequest& request);
 
 }  // namespace tango::sched

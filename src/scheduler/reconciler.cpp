@@ -124,17 +124,15 @@ void apply_to_image(TableImage& image, const of::FlowMod& fm) {
 
 std::optional<TableImage> Reconciler::read_table(SwitchId id,
                                                 ReconcileStats& stats) {
-  for (std::size_t attempt = 0; attempt <= options_.max_readback_retries;
-       ++attempt) {
+  for (std::size_t attempt = 0; attempt <= kMaxReadbackRetries; ++attempt) {
     ++stats.readback_requests;
-    auto reply =
-        network_.try_flow_stats(id, of::Match::any(), options_.readback_timeout);
+    auto reply = network_.try_flow_stats(id, of::Match::any(), kReadbackTimeout);
     if (reply.has_value()) return image_of(*reply);
     ++stats.readback_lost;
   }
   log::warn("reconciler: switch " + std::to_string(id) +
             " table unreadable after " +
-            std::to_string(options_.max_readback_retries + 1) + " attempts");
+            std::to_string(kMaxReadbackRetries + 1) + " attempts");
   return std::nullopt;
 }
 
@@ -152,9 +150,7 @@ ReconcileStats Reconciler::run(const std::map<SwitchId, TableImage>& desired,
 
   for (;;) {
     // --- quiesce: let in-flight frames of the aborted commit land ---------
-    if (options_.quiesce.ns() > 0) {
-      network_.events().run_until(network_.now() + options_.quiesce);
-    }
+    network_.events().run_until(network_.now() + kQuiesce);
 
     // --- readback + diff --------------------------------------------------
     std::vector<Repair> repairs;

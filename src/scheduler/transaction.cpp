@@ -163,8 +163,7 @@ class IndexedImage {
 }  // namespace
 
 Journal build_journal(const RequestDag& dag,
-                      const std::map<SwitchId, TableImage>& pre,
-                      std::uint16_t default_priority) {
+                      const std::map<SwitchId, TableImage>& pre) {
   Journal journal;
   journal.post = pre;
 
@@ -194,7 +193,7 @@ Journal build_journal(const RequestDag& dag,
     JournalEntry entry;
     entry.dag_id = id;
     entry.location = req.location;
-    entry.intent = to_flow_mod(req, default_priority);
+    entry.intent = to_flow_mod(req);
     const of::FlowMod& fm = entry.intent;
 
     switch (req.type) {
@@ -275,10 +274,7 @@ UpdateTransaction::UpdateTransaction(net::Network& network, RequestDag dag,
   }
 
   // --- pre-update snapshot ------------------------------------------------
-  ReconcilerOptions ropts;
-  ropts.readback_timeout = options_.readback_timeout;
-  ropts.max_readback_retries = options_.max_readback_retries;
-  Reconciler reader(network_, ropts);
+  Reconciler reader(network_);
   ReconcileStats snap;
   for (const SwitchId sw : affected) {
     auto image = reader.read_table(sw, snap);
@@ -309,7 +305,7 @@ UpdateTransaction::UpdateTransaction(net::Network& network, RequestDag dag,
   report_.readback_lost += snap.readback_lost;
 
   // --- journal + post image, in DAG topological order ----------------------
-  journal_ = build_journal(dag_, pre_, options_.exec.default_priority);
+  journal_ = build_journal(dag_, pre_);
 
   // --- crash-epoch baseline ------------------------------------------------
   for (const SwitchId sw : affected) {
@@ -459,8 +455,6 @@ void UpdateTransaction::verify_readback(
     const std::map<SwitchId, TableImage>& want_images, bool forward) {
   const SimTime phase_begin = network_.now();
   ReconcilerOptions ropts;
-  ropts.readback_timeout = options_.readback_timeout;
-  ropts.max_readback_retries = options_.max_readback_retries;
   ropts.scope = scope_predicate();
   Reconciler reader(network_, ropts);
   ReconcileStats snap;
@@ -556,8 +550,6 @@ void UpdateTransaction::reconcile() {
   };
 
   ReconcilerOptions ropts;
-  ropts.readback_timeout = options_.readback_timeout;
-  ropts.max_readback_retries = options_.max_readback_retries;
   ropts.max_rounds = options_.max_reconcile_rounds;
   ropts.exec = options_.exec;
   ropts.scope = scope_predicate();

@@ -85,13 +85,12 @@ struct Journal {
 
 /// Journal `dag` against the per-switch pre images `pre` (a switch missing
 /// there starts empty). Requests are visited by DAG level, then id; each is
-/// compiled with to_flow_mod(request, default_priority) and journaled with
+/// compiled with to_flow_mod(request) and journaled with
 /// the inverses that undo it against the image it acts on, which is then
 /// updated with apply_to_image() semantics. A MODIFY or DELETE restores the
 /// rules it hits in TableImage key order.
 Journal build_journal(const RequestDag& dag,
-                      const std::map<SwitchId, TableImage>& pre,
-                      std::uint16_t default_priority);
+                      const std::map<SwitchId, TableImage>& pre);
 
 struct TransactionReport;
 class UpdateTransaction;
@@ -120,9 +119,7 @@ struct TransactionOptions {
   /// Executor options for the commit itself. on_complete/on_failed are
   /// overwritten — the journal owns them for the duration of commit().
   ExecutorOptions exec;
-  /// Readback parameters (snapshot + reconciliation).
-  SimDuration readback_timeout = millis(200);
-  std::size_t max_readback_retries = 6;
+  /// Repair rounds of a reconciliation (ReconcilerOptions::max_rounds).
   std::size_t max_reconcile_rounds = 3;
   /// Transaction id; 0 draws from a process-wide counter. Tests that
   /// compare two runs in one process pin it so cookies are reproducible.

@@ -64,14 +64,14 @@ void ConsistencyVerifier::walk(const FlowCheck& flow, std::size_t index,
 
   SwitchId at = flow.ingress;
   std::set<SwitchId> visited;
-  for (std::size_t hop = 0; hop <= options_.max_hops; ++hop) {
+  for (std::size_t hop = 0; hop <= kMaxHops; ++hop) {
     // Reaching the expected egress switch counts as delivery — path
     // installers stop one hop short of the destination, so the egress
     // switch itself may hold no rule for the flow.
     if (hop > 0 && flow.expected_egress != 0 && at == flow.expected_egress) {
       return;
     }
-    if (hop == options_.max_hops || !visited.insert(at).second) {
+    if (hop == kMaxHops || !visited.insert(at).second) {
       violate(VerifierViolation::Kind::kLoop, at,
               "revisited switch " + std::to_string(at) + " after " +
                   std::to_string(hop) + " hops");

@@ -9,7 +9,7 @@
 //  * no black hole — every hop has a matching rule that forwards out of an
 //    up port (a punt to the controller via the default route counts as a
 //    black hole for an installed flow);
-//  * no forwarding loop — no switch is visited twice (bounded by max_hops
+//  * no forwarding loop — no switch is visited twice (bounded by kMaxHops
 //    as a backstop for port-aliasing topologies);
 //  * no shadowing — where the caller names the cookie a switch is supposed
 //    to match with (the transaction's rule), a higher-priority leftover
@@ -69,17 +69,13 @@ struct VerifierReport {
   [[nodiscard]] bool clean() const { return violations.empty(); }
 };
 
-struct VerifierOptions {
-  /// Backstop against port-aliasing topologies where the visited-set loop
-  /// check cannot fire first.
-  std::size_t max_hops = 64;
-};
+/// Hops a walk may take: a backstop against port-aliasing topologies
+/// where the visited-set loop check cannot fire first.
+inline constexpr std::size_t kMaxHops = 64;
 
 class ConsistencyVerifier {
  public:
-  explicit ConsistencyVerifier(net::Network& network,
-                               VerifierOptions options = {})
-      : network_(network), options_(options) {}
+  explicit ConsistencyVerifier(net::Network& network) : network_(network) {}
 
   VerifierReport verify(const std::vector<FlowCheck>& flows);
 
@@ -87,7 +83,6 @@ class ConsistencyVerifier {
   void walk(const FlowCheck& flow, std::size_t index, VerifierReport& report);
 
   net::Network& network_;
-  VerifierOptions options_;
 };
 
 }  // namespace tango::sched

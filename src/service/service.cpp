@@ -38,7 +38,6 @@ IntentService::IntentService(net::Network& network,
                              ServiceOptions options)
     : network_(network), controller_(controller), options_(std::move(options)) {
   assert(options_.max_concurrent > 0);
-  assert(options_.drr_quantum > 0);
 }
 
 SubmitResult IntentService::submit(Intent intent) {
@@ -201,7 +200,7 @@ void IntentService::dispatch_round(sched::UpdateScheduler& scheduler) {
       auto& queue = queues_[t];
       if (queue.empty()) continue;
       std::size_t& deficit = deficit_[t];
-      deficit += options_.drr_quantum;
+      deficit += kDrrQuantum;
       while (!queue.empty() && active_.size() < options_.max_concurrent) {
         Queued& head = queue.front();
         if (deficit < head.cost) break;  // accrues; catches up next pass

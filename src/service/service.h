@@ -47,16 +47,17 @@
 
 namespace tango::service {
 
+/// DRR quantum, in DAG requests per tenant per pass. Tenants with cheaper
+/// intents dispatch more of them per round; a big intent waits for its
+/// deficit to accrue.
+inline constexpr std::size_t kDrrQuantum = 4;
+
 struct ServiceOptions {
   /// Queue slots per tenant; a submit beyond this is rejected (kQueueFull)
   /// unless it coalesces onto a queued intent.
   std::size_t per_tenant_queue_cap = 16;
   /// Transactions in flight at once (across all tenants).
   std::size_t max_concurrent = 8;
-  /// DRR quantum, in DAG requests per tenant per pass. Tenants with
-  /// cheaper intents dispatch more of them per round; a big intent waits
-  /// for its deficit to accrue.
-  std::size_t drr_quantum = 4;
   /// Template for every dispatched transaction; policy comes from the
   /// intent and txn_id from txn_id_base.
   sched::TransactionOptions txn;

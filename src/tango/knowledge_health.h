@@ -5,8 +5,8 @@
 // run on (§4's online-testing mode). This layer keeps that knowledge
 // honest without paying for continuous probing:
 //
-//  * Free signals — executor cost-hint mispredictions, reconciler readback
-//    mismatches, verifier violations — accrue against the responsible
+//  * Free signals — executor cost-hint mispredictions and readback
+//    mismatches of verified commits — accrue against the responsible
 //    property's confidence and the switch's overall trust. They cost
 //    nothing: the controller was already measuring.
 //  * Escalation — only when cost signals accumulate past a threshold does
@@ -18,8 +18,14 @@
 //    readback-verified commits until trust recovers through clean commits
 //    and fresh re-inference.
 //
-// Deterministic: pure bookkeeping, no RNG, no wall clock — all ages use
-// virtual time supplied by the caller.
+// The thresholds are constants (knowledge_health.cpp): a cost observation
+// more than 1.5x (or under 0.5x) its prediction is a signal; each signal
+// costs 0.15 of trust and of the property's confidence; three signals make
+// a probe due; a spot-check drift above 0.25 confirms drift; trust or
+// confidence below 0.5 quarantines; a clean verified commit gives back
+// 0.25 of trust.
+//
+// Deterministic: pure bookkeeping, no RNG, no wall clock.
 #pragma once
 
 #include <array>
@@ -39,32 +45,8 @@ inline constexpr std::size_t kPropertyKinds = 4;
 
 std::string to_string(PropertyKind kind);
 
-struct HealthConfig {
-  /// Relative error |actual/predicted - 1| above which a cost observation
-  /// counts as a misprediction signal.
-  double misprediction_tolerance = 0.5;
-  /// Cost-misprediction signals needed before the sentinel escalates to a
-  /// spot_check probe.
-  std::size_t escalate_after = 3;
-  /// spot_check relative drift above which drift is *confirmed* (matches
-  /// TangoController::spot_check's |measured/learned - 1| output).
-  double spot_check_tolerance = 0.25;
-  /// Trust / confidence below this quarantines the switch.
-  double quarantine_threshold = 0.5;
-  /// Trust and confidence lost per signal.
-  double signal_penalty = 0.15;
-  /// Trust regained per clean readback-verified commit.
-  double clean_commit_recovery = 0.25;
-  /// Cost-hint inflation for quarantined switches (conservative fallback).
-  double conservative_factor = 3.0;
-  /// Batch size handed to spot_check probes.
-  std::size_t spot_check_batch = 50;
-};
-
 struct PropertyHealth {
   double confidence = 1.0;
-  /// When this property was last (re-)inferred.
-  SimTime refreshed_at{};
   /// Signals accrued against this property since the last refresh.
   std::size_t signals = 0;
 };
@@ -75,10 +57,10 @@ struct SwitchHealth {
   double trust = 1.0;
   bool quarantined = false;
 
-  // Lifetime counters (deterministic; folded into chaos fingerprints).
+  // Lifetime counters (deterministic). The chaos fingerprints fold the
+  // sentinel's actions, not these.
   std::uint64_t cost_mispredictions = 0;
   std::uint64_t readback_mismatches = 0;
-  std::uint64_t verifier_violations = 0;
   std::uint64_t spot_checks = 0;
   std::uint64_t drift_confirmed = 0;
   std::uint64_t reinferences = 0;
@@ -95,45 +77,36 @@ struct SwitchHealth {
 
 class KnowledgeHealth {
  public:
-  explicit KnowledgeHealth(HealthConfig config = {}) : config_(config) {}
-
   /// Mirror health counters into `t`'s metrics registry under "health.*"
   /// (non-owning; nullptr detaches). Null-checked per signal, so detached
   /// operation costs nothing.
   void set_telemetry(telemetry::Telemetry* t) { telemetry_ = t; }
 
   /// Start tracking a switch whose knowledge was just learned/adopted:
-  /// full confidence, full trust, refreshed now.
-  void track(SwitchId id, SimTime now);
-
-  /// Forget a switch entirely (knowledge dropped).
-  void forget(SwitchId id);
+  /// full confidence, full trust.
+  void track(SwitchId id);
 
   /// Operator-initiated distrust: quarantine `id` immediately (trust is
   /// forced below threshold) until clean commits restore it.
   void suspect(SwitchId id);
 
-  /// Adopt a replicated trust snapshot (HA takeover): track `id` fresh as
-  /// of `now`, then overwrite trust and re-derive quarantine. Lifetime
-  /// counters restart — they tallied the dead primary's observations; the
+  /// Adopt a replicated trust snapshot (HA takeover): track `id` fresh,
+  /// then overwrite trust and re-derive quarantine. Lifetime counters
+  /// restart — they tallied the dead primary's observations; the
   /// trust/quarantine verdict is the state worth surviving a failover.
-  void restore(SwitchId id, double trust, bool quarantined, SimTime now);
+  void restore(SwitchId id, double trust, bool quarantined);
 
   // --- free signals ---------------------------------------------------------
   /// Executor cost observation: relative error beyond the tolerance counts
   /// a signal against kCosts.
-  void on_cost_observation(SwitchId id, double actual_ms, double predicted_ms,
-                           SimTime now);
+  void on_cost_observation(SwitchId id, double actual_ms, double predicted_ms);
 
   /// Reconciler/commit readback found `mismatches` rules diverging from
   /// the intended image — the switch lied about what it installed.
-  void on_readback_mismatch(SwitchId id, std::size_t mismatches, SimTime now);
-
-  /// Post-commit consistency verifier found a violation involving `id`.
-  void on_verifier_violation(SwitchId id, SimTime now);
+  void on_readback_mismatch(SwitchId id, std::size_t mismatches);
 
   /// A readback-verified commit went through clean: trust recovers.
-  void on_clean_verified_commit(SwitchId id, SimTime now);
+  void on_clean_verified_commit(SwitchId id);
 
   // --- sentinel -------------------------------------------------------------
   /// True when accumulated kCosts signals warrant paying for a spot_check.
@@ -143,17 +116,15 @@ class KnowledgeHealth {
   /// drift confirmed, kCosts confidence collapses (forcing re-inference +
   /// quarantine); within: the accumulated signals are absolved.
   /// Returns true when drift was confirmed.
-  bool record_spot_check(SwitchId id, double drift, SimTime now);
+  bool record_spot_check(SwitchId id, double drift);
 
   /// Property `kind` was just re-inferred: confidence restored, signals
   /// cleared; quarantine lifts if trust and every confidence recovered.
-  void mark_reinferred(SwitchId id, PropertyKind kind, SimTime now);
+  void mark_reinferred(SwitchId id, PropertyKind kind);
 
   // --- queries --------------------------------------------------------------
   [[nodiscard]] bool quarantined(SwitchId id) const;
-  [[nodiscard]] double confidence(SwitchId id, PropertyKind kind) const;
   [[nodiscard]] const SwitchHealth* health(SwitchId id) const;
-  [[nodiscard]] const HealthConfig& config() const { return config_; }
 
  private:
   SwitchHealth& entry(SwitchId id);
@@ -162,7 +133,6 @@ class KnowledgeHealth {
   void update_quarantine(SwitchHealth& h, SwitchId id);
   void count(const char* name, std::uint64_t n = 1);
 
-  HealthConfig config_;
   telemetry::Telemetry* telemetry_ = nullptr;
   std::map<SwitchId, SwitchHealth> switches_;
 };

@@ -44,6 +44,11 @@ std::string SwitchKnowledge::summary() const {
 
 namespace {
 
+/// Rules a spot_check() probe installs and removes.
+constexpr std::size_t kSpotCheckBatch = 50;
+/// Cost-hint inflation for a quarantined switch (conservative fallback).
+constexpr double kConservativeFactor = 3.0;
+
 /// Infer property `kind` of `know` over `probe`, leaving the probe rules in
 /// place. learn() runs this step for each property it infers, reinfer()
 /// for one.
@@ -124,7 +129,7 @@ const SwitchKnowledge& TangoController::learn(SwitchId id,
 
   auto [it, _] = knowledge_.emplace(id, std::move(know));
   health_.set_telemetry(network_.telemetry());
-  health_.track(id, network_.now());
+  health_.track(id);
   return it->second;
 }
 
@@ -132,7 +137,7 @@ const SwitchKnowledge& TangoController::adopt(SwitchKnowledge know) {
   const SwitchId id = know.switch_id;
   auto [it, _] = knowledge_.insert_or_assign(id, std::move(know));
   health_.set_telemetry(network_.telemetry());
-  health_.track(id, network_.now());
+  health_.track(id);
   return it->second;
 }
 
@@ -146,7 +151,7 @@ const SwitchKnowledge& TangoController::reinfer(SwitchId id, PropertyKind kind,
   probe.clear_rules();
   infer_property(probe, know, kind, options, scores_);
   probe.clear_rules();
-  health_.mark_reinferred(id, kind, network_.now());
+  health_.mark_reinferred(id, kind);
   return know;
 }
 
@@ -158,7 +163,7 @@ std::vector<SentinelAction> TangoController::run_sentinel(
     if (!force_probe && !health_.needs_probe(id)) continue;
     SentinelAction act;
     act.switch_id = id;
-    act.drift = spot_check(id, health_.config().spot_check_batch);
+    act.drift = spot_check(id);
     if (act.drift < 0) {
       // No usable learned cost to compare against; nothing to record.
       act.quarantined = health_.quarantined(id);
@@ -166,7 +171,7 @@ std::vector<SentinelAction> TangoController::run_sentinel(
       continue;
     }
     act.probed = true;
-    act.confirmed = health_.record_spot_check(id, act.drift, network_.now());
+    act.confirmed = health_.record_spot_check(id, act.drift);
     if (act.confirmed) {
       reinfer(id, PropertyKind::kCosts, options);
       act.reinferred = true;
@@ -177,7 +182,7 @@ std::vector<SentinelAction> TangoController::run_sentinel(
   return actions;
 }
 
-double TangoController::spot_check(SwitchId id, std::size_t batch) {
+double TangoController::spot_check(SwitchId id) {
   const auto it = knowledge_.find(id);
   if (it == knowledge_.end()) return -1.0;
   const double learned_ms = it->second.costs.add_ascending_ms;
@@ -186,12 +191,13 @@ double TangoController::spot_check(SwitchId id, std::size_t batch) {
   ProbeEngine probe(network_, id);
   // A fresh high-priority band so the batch appends (ascending regime) and
   // is trivially removable afterwards.
-  const auto priorities = ascending_priorities(batch, 0x7000);
+  const auto priorities = ascending_priorities(kSpotCheckBatch, 0x7000);
   const std::uint32_t first = 0x00f00000;  // away from workload flow ids
-  const auto elapsed = probe.timed_batch(make_add_batch(first, batch, priorities));
+  const auto elapsed =
+      probe.timed_batch(make_add_batch(first, kSpotCheckBatch, priorities));
   // Clean up the probe rules only.
   std::vector<of::FlowMod> dels;
-  for (std::size_t i = 0; i < batch; ++i) {
+  for (std::size_t i = 0; i < kSpotCheckBatch; ++i) {
     auto fm = ProbeEngine::probe_add(first + static_cast<std::uint32_t>(i));
     fm.command = of::FlowModCommand::kDelete;
     dels.push_back(std::move(fm));
@@ -205,7 +211,7 @@ double TangoController::spot_check(SwitchId id, std::size_t batch) {
   using ProbeRules =
       std::unordered_map<sched::RuleKey, std::uint32_t, sched::RuleKeyHash>;
   ProbeRules expect;
-  for (std::size_t i = 0; i < batch; ++i) {
+  for (std::size_t i = 0; i < kSpotCheckBatch; ++i) {
     const auto idx = first + static_cast<std::uint32_t>(i);
     expect.emplace(sched::RuleKey(ProbeEngine::probe_match(idx), priorities[i]),
                    idx);
@@ -227,7 +233,8 @@ double TangoController::spot_check(SwitchId id, std::size_t batch) {
     if (!expect.empty()) probe.timed_batch(redel);
   }
 
-  const double measured_ms = elapsed.ms() / static_cast<double>(batch);
+  const double measured_ms =
+      elapsed.ms() / static_cast<double>(kSpotCheckBatch);
   return std::abs(measured_ms / learned_ms - 1.0);
 }
 
@@ -245,7 +252,6 @@ const SwitchKnowledge* TangoController::knowledge(SwitchId id) const {
 sched::UpdateTransaction TangoController::begin_update(
     sched::RequestDag dag, sched::TransactionOptions options) {
   health_.set_telemetry(network_.telemetry());
-  const auto& hc = health_.config();
   for (const auto& [id, know] : knowledge_) {
     if (health_.quarantined(id)) {
       // Conservative fallback for a switch we no longer trust: inflate the
@@ -253,12 +259,12 @@ sched::UpdateTransaction TangoController::begin_update(
       // a readback-verified commit. Overrides caller-supplied hints — a
       // quarantine is not negotiable.
       OpCostEstimate conservative = know.costs;
-      conservative.add_ascending_ms *= hc.conservative_factor;
-      conservative.add_descending_ms *= hc.conservative_factor;
-      conservative.add_same_priority_ms *= hc.conservative_factor;
-      conservative.add_random_ms *= hc.conservative_factor;
-      conservative.mod_ms *= hc.conservative_factor;
-      conservative.del_ms *= hc.conservative_factor;
+      conservative.add_ascending_ms *= kConservativeFactor;
+      conservative.add_descending_ms *= kConservativeFactor;
+      conservative.add_same_priority_ms *= kConservativeFactor;
+      conservative.add_random_ms *= kConservativeFactor;
+      conservative.mod_ms *= kConservativeFactor;
+      conservative.del_ms *= kConservativeFactor;
       options.exec.cost_hints.insert_or_assign(id, conservative);
       options.readback_verify.insert(id);
     } else {
@@ -288,8 +294,7 @@ sched::UpdateTransaction TangoController::begin_update(
               break;
           }
         }
-        health_.on_cost_observation(loc, actual_ms, true_predicted,
-                                    network_.now());
+        health_.on_cost_observation(loc, actual_ms, true_predicted);
         if (user_obs) user_obs(loc, type, actual_ms, predicted_ms);
       };
 
@@ -299,13 +304,13 @@ sched::UpdateTransaction TangoController::begin_update(
   options.on_report = [this, user_report, verified = options.readback_verify](
                           const sched::TransactionReport& rep) {
     for (const auto& [sw, n] : rep.readback_mismatches) {
-      health_.on_readback_mismatch(sw, n, network_.now());
+      health_.on_readback_mismatch(sw, n);
     }
     if (rep.committed) {
       for (const SwitchId sw : verified) {
         if (rep.readback_mismatches.count(sw) == 0 &&
             rep.unreconciled.count(sw) == 0) {
-          health_.on_clean_verified_commit(sw, network_.now());
+          health_.on_clean_verified_commit(sw);
         }
       }
     }

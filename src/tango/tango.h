@@ -75,11 +75,11 @@ class TangoController {
   const SwitchKnowledge& adopt(SwitchKnowledge know);
 
   /// Cheap online drift check (the "online testing when the switch is
-  /// running" mode of §4): time one small ascending-add batch and compare
-  /// against the learned per-rule cost. Returns |measured/learned - 1|, or
-  /// a negative value when the switch has not been learned yet. The probe
-  /// rules are cleaned up afterwards.
-  double spot_check(SwitchId id, std::size_t batch = 50);
+  /// running" mode of §4): time one ascending-add batch of 50 rules and
+  /// compare against the learned per-rule cost. Returns
+  /// |measured/learned - 1|, or a negative value when the switch has not
+  /// been learned yet. The probe rules are cleaned up afterwards.
+  double spot_check(SwitchId id);
 
   /// Drop cached knowledge and re-run inference (e.g. after spot_check
   /// reports drift beyond tolerance).
@@ -106,8 +106,8 @@ class TangoController {
   /// built from the same hints sees consistent estimates). The caller picks
   /// the scheduler at commit() time.
   ///
-  /// Knowledge-health wiring: quarantined switches get conservative
-  /// (inflated) cost hints and are added to options.readback_verify so
+  /// Knowledge-health wiring: quarantined switches get conservative cost
+  /// hints (3x the learned costs) and are added to options.readback_verify so
   /// their commits are readback-verified; the executor's cost observations
   /// and the transaction's final report are chained into the health layer
   /// (user-provided callbacks still fire afterwards).

@@ -59,8 +59,7 @@ inline of::FlowMod erase_strict(const of::Match& match, std::uint16_t priority) 
 }  // namespace detail
 
 inline ReferenceJournal reference_build_journal(
-    const RequestDag& dag, std::map<SwitchId, TableImage> pre,
-    std::uint16_t default_priority) {
+    const RequestDag& dag, std::map<SwitchId, TableImage> pre) {
   using detail::erase_strict;
   using detail::restore;
   ReferenceJournal out;
@@ -75,7 +74,7 @@ inline ReferenceJournal reference_build_journal(
 
   for (const std::size_t id : order) {
     const SwitchRequest& req = dag.request(id);
-    const of::FlowMod fm = to_flow_mod(req, default_priority);
+    const of::FlowMod fm = to_flow_mod(req);
     TableImage& image = out.post[req.location];
     const TableImage& pre_image = pre[req.location];
     auto& touched = out.touched[req.location];

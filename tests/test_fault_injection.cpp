@@ -350,7 +350,6 @@ TEST(FaultScenarioTest, DeadSwitchIsDeclaredAndDependentsFail) {
   opts.request_timeout = millis(5);
   opts.max_retries = 1;
   opts.backoff_base = millis(1);
-  opts.max_echo_rescues = 1;
   const auto report = execute(net, dag, sched, opts);
 
   EXPECT_EQ(report.failed_switches, std::set<SwitchId>{s1});

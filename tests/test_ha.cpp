@@ -1,5 +1,5 @@
 // Controller high-availability suite: epoch-fenced cookies and the switch-side
-// fence, the adaptive RTT estimator, the replication link + standby shadow,
+// fence, the standby's adaptive watchdog, the replication link + shadow,
 // and end-to-end failover — crash mid-commit, partitioned zombie, lossy
 // replication, double failover, crash after commit — through the HA chaos
 // harness with its oracles and bit-identical seeded replay.
@@ -16,7 +16,6 @@
 #include "chaos/harness.h"
 #include "ha/ha.h"
 #include "net/network.h"
-#include "net/rtt.h"
 #include "openflow/actions.h"
 #include "openflow/epoch.h"
 #include "scheduler/reconciler.h"
@@ -34,10 +33,6 @@ namespace profiles = switchsim::profiles;
 
 ha::HaOptions fast_ha_options() {
   ha::HaOptions opts;
-  opts.heartbeat_interval = millis(10);
-  opts.missed_heartbeats = 3;
-  opts.checkpoint_interval = millis(50);
-  opts.replication_delay = micros(150);
   opts.replay_exec.request_timeout = millis(200);
   opts.replay_exec.max_retries = 6;
   opts.replay_exec.backoff_base = millis(5);
@@ -50,8 +45,6 @@ sched::TransactionOptions robust_txn_options(std::uint32_t txn_id) {
   topts.exec.request_timeout = millis(200);
   topts.exec.max_retries = 6;
   topts.exec.backoff_base = millis(5);
-  topts.readback_timeout = millis(200);
-  topts.max_readback_retries = 6;
   topts.max_reconcile_rounds = 6;
   return topts;
 }
@@ -230,36 +223,48 @@ TEST(SwitchEpoch, RebootForgetsEpochUntilResync) {
   EXPECT_EQ(net.sw(s1).controller_epoch(), 3u);
 }
 
-// --- adaptive RTT estimation ------------------------------------------------
+// --- the standby's adaptive heartbeat threshold ------------------------------
 
-TEST(RttEstimator, WarmupReturnsFallbackVerbatim) {
-  net::RttEstimator est;
-  EXPECT_EQ(est.timeout_for(1, millis(100)), millis(100));
-  est.observe(1, millis(2));
-  EXPECT_EQ(est.timeout_for(1, millis(100)), millis(100));  // under warmup
-  EXPECT_EQ(est.timeout_for(1, SimDuration{}), SimDuration{});  // disabled
-  EXPECT_EQ(est.estimate(2), nullptr);
+/// Deliver heartbeats to `standby` every `every`, starting at t=0, until
+/// `intervals` inter-arrival times have been observed.
+void beat(ha::StandbyController& standby, int intervals, SimDuration every) {
+  SimTime now{};
+  for (int i = 0; i <= intervals; ++i) {
+    ha::ReplicationRecord rec;
+    rec.type = ha::RecordType::kHeartbeat;
+    rec.seq = static_cast<std::uint64_t>(i + 1);
+    rec.sent_at = now;
+    standby.receive(rec, now);
+    now = now + every;
+  }
 }
 
-TEST(RttEstimator, ConvergesAndTightensDeadline) {
-  net::RttEstimator est;
-  for (int i = 0; i < 16; ++i) est.observe(1, millis(2));
-  const auto* e = est.estimate(1);
-  ASSERT_NE(e, nullptr);
-  EXPECT_NEAR(e->srtt_ms, 2.0, 0.25);
-  const auto deadline = est.timeout_for(1, millis(100));
-  EXPECT_LT(deadline, millis(20));          // far tighter than the knob
-  EXPECT_GE(deadline, millis(1));           // never below the floor
+TEST(StandbyThreshold, ShippingIntervalStandsInUntilTwoIntervals) {
+  ha::StandbyController standby;
+  EXPECT_EQ(standby.threshold(), millis(30));
+  beat(standby, 1, millis(2));
+  EXPECT_EQ(standby.threshold(), millis(30));  // under warmup
+  ha::StandbyController warm;
+  beat(warm, 2, millis(2));
+  EXPECT_LT(warm.threshold(), millis(30));
 }
 
-TEST(RttEstimator, ClampsToFallbackCeiling) {
-  net::RttEstimator est;
-  for (int i = 0; i < 8; ++i) est.observe(1, millis(500));
-  // Adapting may only tighten recovery, never loosen it past the knob.
-  EXPECT_EQ(est.timeout_for(1, millis(10)), millis(10));
-  // Degenerate zero-variance tiny estimates are floored.
-  for (int i = 0; i < 32; ++i) est.observe(2, micros(10));
-  EXPECT_EQ(est.timeout_for(2, millis(100)), millis(1));
+TEST(StandbyThreshold, TightensForFastHeartbeats) {
+  ha::StandbyController standby;
+  beat(standby, 15, millis(2));
+  EXPECT_LT(standby.threshold(), millis(10));  // far tighter than 30 ms
+  EXPECT_GE(standby.threshold(), millis(3));   // never below the floor
+}
+
+TEST(StandbyThreshold, ClampsToTheShippingInterval) {
+  // Learning may only tighten the watchdog, never loosen it.
+  ha::StandbyController slow;
+  beat(slow, 8, millis(500));
+  EXPECT_EQ(slow.threshold(), millis(30));
+  // A degenerate zero-variance tiny estimate is floored at 1 ms.
+  ha::StandbyController fast;
+  beat(fast, 32, micros(10));
+  EXPECT_EQ(fast.threshold(), millis(3));
 }
 
 // --- replication link + standby shadow --------------------------------------
@@ -267,7 +272,7 @@ TEST(RttEstimator, ClampsToFallbackCeiling) {
 TEST(Replication, DeliversInOrderWithDelay) {
   net::Network net;
   ha::ReplicationLink link(net.events(), micros(100));
-  ha::StandbyController standby(ha::StandbyOptions{});
+  ha::StandbyController standby;
   link.set_sink([&](const ha::ReplicationRecord& rec) {
     standby.receive(rec, net.now());
   });
@@ -289,7 +294,7 @@ TEST(Replication, DeliversInOrderWithDelay) {
 TEST(Replication, LossWindowDropsAndGapIsDetected) {
   net::Network net;
   ha::ReplicationLink link(net.events(), micros(100));
-  ha::StandbyController standby(ha::StandbyOptions{});
+  ha::StandbyController standby;
   link.set_sink([&](const ha::ReplicationRecord& rec) {
     standby.receive(rec, net.now());
   });
@@ -334,10 +339,7 @@ TEST(Replication, PartitionBlackholesTheLink) {
 }
 
 TEST(Standby, AdaptiveWatchdogTightensThreshold) {
-  ha::StandbyOptions opts;
-  opts.heartbeat_interval = millis(10);
-  opts.missed_heartbeats = 3;
-  ha::StandbyController standby(opts);
+  ha::StandbyController standby;
   const auto fixed_threshold = millis(30);
   EXPECT_EQ(standby.threshold(), fixed_threshold);
 
@@ -359,7 +361,7 @@ TEST(Standby, AdaptiveWatchdogTightensThreshold) {
 }
 
 TEST(Standby, ShadowJournalLifecycle) {
-  ha::StandbyController standby(ha::StandbyOptions{});
+  ha::StandbyController standby;
   ha::ReplicationRecord begin;
   begin.type = ha::RecordType::kTxnBegin;
   begin.seq = 1;
@@ -519,21 +521,19 @@ TEST(HaFailover, StaleShadowForcesSentinelRevalidation) {
   core::TangoController second(net);
   primary.adopt(chaos::synthetic_knowledge(net, s1));
 
-  auto opts = fast_ha_options();
-  opts.heartbeat_interval = millis(5);
-  // A tiny freshness budget: by the time the watchdog fires (3 missed
-  // heartbeats), the shadow checkpoint is guaranteed stale.
-  opts.checkpoint_interval = millis(1);
-  ha::HaController ha(net, primary, opts);
+  ha::HaController ha(net, primary, fast_ha_options());
   ha.start();
 
-  net.events().schedule_at(net.now() + millis(3), [&] { ha.crash_primary(); });
+  // The crash lands late in the first checkpoint interval, after the
+  // heartbeat at 40 ms: the watchdog fires three missed heartbeats later,
+  // near 70 ms, when the t=0 checkpoint is older than the 50 ms interval.
+  net.events().schedule_at(net.now() + millis(45), [&] { ha.crash_primary(); });
   while (!ha.takeover_due() && net.events().step()) {
   }
   ASSERT_TRUE(ha.takeover_due());
 
   const auto& rep = ha.take_over(second);
-  EXPECT_GT(rep.knowledge_age, opts.checkpoint_interval);
+  EXPECT_GT(rep.knowledge_age, ha::kCheckpointInterval);
   EXPECT_GE(rep.sentinel_probes, 1u);
   EXPECT_TRUE(ha.accepting_intents());
   ha.stop();

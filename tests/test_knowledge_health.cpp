@@ -21,14 +21,14 @@ constexpr SwitchId kId = 1;
 /// A tracked switch with full trust and confidence.
 KnowledgeHealth tracked() {
   KnowledgeHealth health;
-  health.track(kId, SimTime{});
+  health.track(kId);
   return health;
 }
 
 void signal(KnowledgeHealth& health, std::size_t n) {
   // Twice the prediction: a relative error of 1.0, well past tolerance.
   for (std::size_t i = 0; i < n; ++i) {
-    health.on_cost_observation(kId, 2.0, 1.0, SimTime{});
+    health.on_cost_observation(kId, 2.0, 1.0);
   }
 }
 
@@ -40,10 +40,10 @@ const SwitchHealth& of(const KnowledgeHealth& health) {
 
 TEST(KnowledgeHealthTest, CostSignalStartsJustAboveHalfAgain) {
   auto health = tracked();
-  health.on_cost_observation(kId, 1.5, 1.0, SimTime{});
+  health.on_cost_observation(kId, 1.5, 1.0);
   EXPECT_EQ(of(health).cost_mispredictions, 0u);
   EXPECT_EQ(of(health).prop(PropertyKind::kCosts).signals, 0u);
-  health.on_cost_observation(kId, 1.5000001, 1.0, SimTime{});
+  health.on_cost_observation(kId, 1.5000001, 1.0);
   EXPECT_EQ(of(health).cost_mispredictions, 1u);
   EXPECT_EQ(of(health).prop(PropertyKind::kCosts).signals, 1u);
 }
@@ -76,13 +76,13 @@ TEST(KnowledgeHealthTest, FourthSignalQuarantines) {
 TEST(KnowledgeHealthTest, SpotCheckToleranceIsAQuarter) {
   auto health = tracked();
   signal(health, 3);
-  EXPECT_FALSE(health.record_spot_check(kId, 0.25, SimTime{}));
+  EXPECT_FALSE(health.record_spot_check(kId, 0.25));
   EXPECT_EQ(of(health).prop(PropertyKind::kCosts).signals, 0u);
   EXPECT_DOUBLE_EQ(of(health).prop(PropertyKind::kCosts).confidence, 1.0);
   EXPECT_FALSE(health.needs_probe(kId));
   EXPECT_EQ(of(health).drift_confirmed, 0u);
 
-  EXPECT_TRUE(health.record_spot_check(kId, 0.2500001, SimTime{}));
+  EXPECT_TRUE(health.record_spot_check(kId, 0.2500001));
   EXPECT_EQ(of(health).drift_confirmed, 1u);
   EXPECT_EQ(of(health).spot_checks, 2u);
   EXPECT_DOUBLE_EQ(of(health).prop(PropertyKind::kCosts).confidence, 0.0);
@@ -93,7 +93,7 @@ TEST(KnowledgeHealthTest, OneCleanVerifiedCommitLiftsASuspicion) {
   auto health = tracked();
   health.suspect(kId);
   EXPECT_TRUE(health.quarantined(kId));
-  health.on_clean_verified_commit(kId, SimTime{});
+  health.on_clean_verified_commit(kId);
   EXPECT_FALSE(health.quarantined(kId));
   EXPECT_EQ(of(health).quarantine_lifts, 1u);
 }
@@ -102,7 +102,7 @@ TEST(KnowledgeHealthTest, ReinferenceRestoresTrustToAtLeastEightyFive) {
   auto health = tracked();
   signal(health, 4);
   ASSERT_TRUE(health.quarantined(kId));
-  health.mark_reinferred(kId, PropertyKind::kCosts, SimTime{});
+  health.mark_reinferred(kId, PropertyKind::kCosts);
   EXPECT_DOUBLE_EQ(of(health).trust, 0.85);
   EXPECT_DOUBLE_EQ(of(health).prop(PropertyKind::kCosts).confidence, 1.0);
   EXPECT_EQ(of(health).prop(PropertyKind::kCosts).signals, 0u);
@@ -111,7 +111,7 @@ TEST(KnowledgeHealthTest, ReinferenceRestoresTrustToAtLeastEightyFive) {
 
 TEST(KnowledgeHealthTest, EachMismatchedRuleCostsFifteenHundredths) {
   auto health = tracked();
-  health.on_readback_mismatch(kId, 2, SimTime{});
+  health.on_readback_mismatch(kId, 2);
   EXPECT_DOUBLE_EQ(of(health).trust, 0.70);
   EXPECT_EQ(of(health).readback_mismatches, 2u);
   EXPECT_FALSE(health.quarantined(kId));

@@ -494,8 +494,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ExecutorProperties, ::testing::Values(7, 8, 9, 1
 using sched::testing::journal_difference;
 using sched::testing::reference_build_journal;
 
-constexpr std::uint16_t kDefaultPriority = 0x8000;
-
 /// Numeric and key-string order disagree on these ("1000" < "7" < "999").
 constexpr std::uint16_t kJournalPriorities[] = {7, 100, 999, 1000, 5000, 30000};
 
@@ -662,8 +660,8 @@ TEST_P(JournalProperties, IndexedJournalMatchesScanReference) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     const auto c = random_journal_case(rng);
     EXPECT_EQ(journal_difference(
-                  sched::build_journal(c.dag, c.pre, kDefaultPriority),
-                  reference_build_journal(c.dag, c.pre, kDefaultPriority)),
+                  sched::build_journal(c.dag, c.pre),
+                  reference_build_journal(c.dag, c.pre)),
               "");
   }
 }
@@ -694,9 +692,9 @@ TEST(JournalTest, HitsAreVisitedInKeyOrder) {
   dag.add_dependency(mod, del);
   stamp_cookies(dag);
 
-  const auto got = sched::build_journal(dag, pre, kDefaultPriority);
+  const auto got = sched::build_journal(dag, pre);
   EXPECT_EQ(journal_difference(got,
-                               reference_build_journal(dag, pre, kDefaultPriority)),
+                               reference_build_journal(dag, pre)),
             "");
   ASSERT_EQ(got.entries.size(), 3u);
   for (const std::size_t i : {std::size_t{1}, std::size_t{2}}) {
@@ -732,8 +730,8 @@ TEST_P(JournalProperties, TeUpdateJournalMatchesReference) {
       }
     }
   }
-  EXPECT_EQ(journal_difference(sched::build_journal(dag, pre, kDefaultPriority),
-                               reference_build_journal(dag, pre, kDefaultPriority)),
+  EXPECT_EQ(journal_difference(sched::build_journal(dag, pre),
+                               reference_build_journal(dag, pre)),
             "");
 }
 
@@ -816,8 +814,7 @@ TEST_P(JournalProperties, TransactionsRepairCrashesLikeTheReference) {
       for (const auto& entry : txn_a.journal()) {
         pre.try_emplace(entry.location, txn_a.pre_image(entry.location));
       }
-      const auto ref = reference_build_journal(txn_a.dag(), pre,
-                                               topts.exec.default_priority);
+      const auto ref = reference_build_journal(txn_a.dag(), pre);
       ASSERT_EQ(txn_a.journal().size(), ref.entries.size());
       for (std::size_t i = 0; i < ref.entries.size(); ++i) {
         EXPECT_EQ(txn_a.journal()[i].intent, ref.entries[i].intent) << i;
@@ -843,8 +840,6 @@ TEST_P(JournalProperties, TransactionsRepairCrashesLikeTheReference) {
       ++reconciled;
 
       sched::ReconcilerOptions ropts;
-      ropts.readback_timeout = topts.readback_timeout;
-      ropts.max_readback_retries = topts.max_readback_retries;
       ropts.max_rounds = topts.max_reconcile_rounds;
       ropts.exec = topts.exec;
       const std::size_t dag_size = txn_b.dag().size();

@@ -444,9 +444,9 @@ TEST(TangoSchedulerTest, PrefixLookaheadStillCompletesEverything) {
 
 TEST(ToFlowModTest, MapsFieldsAndDefaults) {
   auto r = req(1, RequestType::kDel, 5, std::nullopt);
-  const auto fm = to_flow_mod(r, 1234);
+  const auto fm = to_flow_mod(r);
   EXPECT_EQ(fm.command, of::FlowModCommand::kDelete);
-  EXPECT_EQ(fm.priority, 1234);
+  EXPECT_EQ(fm.priority, 0x8000);
   EXPECT_EQ(fm.match, ProbeEngine::probe_match(5));
 }
 
