@@ -336,6 +336,43 @@ TEST(PolicyCacheSwitch, HitOnWideRuleStaysWhenNarrowVictimFreesTooLittle) {
   EXPECT_TRUE(sw.resident_at_level(wide.match, wide.priority, 1));
 }
 
+// The other half of a swap: a narrow rule promoted over a wide victim frees
+// 1 slot below, which cannot take the victim back down.
+TEST(PolicyCacheSwitch, HitLeavesWideVictimThatCannotMoveDown) {
+  auto profile = profiles::policy_cache("lru-test", {2, 2},
+                                        tables::LexCachePolicy::lru());
+  for (auto& level : profile.cache_levels) {
+    level.mode = tables::TcamMode::kAdaptive;
+  }
+  SimulatedSwitch sw(1, profile);
+  const auto wide = ProbeEngine::probe_add(9, 0x8000, core::RuleShape::kL2AndL3);
+  of::Packet wide_pkt;
+  wide_pkt.header = ProbeEngine::probe_packet(9, core::RuleShape::kL2AndL3);
+  auto del = [&](std::uint32_t index, std::int64_t t) {
+    auto fm = add_rule(index);
+    fm.command = of::FlowModCommand::kDeleteStrict;
+    ASSERT_TRUE(sw.apply_flow_mod(fm, at(t)).accepted);
+  };
+  // Park the wide rule in level 1, keep it hot, then free level 0 so the
+  // rebalance lifts it there and refills level 1 with two narrow rules.
+  ASSERT_TRUE(sw.apply_flow_mod(wide, at(0)).accepted);
+  ASSERT_TRUE(sw.apply_flow_mod(add_rule(1), at(1)).accepted);
+  ASSERT_TRUE(sw.apply_flow_mod(add_rule(2), at(2)).accepted);
+  sw.forward(wide_pkt, at(10));
+  ASSERT_TRUE(sw.apply_flow_mod(add_rule(3), at(11)).accepted);
+  ASSERT_TRUE(sw.apply_flow_mod(add_rule(4), at(12)).accepted);
+  del(3, 13);
+  del(4, 14);
+  ASSERT_TRUE(sw.resident_at_level(wide.match, wide.priority, 0));
+  ASSERT_EQ(sw.level_size(1), 2u);
+  ASSERT_EQ(sw.total_rules(), 3u);
+
+  EXPECT_EQ(sw.forward(packet_for(1), at(20)).kind,
+            ForwardOutcome::Kind::kForwarded);
+  EXPECT_EQ(sw.total_rules(), 3u);
+  EXPECT_TRUE(sw.resident_at_level(wide.match, wide.priority, 0));
+}
+
 // ---------------------------------------------------------------------------
 // Generic OpenFlow semantics
 // ---------------------------------------------------------------------------
