@@ -52,8 +52,7 @@ workload::TestbedIds quiet_testbed(net::Network& net);
 
 /// Timeout/retry budget of every harness transaction: a 200 ms request
 /// timeout, 6 retries, 5 ms backoff and 6 reconcile rounds. Readbacks use
-/// the reconciler's own budget (sched::kReadbackTimeout, 200 ms, and
-/// sched::kMaxReadbackRetries, 6).
+/// the reconciler's own budget of 200 ms per attempt and 6 retries.
 sched::TransactionOptions recovery_budget();
 
 /// Each switch's table, read straight from the simulator.

@@ -14,6 +14,15 @@ namespace tango::ha {
 
 namespace {
 
+/// One-way replication link delivery delay.
+constexpr SimDuration kReplicationDelay = micros(150);
+/// Per-attempt round-trip budget and attempts when fencing the new epoch
+/// onto a switch at takeover (the retries outlast a reboot window).
+constexpr SimDuration kFenceTimeout = millis(50);
+constexpr std::size_t kFenceAttempts = 10;
+/// Reconciler repair rounds for each replayed transaction at takeover.
+constexpr std::size_t kMaxReplayRounds = 6;
+
 /// True when `cookie` is fenced and its txn bits belong to `txn_id`.
 bool cookie_matches_txn(std::uint64_t cookie, std::uint32_t txn_id) {
   if (of::epoch_of_cookie(cookie) == 0) return false;

@@ -48,14 +48,6 @@ namespace tango::ha {
 /// The acting primary ships a heartbeat every kHeartbeatInterval (see
 /// standby.h) and a knowledge checkpoint every kCheckpointInterval.
 inline constexpr SimDuration kCheckpointInterval = millis(50);
-/// One-way replication link delivery delay.
-inline constexpr SimDuration kReplicationDelay = micros(150);
-/// Per-attempt round-trip budget and attempts when fencing the new epoch
-/// onto a switch at takeover (the retries outlast a reboot window).
-inline constexpr SimDuration kFenceTimeout = millis(50);
-inline constexpr std::size_t kFenceAttempts = 10;
-/// Reconciler repair rounds for each replayed transaction at takeover.
-inline constexpr std::size_t kMaxReplayRounds = 6;
 
 struct HaOptions {
   /// Executor options for replay repair traffic.

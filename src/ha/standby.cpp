@@ -10,6 +10,8 @@
 namespace tango::ha {
 
 namespace {
+/// Heartbeats that must go missing before the primary is suspected.
+constexpr std::size_t kMissedHeartbeats = 3;
 constexpr double kAlpha = 0.125;
 constexpr double kBeta = 0.25;
 /// Intervals observed before the learned one replaces kHeartbeatInterval.

@@ -9,10 +9,10 @@
 // journal is everything the new primary needs to roll each one forward or
 // back.
 //
-// Failover detection is a heartbeat watchdog: the threshold is
-// kMissedHeartbeats * expected interval, where the expected interval is
-// learned from observed inter-arrival times the Jacobson/Karels way (as
-// TCP learns its retransmission timeout):
+// Failover detection is a heartbeat watchdog: the primary is suspected
+// after three missed heartbeats, 3 * the expected interval, where the
+// expected interval is learned from observed inter-arrival times the
+// Jacobson/Karels way (as TCP learns its retransmission timeout):
 //
 //   srtt   <- (1-alpha) * srtt + alpha * sample        (alpha = 1/8)
 //   rttvar <- (1-beta)  * rttvar + beta * |srtt-sample| (beta = 1/4)
@@ -32,10 +32,8 @@
 
 namespace tango::ha {
 
-/// The acting primary ships a heartbeat every kHeartbeatInterval; the
-/// standby suspects it after kMissedHeartbeats go missing.
+/// The acting primary ships a heartbeat every kHeartbeatInterval.
 inline constexpr SimDuration kHeartbeatInterval = millis(10);
-inline constexpr std::size_t kMissedHeartbeats = 3;
 
 /// One journaled transaction as mirrored by the standby.
 struct TxnShadow {
@@ -69,8 +67,8 @@ class StandbyController {
   /// at least one received heartbeat (arm() seeds the clock at start).
   [[nodiscard]] bool primary_suspect(SimTime now) const;
 
-  /// Current miss threshold: kMissedHeartbeats * learned interval, capped
-  /// at kMissedHeartbeats * kHeartbeatInterval.
+  /// Current miss threshold: 3 * learned interval, capped at
+  /// 3 * kHeartbeatInterval.
   [[nodiscard]] SimDuration threshold() const;
 
   /// Seed the watchdog clock (HA start / post-takeover re-arm): heartbeats

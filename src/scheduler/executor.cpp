@@ -14,6 +14,18 @@
 
 namespace tango::sched {
 
+namespace {
+
+/// Per-op duration assumed for a switch without a cost hint.
+constexpr SimDuration kDefaultOpEstimate = millis(1);
+/// Priority of a request that carries none (enforcement did not run).
+constexpr std::uint16_t kDefaultPriority = 0x8000;
+/// Times an ECHO proving the switch alive buys a request a fresh round of
+/// retries before the request is failed.
+constexpr std::size_t kMaxEchoRescues = 2;
+
+}  // namespace
+
 of::FlowMod to_flow_mod(const SwitchRequest& request) {
   of::FlowMod fm;
   fm.command = to_command(request.type);

@@ -37,14 +37,6 @@ namespace detail {
 struct ExecState;
 }  // namespace detail
 
-/// Per-op duration assumed for a switch without a cost hint.
-inline constexpr SimDuration kDefaultOpEstimate = millis(1);
-/// Priority of a request that carries none (enforcement did not run).
-inline constexpr std::uint16_t kDefaultPriority = 0x8000;
-/// Times an ECHO proving the switch alive buys a request a fresh round of
-/// retries before the request is failed.
-inline constexpr std::size_t kMaxEchoRescues = 2;
-
 struct ExecutorOptions {
   /// Issue dependents early when the timing estimate allows (guard below):
   /// a blocked request goes out once every predecessor's *estimated finish*
@@ -55,7 +47,7 @@ struct ExecutorOptions {
   bool speculative_dependents = false;
   SimDuration guard = millis(5);
   /// Measured per-op costs used for the speculation estimates (from
-  /// TangoController::learn). Unlisted switches use kDefaultOpEstimate.
+  /// TangoController::learn). Unlisted switches are estimated at 1 ms/op.
   std::map<SwitchId, core::OpCostEstimate> cost_hints;
   /// Commands in flight per switch. Small windows keep the agent fed over
   /// the channel latency while leaving the backlog at the controller where
@@ -209,8 +201,8 @@ AsyncExecution execute_async(net::Network& network, const RequestDag& dag,
                              UpdateScheduler& scheduler,
                              const ExecutorOptions& options = {});
 
-/// Build the flow_mod a request maps to (kDefaultPriority when the request
-/// carries no priority).
+/// Build the flow_mod a request maps to (priority 0x8000 when the request
+/// carries none).
 of::FlowMod to_flow_mod(const SwitchRequest& request);
 
 }  // namespace tango::sched

@@ -10,6 +10,23 @@
 
 namespace tango::sched {
 
+namespace {
+
+/// Settle time before each readback round. A commit that aborted early
+/// (crash detected, requests failed) can leave duplicated or reordered
+/// frames of the dead attempt still in flight; without letting the queue
+/// drain for a moment, those land AFTER the readback and re-apply a dead
+/// transaction's intent behind the reconciler's back — catastrophic under
+/// rollback, where they reinstate a rule that was just rolled back.
+constexpr SimDuration kQuiesce = millis(5);
+/// Per-attempt timeout for one FLOW_STATS readback.
+constexpr SimDuration kReadbackTimeout = millis(200);
+/// Extra attempts after a lost readback before the switch is declared
+/// unreconcilable (this round).
+constexpr std::size_t kMaxReadbackRetries = 6;
+
+}  // namespace
+
 std::string rule_key(const of::Match& match, std::uint16_t priority) {
   std::string key;
   key.reserve(96);

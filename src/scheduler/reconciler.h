@@ -88,19 +88,6 @@ TableImage image_of(const of::FlowStatsReply& reply);
 /// Apply one flow_mod to an image, mirroring SimulatedSwitch semantics.
 void apply_to_image(TableImage& image, const of::FlowMod& fm);
 
-/// Settle time before each readback round. A commit that aborted early
-/// (crash detected, requests failed) can leave duplicated or reordered
-/// frames of the dead attempt still in flight; without letting the queue
-/// drain for a moment, those land AFTER the readback and re-apply a dead
-/// transaction's intent behind the reconciler's back — catastrophic under
-/// rollback, where they reinstate a rule that was just rolled back.
-inline constexpr SimDuration kQuiesce = millis(5);
-/// Per-attempt timeout for one FLOW_STATS readback.
-inline constexpr SimDuration kReadbackTimeout = millis(200);
-/// Extra attempts after a lost readback before the switch is declared
-/// unreconcilable (this round).
-inline constexpr std::size_t kMaxReadbackRetries = 6;
-
 struct ReconcilerOptions {
   /// Repair rounds before giving up (each round = readback + diff + exec).
   std::size_t max_rounds = 3;
@@ -151,8 +138,9 @@ class Reconciler {
   explicit Reconciler(net::Network& network, ReconcilerOptions options = {})
       : network_(network), options_(options) {}
 
-  /// Read back one switch's full table, retrying a lost readback up to
-  /// kMaxReadbackRetries times; nullopt when every attempt was lost. Accounts attempts/losses into `stats`.
+  /// Read back one switch's full table: up to 7 attempts of 200 ms each;
+  /// nullopt when every attempt was lost. Accounts attempts/losses into
+  /// `stats`.
   std::optional<TableImage> read_table(SwitchId id, ReconcileStats& stats);
 
   /// Drive every switch in `desired` to its image. `author`/`must_precede`

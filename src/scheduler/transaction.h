@@ -85,10 +85,10 @@ struct Journal {
 
 /// Journal `dag` against the per-switch pre images `pre` (a switch missing
 /// there starts empty). Requests are visited by DAG level, then id; each is
-/// compiled with to_flow_mod(request) and journaled with
-/// the inverses that undo it against the image it acts on, which is then
-/// updated with apply_to_image() semantics. A MODIFY or DELETE restores the
-/// rules it hits in TableImage key order.
+/// compiled with to_flow_mod() and journaled with the inverses that undo it
+/// against the image it acts on, which is then updated with
+/// apply_to_image() semantics. A MODIFY or DELETE restores the rules it
+/// hits in TableImage key order.
 Journal build_journal(const RequestDag& dag,
                       const std::map<SwitchId, TableImage>& pre);
 

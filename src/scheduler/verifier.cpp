@@ -20,6 +20,10 @@ std::string to_string(VerifierViolation::Kind kind) {
 
 namespace {
 
+/// Hops a walk may take: a backstop against port-aliasing topologies
+/// where the visited-set loop check cannot fire first.
+constexpr std::size_t kMaxHops = 64;
+
 /// The rule the switch's lookup resolves for `pkt`: highest priority among
 /// matching wildcard entries (ties by table order, the order flow_stats
 /// lists them in — level 0 first).

@@ -9,7 +9,7 @@
 //  * no black hole — every hop has a matching rule that forwards out of an
 //    up port (a punt to the controller via the default route counts as a
 //    black hole for an installed flow);
-//  * no forwarding loop — no switch is visited twice (bounded by kMaxHops
+//  * no forwarding loop — no switch is visited twice (bounded by 64 hops
 //    as a backstop for port-aliasing topologies);
 //  * no shadowing — where the caller names the cookie a switch is supposed
 //    to match with (the transaction's rule), a higher-priority leftover
@@ -68,10 +68,6 @@ struct VerifierReport {
 
   [[nodiscard]] bool clean() const { return violations.empty(); }
 };
-
-/// Hops a walk may take: a backstop against port-aliasing topologies
-/// where the visited-set loop check cannot fire first.
-inline constexpr std::size_t kMaxHops = 64;
 
 class ConsistencyVerifier {
  public:

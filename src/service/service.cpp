@@ -20,6 +20,11 @@ std::string to_string(AdmitError e) {
 
 namespace {
 
+/// DRR quantum, in DAG requests per tenant per pass. Tenants with cheaper
+/// intents dispatch more of them per round; a big intent waits for its
+/// deficit to accrue.
+constexpr std::size_t kDrrQuantum = 4;
+
 constexpr std::initializer_list<double> kMsBounds = {
     0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000};
 

@@ -47,11 +47,6 @@
 
 namespace tango::service {
 
-/// DRR quantum, in DAG requests per tenant per pass. Tenants with cheaper
-/// intents dispatch more of them per round; a big intent waits for its
-/// deficit to accrue.
-inline constexpr std::size_t kDrrQuantum = 4;
-
 struct ServiceOptions {
   /// Queue slots per tenant; a submit beyond this is rejected (kQueueFull)
   /// unless it coalesces onto a queued intent.

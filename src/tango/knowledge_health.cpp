@@ -91,8 +91,7 @@ void KnowledgeHealth::update_quarantine(SwitchHealth& h, SwitchId id) {
   double min_conf = 1.0;
   for (const auto& p : h.props) min_conf = std::min(min_conf, p.confidence);
   const bool should =
-      h.trust < kQuarantineThreshold ||
-      min_conf < kQuarantineThreshold;
+      h.trust < kQuarantineThreshold || min_conf < kQuarantineThreshold;
   if (should && !h.quarantined) {
     h.quarantined = true;
     ++h.quarantines;
@@ -127,8 +126,8 @@ void KnowledgeHealth::on_readback_mismatch(SwitchId id,
   count("health.readback_mismatches", mismatches);
   // A readback mismatch is direct evidence the switch lies about installs:
   // it discredits trust (not a knowledge property), hard.
-  h.trust = std::max(0.0, h.trust - kSignalPenalty *
-                                        static_cast<double>(mismatches));
+  h.trust = std::max(
+      0.0, h.trust - kSignalPenalty * static_cast<double>(mismatches));
   update_quarantine(h, id);
 }
 
@@ -143,8 +142,7 @@ void KnowledgeHealth::on_clean_verified_commit(SwitchId id) {
 bool KnowledgeHealth::needs_probe(SwitchId id) const {
   const auto it = switches_.find(id);
   if (it == switches_.end()) return false;
-  return it->second.prop(PropertyKind::kCosts).signals >=
-         kEscalateAfter;
+  return it->second.prop(PropertyKind::kCosts).signals >= kEscalateAfter;
 }
 
 bool KnowledgeHealth::record_spot_check(SwitchId id, double drift) {
