@@ -32,7 +32,7 @@ void signal(KnowledgeHealth& health, std::size_t n) {
   }
 }
 
-const SwitchHealth& of(const KnowledgeHealth& health) {
+const SwitchHealth& health_of(const KnowledgeHealth& health) {
   const SwitchHealth* h = health.health(kId);
   EXPECT_NE(h, nullptr);
   return *h;
@@ -41,11 +41,11 @@ const SwitchHealth& of(const KnowledgeHealth& health) {
 TEST(KnowledgeHealthTest, CostSignalStartsJustAboveHalfAgain) {
   auto health = tracked();
   health.on_cost_observation(kId, 1.5, 1.0);
-  EXPECT_EQ(of(health).cost_mispredictions, 0u);
-  EXPECT_EQ(of(health).prop(PropertyKind::kCosts).signals, 0u);
+  EXPECT_EQ(health_of(health).cost_mispredictions, 0u);
+  EXPECT_EQ(health_of(health).prop(PropertyKind::kCosts).signals, 0u);
   health.on_cost_observation(kId, 1.5000001, 1.0);
-  EXPECT_EQ(of(health).cost_mispredictions, 1u);
-  EXPECT_EQ(of(health).prop(PropertyKind::kCosts).signals, 1u);
+  EXPECT_EQ(health_of(health).cost_mispredictions, 1u);
+  EXPECT_EQ(health_of(health).prop(PropertyKind::kCosts).signals, 1u);
 }
 
 TEST(KnowledgeHealthTest, ProbeIsDueAfterThreeSignals) {
@@ -59,9 +59,9 @@ TEST(KnowledgeHealthTest, ProbeIsDueAfterThreeSignals) {
 TEST(KnowledgeHealthTest, OneSignalCostsFifteenHundredths) {
   auto health = tracked();
   signal(health, 1);
-  EXPECT_DOUBLE_EQ(of(health).trust, 0.85);
-  EXPECT_DOUBLE_EQ(of(health).prop(PropertyKind::kCosts).confidence, 0.85);
-  EXPECT_DOUBLE_EQ(of(health).prop(PropertyKind::kSizes).confidence, 1.0);
+  EXPECT_DOUBLE_EQ(health_of(health).trust, 0.85);
+  EXPECT_DOUBLE_EQ(health_of(health).prop(PropertyKind::kCosts).confidence, 0.85);
+  EXPECT_DOUBLE_EQ(health_of(health).prop(PropertyKind::kSizes).confidence, 1.0);
 }
 
 TEST(KnowledgeHealthTest, FourthSignalQuarantines) {
@@ -70,22 +70,22 @@ TEST(KnowledgeHealthTest, FourthSignalQuarantines) {
   EXPECT_FALSE(health.quarantined(kId));
   signal(health, 1);
   EXPECT_TRUE(health.quarantined(kId));
-  EXPECT_EQ(of(health).quarantines, 1u);
+  EXPECT_EQ(health_of(health).quarantines, 1u);
 }
 
 TEST(KnowledgeHealthTest, SpotCheckToleranceIsAQuarter) {
   auto health = tracked();
   signal(health, 3);
   EXPECT_FALSE(health.record_spot_check(kId, 0.25));
-  EXPECT_EQ(of(health).prop(PropertyKind::kCosts).signals, 0u);
-  EXPECT_DOUBLE_EQ(of(health).prop(PropertyKind::kCosts).confidence, 1.0);
+  EXPECT_EQ(health_of(health).prop(PropertyKind::kCosts).signals, 0u);
+  EXPECT_DOUBLE_EQ(health_of(health).prop(PropertyKind::kCosts).confidence, 1.0);
   EXPECT_FALSE(health.needs_probe(kId));
-  EXPECT_EQ(of(health).drift_confirmed, 0u);
+  EXPECT_EQ(health_of(health).drift_confirmed, 0u);
 
   EXPECT_TRUE(health.record_spot_check(kId, 0.2500001));
-  EXPECT_EQ(of(health).drift_confirmed, 1u);
-  EXPECT_EQ(of(health).spot_checks, 2u);
-  EXPECT_DOUBLE_EQ(of(health).prop(PropertyKind::kCosts).confidence, 0.0);
+  EXPECT_EQ(health_of(health).drift_confirmed, 1u);
+  EXPECT_EQ(health_of(health).spot_checks, 2u);
+  EXPECT_DOUBLE_EQ(health_of(health).prop(PropertyKind::kCosts).confidence, 0.0);
   EXPECT_TRUE(health.quarantined(kId));
 }
 
@@ -95,7 +95,7 @@ TEST(KnowledgeHealthTest, OneCleanVerifiedCommitLiftsASuspicion) {
   EXPECT_TRUE(health.quarantined(kId));
   health.on_clean_verified_commit(kId);
   EXPECT_FALSE(health.quarantined(kId));
-  EXPECT_EQ(of(health).quarantine_lifts, 1u);
+  EXPECT_EQ(health_of(health).quarantine_lifts, 1u);
 }
 
 TEST(KnowledgeHealthTest, ReinferenceRestoresTrustToAtLeastEightyFive) {
@@ -103,17 +103,17 @@ TEST(KnowledgeHealthTest, ReinferenceRestoresTrustToAtLeastEightyFive) {
   signal(health, 4);
   ASSERT_TRUE(health.quarantined(kId));
   health.mark_reinferred(kId, PropertyKind::kCosts);
-  EXPECT_DOUBLE_EQ(of(health).trust, 0.85);
-  EXPECT_DOUBLE_EQ(of(health).prop(PropertyKind::kCosts).confidence, 1.0);
-  EXPECT_EQ(of(health).prop(PropertyKind::kCosts).signals, 0u);
+  EXPECT_DOUBLE_EQ(health_of(health).trust, 0.85);
+  EXPECT_DOUBLE_EQ(health_of(health).prop(PropertyKind::kCosts).confidence, 1.0);
+  EXPECT_EQ(health_of(health).prop(PropertyKind::kCosts).signals, 0u);
   EXPECT_FALSE(health.quarantined(kId));
 }
 
 TEST(KnowledgeHealthTest, EachMismatchedRuleCostsFifteenHundredths) {
   auto health = tracked();
   health.on_readback_mismatch(kId, 2);
-  EXPECT_DOUBLE_EQ(of(health).trust, 0.70);
-  EXPECT_EQ(of(health).readback_mismatches, 2u);
+  EXPECT_DOUBLE_EQ(health_of(health).trust, 0.70);
+  EXPECT_EQ(health_of(health).readback_mismatches, 2u);
   EXPECT_FALSE(health.quarantined(kId));
 }
 
@@ -129,7 +129,6 @@ switchsim::SwitchProfile quiet_switch1() {
 SwitchKnowledge known(SwitchId id) {
   SwitchKnowledge know;
   know.switch_id = id;
-  know.name = "s" + std::to_string(id);
   know.costs.add_ascending_ms = 0.5;
   know.costs.add_descending_ms = 2.0;
   know.costs.add_same_priority_ms = 0.25;
