@@ -6,8 +6,16 @@
 
 namespace tango::stats {
 
-std::vector<Cluster> gap_clusters(std::span<const double> samples,
-                                  double min_center_ratio, double min_gap_abs) {
+namespace {
+
+/// Least ratio between adjacent tier centers.
+constexpr double kMinCenterRatio = 1.35;
+/// Least absolute gap between adjacent tier centers.
+constexpr double kMinGapAbs = 1e-6;
+
+}  // namespace
+
+std::vector<Cluster> gap_clusters(std::span<const double> samples) {
   std::vector<Cluster> out;
   if (samples.empty()) return out;
 
@@ -19,9 +27,9 @@ std::vector<Cluster> gap_clusters(std::span<const double> samples,
   for (std::size_t i = 1; i < fine.size(); ++i) {
     Cluster& prev = out.back();
     const Cluster& cur = fine[i];
-    const double lo = std::max(prev.center, min_gap_abs);
-    const bool separated = cur.center >= lo * min_center_ratio &&
-                           cur.center - prev.center >= min_gap_abs;
+    const double lo = std::max(prev.center, kMinGapAbs);
+    const bool separated = cur.center >= lo * kMinCenterRatio &&
+                           cur.center - prev.center >= kMinGapAbs;
     if (separated) {
       out.push_back(cur);
     } else {

@@ -22,13 +22,11 @@ struct Cluster {
 };
 
 /// Cluster latency samples into tiers. Over-cluster with k-means (k up to
-/// 6), then merge adjacent clusters whose centers are not separated by at
-/// least `min_center_ratio` (flow-table tiers differ multiplicatively:
-/// TCAM vs software vs controller are ~1.5x apart or more) or by
-/// `min_gap_abs` in absolute terms.
-std::vector<Cluster> gap_clusters(std::span<const double> samples,
-                                  double min_center_ratio = 1.35,
-                                  double min_gap_abs = 1e-6);
+/// 6), then merge adjacent clusters whose centers are not separated by a
+/// factor of at least 1.35 (flow-table tiers differ multiplicatively: TCAM
+/// vs software vs controller are ~1.5x apart or more) and by at least 1e-6
+/// in absolute terms.
+std::vector<Cluster> gap_clusters(std::span<const double> samples);
 
 /// Classic 1-D k-means (Lloyd's) with deterministic quantile seeding.
 std::vector<Cluster> kmeans_1d(std::span<const double> samples, std::size_t k,

@@ -4,13 +4,27 @@
 
 namespace tango::core {
 
+namespace {
+
+/// Rules per timed batch on an unbounded table.
+constexpr std::size_t kBatchSize = 500;
+/// Rules preinstalled before each timed add batch on an unbounded table.
+constexpr std::size_t kPreinstalled = 1000;
+/// Lowest priority of the preinstalled rules.
+constexpr std::uint16_t kPreinstallBase = 1000;
+constexpr std::uint64_t kSeed = 11;
+/// Descending/ascending add-cost ratio from which priority order matters.
+constexpr double kPrioritySensitiveRatio = 1.5;
+
+}  // namespace
+
 double OpCostEstimate::best_add_ms() const {
   return std::min({add_ascending_ms, add_same_priority_ms});
 }
 
-bool OpCostEstimate::priority_sensitive(double threshold) const {
+bool OpCostEstimate::priority_sensitive() const {
   if (add_ascending_ms <= 0) return false;
-  return add_descending_ms / add_ascending_ms >= threshold;
+  return add_descending_ms / add_ascending_ms >= kPrioritySensitiveRatio;
 }
 
 std::vector<of::FlowMod> make_add_batch(std::uint32_t first_index,
@@ -56,62 +70,62 @@ namespace {
 
 /// Time an add batch against a fresh slate with `preinstalled` random-
 /// priority rules in place, then clean up. Returns ms per rule.
-double timed_add_run(ProbeEngine& probe, const LatencyProfileConfig& config,
+double timed_add_run(ProbeEngine& probe, std::size_t preinstalled,
                      const std::vector<std::uint16_t>& priorities, Rng& rng,
                      ScoreDb* scores, const std::string& name) {
   probe.clear_rules();
-  auto pre = random_priorities(config.preinstalled, rng, config.preinstall_base);
-  probe.timed_batch(make_add_batch(0, config.preinstalled, pre));
+  auto pre = random_priorities(preinstalled, rng, kPreinstallBase);
+  probe.timed_batch(make_add_batch(0, preinstalled, pre));
 
   TangoPattern pattern;
   pattern.name = name;
-  pattern.commands = make_add_batch(static_cast<std::uint32_t>(config.preinstalled),
-                                    config.batch_size, priorities);
+  pattern.commands = make_add_batch(static_cast<std::uint32_t>(preinstalled),
+                                    priorities.size(), priorities);
   const auto m = probe.apply(pattern, scores);
-  return m.install_time.ms() / static_cast<double>(config.batch_size);
+  return m.install_time.ms() / static_cast<double>(priorities.size());
 }
 
 }  // namespace
 
-OpCostEstimate profile_op_costs(ProbeEngine& probe,
-                                const LatencyProfileConfig& config,
+OpCostEstimate profile_op_costs(ProbeEngine& probe, std::size_t capacity,
                                 ScoreDb* scores) {
   OpCostEstimate est;
-  Rng rng(config.seed);
+  Rng rng(kSeed);
+  std::size_t batch = kBatchSize;
+  std::size_t preinstalled = kPreinstalled;
+  if (capacity > 0) {
+    preinstalled = std::min(preinstalled, capacity / 2);
+    batch = std::min(batch, std::max<std::size_t>(1, capacity / 3));
+  }
 
   // Priority ranges relative to the preinstalled rules expose the TCAM
   // physics: ascending/same-priority batches append above everything (no
   // shifts); the descending batch sinks below every preinstalled entry
   // (maximal shifts); the random batch lands amid them (about half).
+  static_assert(kBatchSize + 1 < kPreinstallBase);
   const auto asc_base =
-      static_cast<std::uint16_t>(config.preinstall_base + config.preinstalled + 100);
-  const auto desc_base = static_cast<std::uint16_t>(
-      config.preinstall_base > config.batch_size + 1
-          ? config.preinstall_base - config.batch_size - 1
-          : 1);
+      static_cast<std::uint16_t>(kPreinstallBase + preinstalled + 100);
+  const auto desc_base = static_cast<std::uint16_t>(kPreinstallBase - batch - 1);
   est.add_ascending_ms =
-      timed_add_run(probe, config,
-                    ascending_priorities(config.batch_size, asc_base), rng,
-                    scores, "add.ascending");
-  est.add_descending_ms =
-      timed_add_run(probe, config,
-                    descending_priorities(config.batch_size, desc_base), rng,
-                    scores, "add.descending");
-  est.add_same_priority_ms = timed_add_run(probe, config,
-                                           constant_priorities(config.batch_size),
-                                           rng, scores, "add.same_priority");
+      timed_add_run(probe, preinstalled, ascending_priorities(batch, asc_base),
+                    rng, scores, "add.ascending");
+  est.add_descending_ms = timed_add_run(
+      probe, preinstalled, descending_priorities(batch, desc_base), rng, scores,
+      "add.descending");
+  est.add_same_priority_ms =
+      timed_add_run(probe, preinstalled, constant_priorities(batch), rng,
+                    scores, "add.same_priority");
   est.add_random_ms = timed_add_run(
-      probe, config,
-      random_priorities(config.batch_size, rng, config.preinstall_base), rng,
+      probe, preinstalled, random_priorities(batch, rng, kPreinstallBase), rng,
       scores, "add.random");
 
   // Modify / delete: against the random-order table left by the last run.
   {
     std::vector<of::FlowMod> mods;
-    mods.reserve(config.batch_size);
-    for (std::size_t i = 0; i < config.batch_size; ++i) {
+    mods.reserve(batch);
+    for (std::size_t i = 0; i < batch; ++i) {
       auto fm = ProbeEngine::probe_add(
-          static_cast<std::uint32_t>(config.preinstalled + i), 0x8000);
+          static_cast<std::uint32_t>(preinstalled + i), 0x8000);
       fm.command = of::FlowModCommand::kModify;
       fm.actions = of::output_to(3);
       mods.push_back(std::move(fm));
@@ -120,14 +134,14 @@ OpCostEstimate profile_op_costs(ProbeEngine& probe,
     pattern.name = "mod.existing";
     pattern.commands = std::move(mods);
     est.mod_ms = probe.apply(pattern, scores).install_time.ms() /
-                 static_cast<double>(config.batch_size);
+                 static_cast<double>(batch);
   }
   {
     std::vector<of::FlowMod> dels;
-    dels.reserve(config.batch_size);
-    for (std::size_t i = 0; i < config.batch_size; ++i) {
+    dels.reserve(batch);
+    for (std::size_t i = 0; i < batch; ++i) {
       auto fm = ProbeEngine::probe_add(
-          static_cast<std::uint32_t>(config.preinstalled + i), 0x8000);
+          static_cast<std::uint32_t>(preinstalled + i), 0x8000);
       fm.command = of::FlowModCommand::kDelete;
       dels.push_back(std::move(fm));
     }
@@ -135,7 +149,7 @@ OpCostEstimate profile_op_costs(ProbeEngine& probe,
     pattern.name = "del.existing";
     pattern.commands = std::move(dels);
     est.del_ms = probe.apply(pattern, scores).install_time.ms() /
-                 static_cast<double>(config.batch_size);
+                 static_cast<double>(batch);
   }
 
   probe.clear_rules();

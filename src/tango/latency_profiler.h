@@ -5,6 +5,12 @@
 // deletions. The resulting per-op cost estimates are what the Tango
 // scheduler's pattern scores are computed from — so the same scheduler
 // adapts to each switch's measured behaviour instead of hardcoded weights.
+//
+// Each timed batch adds 500 rules on top of 1000 preinstalled rules of
+// random priority in [1000, 2000) (fewer of both on a small table, see
+// profile_op_costs), mirroring the paper's Fig 3 methodology to expose
+// shift costs at depth; the random priorities come from an Rng seeded
+// with 11.
 #pragma once
 
 #include <cstddef>
@@ -27,24 +33,17 @@ struct OpCostEstimate {
   /// Cheapest measured way to add rules (the priority pattern the
   /// scheduler should rewrite toward).
   [[nodiscard]] double best_add_ms() const;
-  /// True when priority order measurably matters (hardware TCAMs).
-  [[nodiscard]] bool priority_sensitive(double threshold = 1.5) const;
+  /// True when priority order measurably matters (hardware TCAMs):
+  /// descending adds cost at least 1.5x ascending ones.
+  [[nodiscard]] bool priority_sensitive() const;
 };
 
-struct LatencyProfileConfig {
-  /// Rules per timed batch.
-  std::size_t batch_size = 500;
-  /// Rules preinstalled (random priorities in [preinstall_base,
-  /// preinstall_base + preinstalled)) before measuring, to expose shift
-  /// costs at depth; mirrors the paper's Fig 3 methodology (1000 rules of
-  /// random priority preinstalled).
-  std::size_t preinstalled = 1000;
-  std::uint16_t preinstall_base = 1000;
-  std::uint64_t seed = 11;
-};
-
-OpCostEstimate profile_op_costs(ProbeEngine& probe,
-                                const LatencyProfileConfig& config = {},
+/// Measure the six per-rule costs. `capacity` is the switch's total table
+/// capacity in rules, 0 when unbounded. The probe workload must fit a
+/// bounded table, or every measurement would just be rejections: there at
+/// most capacity/2 rules are preinstalled, and a timed batch holds at most
+/// max(1, capacity/3) rules.
+OpCostEstimate profile_op_costs(ProbeEngine& probe, std::size_t capacity,
                                 ScoreDb* scores = nullptr);
 
 /// Helper used by the profiler and the Fig 3 benches: build an add-batch of

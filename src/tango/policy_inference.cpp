@@ -15,6 +15,14 @@ using tables::Attribute;
 using tables::Direction;
 using tables::PolicyKey;
 
+/// Traffic-count spacing between adjacent ranks.
+constexpr std::size_t kTrafficSpacing = 4;
+/// Priority spacing between adjacent ranks.
+constexpr std::uint16_t kPrioritySpacing = 8;
+/// |correlation| below this is treated as "no further signal".
+constexpr double kMinCorrelation = 0.6;
+constexpr std::uint64_t kSeed = 7;
+
 bool contains(const std::vector<PolicyKey>& keys, Attribute attr) {
   return std::any_of(keys.begin(), keys.end(),
                      [&](const PolicyKey& k) { return k.attr == attr; });
@@ -34,7 +42,7 @@ AttributeInit make_attribute_init(std::size_t flows, Rng& rng) {
 PolicyInferenceResult infer_policy(ProbeEngine& probe,
                                    const PolicyInferenceConfig& config) {
   PolicyInferenceResult result;
-  Rng rng(config.seed);
+  Rng rng(kSeed);
   const std::size_t s = 2 * config.cache_size;
 
   std::vector<PolicyKey> policy;
@@ -57,7 +65,7 @@ PolicyInferenceResult infer_policy(ProbeEngine& probe,
           priority_held
               ? static_cast<std::uint16_t>(0x4000)
               : static_cast<std::uint16_t>(
-                    1000 + config.priority_spacing * init.priority_rank[f]);
+                    1000 + kPrioritySpacing * init.priority_rank[f]);
       probe.install(f, priority);
     }
 
@@ -68,7 +76,7 @@ PolicyInferenceResult infer_policy(ProbeEngine& probe,
     const bool traffic_held = contains(policy, Attribute::kTrafficCount);
     for (std::size_t f = 0; f < s; ++f) {
       const std::size_t target =
-          traffic_held ? 2 : 2 + config.traffic_spacing * init.traffic_rank[f];
+          traffic_held ? 2 : 2 + kTrafficSpacing * init.traffic_rank[f];
       for (std::size_t i = 0; i < target; ++i) {
         probe.probe_flow(static_cast<std::uint32_t>(f));
       }
@@ -128,7 +136,7 @@ PolicyInferenceResult infer_policy(ProbeEngine& probe,
       }
     }
 
-    if (std::abs(best_corr) < config.min_correlation) break;  // no signal left
+    if (std::abs(best_corr) < kMinCorrelation) break;  // no signal left
 
     policy.push_back(PolicyKey{
         best_attr,

@@ -11,6 +11,17 @@
 // primary sort key. Non-serial keys (priority, traffic) are then held
 // constant and the procedure recurses to find tie-break keys; serial keys
 // (insertion, use time) are unique by construction, so recursion stops.
+//
+// Adjacent ranks are 4 traffic probes and 8 priority values apart, and the
+// ranks are drawn from an Rng seeded with 7. Any traffic spacing of 2 or
+// more works: every flow gets one use-time probe, and at each measurement
+// instant a flow has had at most one measurement probe more than another,
+// so adjacent ranks never tie or swap, and a MONOTONE policy reads only the
+// order of the counts. A key is accepted only at |correlation| >= 0.6: when
+// a traffic-count key has been held constant (equalized), the measurement
+// probes themselves perturb the equalized counts, which induces spurious
+// weak correlations on the remaining attributes — genuine sort keys show
+// |r| near 0.9 under this pattern, so anything far below is noise.
 #pragma once
 
 #include <cstddef>
@@ -25,25 +36,11 @@ namespace tango::core {
 struct PolicyInferenceConfig {
   /// Ground cache size (level-0 capacity), usually from size inference.
   std::size_t cache_size = 100;
-  /// Traffic-count spacing between adjacent ranks (must exceed the number
-  /// of extra probes each flow receives during measurement: MONOTONE makes
-  /// anything >= 2 sufficient; we keep the paper's value 10 configurable).
-  std::size_t traffic_spacing = 4;
-  /// Priority spacing between adjacent ranks.
-  std::uint16_t priority_spacing = 8;
-  /// |correlation| below this is treated as "no further signal". The
-  /// threshold is deliberately high: when a traffic-count key has been
-  /// held constant (equalized), the measurement probes themselves perturb
-  /// the equalized counts, which induces spurious weak correlations on the
-  /// remaining attributes — genuine sort keys show |r| near 0.9 under this
-  /// pattern, so anything far below is noise.
-  double min_correlation = 0.6;
   /// Number of leading RTT clusters treated as "cached" when computing
   /// membership. 1 infers the policy at the fastest-table boundary; k > 1
   /// infers the policy governing the top k tiers of a multi-level cache
   /// (cache_size must then be the combined capacity of those tiers).
   std::size_t cached_clusters = 1;
-  std::uint64_t seed = 7;
 };
 
 struct PolicyInferenceResult {

@@ -14,6 +14,11 @@ void ProbeEngine::count(telemetry::Counter& local, const char* global_name) {
 
 namespace {
 
+/// Re-sends of a lost probe before it is abandoned.
+constexpr std::size_t kMaxProbeRetries = 10;
+/// Re-sends of a lost install, delete or barrier before it is abandoned.
+constexpr std::size_t kMaxInstallRetries = 4;
+
 of::MacAddr probe_mac(std::uint32_t index) {
   return {0x02, 0x10, static_cast<std::uint8_t>(index >> 16),
           static_cast<std::uint8_t>(index >> 8),
@@ -62,9 +67,8 @@ of::FlowMod ProbeEngine::probe_add(std::uint32_t index, std::uint16_t priority,
 bool ProbeEngine::install(std::uint32_t index, std::uint16_t priority,
                           RuleShape shape) {
   const auto fm = probe_add(index, priority, shape);
-  for (std::size_t attempt = 0; attempt <= recovery_.max_install_retries;
-       ++attempt) {
-    const auto r = network_.install(switch_id_, fm, recovery_.sync_timeout);
+  for (std::size_t attempt = 0; attempt <= kMaxInstallRetries; ++attempt) {
+    const auto r = network_.install(switch_id_, fm);
     if (!r.lost) return r.accepted;
     count(lost_commands_, "probe.lost_commands");
   }
@@ -73,10 +77,8 @@ bool ProbeEngine::install(std::uint32_t index, std::uint16_t priority,
 }
 
 SimTime ProbeEngine::sync_barrier() {
-  for (std::size_t attempt = 0; attempt <= recovery_.max_install_retries;
-       ++attempt) {
-    const auto arrival =
-        network_.try_barrier_sync(switch_id_, recovery_.sync_timeout);
+  for (std::size_t attempt = 0; attempt <= kMaxInstallRetries; ++attempt) {
+    const auto arrival = network_.try_barrier_sync(switch_id_);
     if (arrival.has_value()) return *arrival;
     count(lost_commands_, "probe.lost_commands");
   }
@@ -90,9 +92,8 @@ void ProbeEngine::clear_rules() {
   of::FlowMod fm;
   fm.command = of::FlowModCommand::kDelete;
   fm.match = of::Match::any();
-  for (std::size_t attempt = 0; attempt <= recovery_.max_install_retries;
-       ++attempt) {
-    const auto r = network_.install(switch_id_, fm, recovery_.sync_timeout);
+  for (std::size_t attempt = 0; attempt <= kMaxInstallRetries; ++attempt) {
+    const auto r = network_.install(switch_id_, fm);
     if (!r.lost) break;
     count(lost_commands_, "probe.lost_commands");
   }
@@ -101,9 +102,8 @@ void ProbeEngine::clear_rules() {
 
 std::optional<SimDuration> ProbeEngine::try_probe(std::uint32_t index) {
   const auto header = probe_packet(index);
-  for (std::size_t attempt = 0; attempt <= recovery_.max_probe_retries;
-       ++attempt) {
-    const auto r = network_.probe(switch_id_, header, recovery_.sync_timeout);
+  for (std::size_t attempt = 0; attempt <= kMaxProbeRetries; ++attempt) {
+    const auto r = network_.probe(switch_id_, header);
     if (!r.lost) return r.rtt;
     count(lost_probes_, "probe.lost_probes");
   }
@@ -148,13 +148,13 @@ PatternMeasurement ProbeEngine::apply(const TangoPattern& pattern, ScoreDb* scor
   const std::size_t lost_before = lost_probes() + abandoned_probes();
   for (const auto& header : pattern.traffic) {
     for (std::size_t attempt = 0;; ++attempt) {
-      const auto r = network_.probe(switch_id_, header, recovery_.sync_timeout);
+      const auto r = network_.probe(switch_id_, header);
       if (!r.lost) {
         m.rtts.push_back(r.rtt);
         break;
       }
       count(lost_probes_, "probe.lost_probes");
-      if (attempt >= recovery_.max_probe_retries) {
+      if (attempt >= kMaxProbeRetries) {
         count(abandoned_probes_, "probe.abandoned_probes");
         m.rtts.push_back(SimDuration{});
         break;

@@ -6,10 +6,15 @@
 // L3-only (single-wide TCAM shape). probe_flow(i) sends a packet matching
 // exactly rule i.
 // Under an active fault injector probes and commands can vanish; the engine
-// detects loss via timeouts (a probe that never reports back, a barrier
-// whose reply never lands) and re-issues, so inference still converges —
-// with the loss counters exposed so measurements can widen their confidence
-// intervals instead of silently pretending the channel was clean.
+// detects loss (a probe that never reports back, a barrier whose reply
+// never lands) and re-issues, so inference still converges — with the loss
+// counters exposed so measurements can widen their confidence intervals
+// instead of silently pretending the channel was clean. A synchronous
+// operation waits until the event queue drains: exact and unbounded in
+// simulated time, which legitimate batches need (a 5000-add barrier takes
+// >80 simulated seconds). A message with no answer by then is lost; a lost
+// probe is re-sent up to 10 times, and a lost install, delete or barrier up
+// to 4 times, before it is abandoned.
 #pragma once
 
 #include <cstdint>
@@ -27,23 +32,7 @@ enum class RuleShape { kL3Only, kL2Only, kL2AndL3 };
 
 class ProbeEngine {
  public:
-  /// Loss-recovery policy. sync_timeout bounds how long a synchronous
-  /// operation waits before declaring its message lost; the retry caps
-  /// bound how often it is re-issued before being abandoned. The default
-  /// timeout of zero means "until the event queue drains" — exact and
-  /// unbounded in simulated time, which legitimate batches need (a 5000-add
-  /// barrier takes >80 simulated seconds); set a finite timeout when a
-  /// fault injector may genuinely lose messages.
-  struct Recovery {
-    SimDuration sync_timeout{};
-    std::size_t max_probe_retries = 10;
-    std::size_t max_install_retries = 4;
-  };
-
   ProbeEngine(net::Network& network, SwitchId switch_id);
-
-  void set_recovery(const Recovery& r) { recovery_ = r; }
-  [[nodiscard]] const Recovery& recovery() const { return recovery_; }
 
   // Loss tallies are telemetry::Counter instruments: per-engine values here
   // (each engine probes one switch), mirrored into the network's
@@ -55,11 +44,11 @@ class ProbeEngine {
   [[nodiscard]] std::size_t lost_commands() const {
     return lost_commands_.value();
   }
-  /// Probes given up on after max_probe_retries re-sends.
+  /// Probes given up on after 10 re-sends.
   [[nodiscard]] std::size_t abandoned_probes() const {
     return abandoned_probes_.value();
   }
-  /// Installs given up on after max_install_retries re-sends.
+  /// Installs, deletes and barriers given up on after 4 re-sends.
   [[nodiscard]] std::size_t abandoned_installs() const {
     return abandoned_installs_.value();
   }
@@ -82,7 +71,7 @@ class ProbeEngine {
   void clear_rules();
 
   /// Send a probe packet for flow `index`; returns its data-path RTT.
-  /// Lost probes are re-sent (up to max_probe_retries); if every attempt
+  /// Lost probes are re-sent (up to 10 times); if every attempt
   /// vanishes, returns a zero duration.
   SimDuration probe_flow(std::uint32_t index);
 
@@ -112,7 +101,6 @@ class ProbeEngine {
 
   net::Network& network_;
   SwitchId switch_id_;
-  Recovery recovery_;
   telemetry::Counter lost_probes_;
   telemetry::Counter lost_commands_;
   telemetry::Counter abandoned_probes_;

@@ -7,6 +7,13 @@
 
 namespace tango::core {
 
+namespace {
+
+/// k: sampling trials per layer in stage 3.
+constexpr std::size_t kTrialsPerLevel = 200;
+
+}  // namespace
+
 SizeInferenceResult infer_sizes(ProbeEngine& probe,
                                 const SizeInferenceConfig& config) {
   SizeInferenceResult result;
@@ -22,7 +29,7 @@ SizeInferenceResult infer_sizes(ProbeEngine& probe,
   while (!cache_full && installed < config.max_rules) {
     const std::size_t target = std::min(x, config.max_rules);
     for (std::size_t i = installed; i < target; ++i) {
-      if (!probe.install(static_cast<std::uint32_t>(i), config.priority)) {
+      if (!probe.install(static_cast<std::uint32_t>(i))) {
         cache_full = true;
         break;
       }
@@ -38,8 +45,8 @@ SizeInferenceResult infer_sizes(ProbeEngine& probe,
 
   // --- Stage 2: cluster sampled RTTs into layers ---------------------------
   std::vector<double> rtts_ms;
-  rtts_ms.reserve(config.cluster_samples);
-  for (std::size_t i = 0; i < config.cluster_samples; ++i) {
+  rtts_ms.reserve(kClusterSamples);
+  for (std::size_t i = 0; i < kClusterSamples; ++i) {
     const auto f = static_cast<std::uint32_t>(rng.index(m));
     rtts_ms.push_back(probe.probe_flow(f).ms());
   }
@@ -66,8 +73,8 @@ SizeInferenceResult infer_sizes(ProbeEngine& probe,
   std::vector<double> nb_only(n_levels, 0.0);
   for (std::size_t level = 0; level + 1 < n_levels; ++level) {
     std::vector<std::size_t> runs;
-    runs.reserve(config.trials_per_level);
-    for (std::size_t trial = 0; trial < config.trials_per_level; ++trial) {
+    runs.reserve(kTrialsPerLevel);
+    for (std::size_t trial = 0; trial < kTrialsPerLevel; ++trial) {
       std::size_t j = 0;
       auto f = static_cast<std::uint32_t>(rng.index(m));
       double rtt = probe.probe_flow(f).ms();

@@ -3,9 +3,12 @@
 // Stage 1: insert probe rules in doubling batches, sending one probe packet
 //          per inserted rule (so the caches contain no wasted slots), until
 //          the switch rejects an insert or the configured cap is reached.
-// Stage 2: probe a sample of installed rules and cluster the RTTs — one
-//          cluster per flow-table layer.
-// Stage 3: for each layer except the slowest, repeatedly sample a random
+//          Every rule gets ProbeEngine::install's priority 0x8000: one
+//          constant priority keeps the probing itself cheap and does not
+//          bias priority-sensitive caches.
+// Stage 2: probe kClusterSamples (1500) installed rules and cluster the
+//          RTTs — one cluster per flow-table layer.
+// Stage 3: for each layer except the slowest, k = 200 times sample a random
 //          rule and count consecutive probes that stay inside the layer's
 //          RTT cluster. The run lengths are Negative-Binomial; the MLE
 //          p_hat = sum(X)/(k + sum(X)) gives layer size n_hat = m * p_hat.
@@ -23,17 +26,14 @@
 
 namespace tango::core {
 
+/// Stage-2 sample size (probes clustered into latency bands). Width
+/// inference samples at most this many probes per rule shape.
+inline constexpr std::size_t kClusterSamples = 1500;
+
 struct SizeInferenceConfig {
-  /// k: sampling trials per layer in stage 3.
-  std::size_t trials_per_level = 200;
   /// Cap on installed rules for switches that never reject (software
   /// tables are "virtually unlimited"; we stop probing at this point).
   std::size_t max_rules = 8192;
-  /// Stage-2 sample size (probes clustered into latency bands).
-  std::size_t cluster_samples = 1500;
-  /// Install rules at this fixed priority (constant priority keeps the
-  /// probing itself cheap and avoids biasing priority-sensitive caches).
-  std::uint16_t priority = 0x8000;
   /// true (default): pool every probe observation into per-layer counts —
   /// a lower-variance refinement of the same statistic. false: use the
   /// paper's literal per-trial Negative-Binomial MLE only (compare both

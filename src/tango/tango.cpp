@@ -73,26 +73,14 @@ void infer_property(ProbeEngine& probe, SwitchKnowledge& know,
       }
       break;
     }
-    case PropertyKind::kCosts: {
-      // Size the profiling batches to the switch: the probe workload must
-      // fit inside a bounded table or every measurement would just be
-      // rejections.
-      auto latency_config = options.latency;
-      std::size_t total_capacity = 0;
-      if (!know.sizes.hit_rule_cap) total_capacity = know.sizes.installed;
-      if (total_capacity > 0) {
-        latency_config.preinstalled =
-            std::min(latency_config.preinstalled, total_capacity / 2);
-        latency_config.batch_size =
-            std::min(latency_config.batch_size,
-                     std::max<std::size_t>(1, total_capacity / 3));
-      }
-      know.costs = profile_op_costs(probe, latency_config, &scores);
+    case PropertyKind::kCosts:
+      // A switch that rejected an install holds exactly what stage 1 got
+      // in; one that never did is unbounded (capacity 0).
+      know.costs = profile_op_costs(
+          probe, know.sizes.hit_rule_cap ? 0 : know.sizes.installed, &scores);
       break;
-    }
     case PropertyKind::kWidth: {
       WidthInferenceConfig wc;
-      wc.size = options.size;
       wc.max_rules = std::max<std::size_t>(options.size.max_rules, 256);
       know.width = infer_width(probe, wc);
       break;

@@ -36,7 +36,6 @@ struct SwitchKnowledge {
 
 struct LearnOptions {
   SizeInferenceConfig size;
-  LatencyProfileConfig latency;
   /// Policy inference needs a bounded fast table and O(cache) probes; it is
   /// skipped for switches whose fast table looks unbounded or larger than
   /// this (probing cost guard).

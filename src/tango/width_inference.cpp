@@ -2,9 +2,15 @@
 
 #include <cmath>
 
+#include "tango/size_inference.h"
+
 namespace tango::core {
 
 namespace {
+
+/// Relative tolerance when comparing per-shape capacities.
+constexpr double kTolerance = 0.15;
+constexpr std::uint64_t kSampleSeed = 42;
 
 /// Capacity of the fast table for one rule shape: direct fill when the
 /// switch rejects at capacity; size inference (latency clustering) when a
@@ -35,10 +41,9 @@ double shape_capacity(ProbeEngine& probe, RuleShape shape,
   // No rejection: the overflow went somewhere slower. Probe a sample and
   // use the fast-cluster occupancy estimate (Algorithm 1's machinery with
   // this shape's packets).
-  Rng rng(config.size.seed);
+  Rng rng(kSampleSeed);
   std::vector<double> rtts;
-  const std::size_t samples = std::min<std::size_t>(config.size.cluster_samples,
-                                                    4 * accepted);
+  const std::size_t samples = std::min(kClusterSamples, 4 * accepted);
   for (std::size_t i = 0; i < samples; ++i) {
     const auto f = static_cast<std::uint32_t>(rng.index(accepted));
     rtts.push_back(
@@ -58,9 +63,9 @@ double shape_capacity(ProbeEngine& probe, RuleShape shape,
          static_cast<double>(rtts.size());
 }
 
-bool within(double a, double b, double tol) {
+bool within(double a, double b) {
   if (a == 0 || b == 0) return a == b;
-  return std::abs(a - b) / std::max(a, b) <= tol;
+  return std::abs(a - b) / std::max(a, b) <= kTolerance;
 }
 
 }  // namespace
@@ -87,10 +92,10 @@ WidthInferenceResult infer_width(ProbeEngine& probe,
     // slot.
     result.mode = tables::TcamMode::kSingleWide;
     result.capacity_wide = 0;
-  } else if (within(result.capacity_wide, narrow, config.tolerance)) {
+  } else if (within(result.capacity_wide, narrow)) {
     // Every shape costs the same -> all slots are pre-paired.
     result.mode = tables::TcamMode::kDoubleWide;
-  } else if (within(result.capacity_wide, narrow / 2, config.tolerance)) {
+  } else if (within(result.capacity_wide, narrow / 2)) {
     result.mode = tables::TcamMode::kAdaptive;
   } else {
     // Between the two: closest match wins.

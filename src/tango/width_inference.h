@@ -14,25 +14,22 @@
 //   wide capacity == narrow capacity        -> double-wide
 //   wide capacity ~= half narrow capacity   -> adaptive
 //
-// Switches that never reject (software-backed) report their fast-table
-// capacity from per-shape size inference instead.
+// Capacities compare equal within a relative tolerance of 0.15. Switches
+// that never reject (software-backed) report their fast-table capacity from
+// a latency-clustered sample instead: up to kClusterSamples (1500) probes
+// per shape, drawn from an Rng seeded with 42.
 #pragma once
 
 #include <cstddef>
 
 #include "tables/tcam.h"
 #include "tango/probe_engine.h"
-#include "tango/size_inference.h"
 
 namespace tango::core {
 
 struct WidthInferenceConfig {
   /// Stop filling at this many rules (unbounded-table guard).
   std::size_t max_rules = 6000;
-  /// Relative tolerance when comparing per-shape capacities.
-  double tolerance = 0.15;
-  /// Size-inference settings for software-backed switches.
-  SizeInferenceConfig size;
 };
 
 struct WidthInferenceResult {

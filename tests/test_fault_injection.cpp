@@ -152,9 +152,6 @@ TEST(FaultScenarioTest, DroppedPacketOutIsResent) {
 
   auto& inj = net.enable_faults(s1, FaultConfig{});
   inj.force_drop(Direction::kToSwitch, of::MsgType::kPacketOut, 1);
-  ProbeEngine::Recovery rec;
-  rec.sync_timeout = millis(5);
-  engine.set_recovery(rec);
 
   const auto rtt = engine.try_probe(0);
   ASSERT_TRUE(rtt.has_value());

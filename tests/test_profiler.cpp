@@ -19,7 +19,7 @@ OpCostEstimate profile_switch(const switchsim::SwitchProfile& profile,
   net::Network net;
   const auto id = net.add_switch(profile);
   ProbeEngine probe(net, id);
-  return profile_op_costs(probe, {}, scores);
+  return profile_op_costs(probe, 0, scores);
 }
 
 TEST(PrioritySequences, GeneratorsProduceExpectedOrders) {
