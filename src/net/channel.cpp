@@ -182,27 +182,24 @@ void ControlChannel::notify(SimTime at, std::function<void()> fn) {
 
 void ControlChannel::attach_fault_injector(FaultInjector* injector) {
   injector_ = injector;
+  // A generation, not the injector's address: a later injector can be
+  // allocated where a replaced one lived.
+  const std::uint64_t generation = ++attach_generation_;
   if (injector_ == nullptr) return;
-  if (injector_->config().crash_at.ns() > 0) {
-    const SimDuration downtime = injector_->config().crash_downtime;
-    events_.schedule_at(injector_->config().crash_at,
-                        [this, downtime]() { crash_agent(downtime); });
-  }
   // Declaratively scheduled faults (chaos schedules drive these lists).
-  const FaultInjector* expected = injector_;
   for (const auto& c : injector_->config().crashes) {
-    events_.schedule_at(c.at, [this, expected, downtime = c.downtime]() {
-      if (injector_ == expected) crash_agent(downtime);
+    events_.schedule_at(c.at, [this, generation, downtime = c.downtime]() {
+      if (attach_generation_ == generation) crash_agent(downtime);
     });
   }
   for (const auto& s : injector_->config().stalls) {
-    events_.schedule_at(s.at, [this, expected, duration = s.duration]() {
-      if (injector_ == expected) stall_agent(duration);
+    events_.schedule_at(s.at, [this, generation, duration = s.duration]() {
+      if (attach_generation_ == generation) stall_agent(duration);
     });
   }
   for (const auto& p : injector_->config().partitions) {
-    events_.schedule_at(p.at, [this, expected, duration = p.duration]() {
-      if (injector_ != expected) return;
+    events_.schedule_at(p.at, [this, generation, duration = p.duration]() {
+      if (attach_generation_ != generation) return;
       ++injector_->mutable_stats().partitions;
       if (telemetry_ != nullptr) {
         telemetry_->trace.instant(

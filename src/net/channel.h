@@ -57,8 +57,8 @@ class ControlChannel {
   /// Fires when a probe packet completes its data-plane trip.
   using ProbeHandler = std::function<void(std::uint32_t xid,
                                           const switchsim::ForwardOutcome&)>;
-  /// Fires at the moment the agent crashes (tables wiped, epoch bumped) —
-  /// whether scheduled by a fault injector or forced via crash_agent().
+  /// Fires at the moment a crash the fault injector scheduled takes the
+  /// agent down (tables wiped, epoch bumped).
   using CrashHandler = std::function<void()>;
 
   ControlChannel(sim::EventQueue& events, switchsim::SimulatedSwitch& sw,
@@ -92,14 +92,10 @@ class ControlChannel {
   void set_telemetry(telemetry::Telemetry* t, SwitchId lane);
 
   /// Route all traffic through `injector` (non-owning; pass nullptr to
-  /// detach). A configured crash_at schedules the crash immediately.
+  /// detach) and schedule the crashes, stalls and partitions its config
+  /// lists. Attaching again, or detaching, cancels those still pending.
   void attach_fault_injector(FaultInjector* injector);
   [[nodiscard]] FaultInjector* fault_injector() { return injector_; }
-
-  /// Crash the agent now: flow tables wiped (reset to power-on state),
-  /// every in-flight message in both directions lost, and the agent
-  /// rejects traffic until `downtime` has elapsed.
-  void crash_agent(SimDuration downtime);
 
   /// Freeze the agent for `duration`: queued commands wait, state survives.
   /// Data-plane forwarding and ECHO liveness replies are unaffected.
@@ -113,6 +109,10 @@ class ControlChannel {
   [[nodiscard]] switchsim::SimulatedSwitch& switch_model() { return switch_; }
 
  private:
+  /// Crash the agent now: flow tables wiped (reset to power-on state),
+  /// every in-flight message in both directions lost, and the agent
+  /// rejects traffic until `downtime` has elapsed.
+  void crash_agent(SimDuration downtime);
   void deliver_to_switch(std::vector<std::uint8_t> frame);
   /// Pooled frame buffers for send_batch: capacity is recycled once a
   /// batch has been delivered and decoded.
@@ -135,6 +135,9 @@ class ControlChannel {
   ProbeHandler on_probe_;
   CrashHandler on_crash_;
   FaultInjector* injector_ = nullptr;
+  /// Bumped by every attach_fault_injector(); a scheduled fault fires only
+  /// under the attachment that scheduled it.
+  std::uint64_t attach_generation_ = 0;
   std::vector<std::vector<std::uint8_t>> spare_bufs_;
   /// Bumped on every crash; in-flight deliveries from older epochs vanish.
   std::uint64_t epoch_ = 0;

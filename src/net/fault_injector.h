@@ -29,6 +29,10 @@ namespace tango::net {
 /// schedule (src/chaos) can drive the injector without touching its RNG.
 /// Times are absolute simulated times; events in the past fire immediately
 /// when the injector is attached (the event queue clamps to now).
+///
+/// A crash: at `at` the agent reboots — all flow tables are wiped and every
+/// in-flight message (both directions) is lost; the agent accepts traffic
+/// again `downtime` later.
 struct ScheduledCrash {
   SimTime at{};
   SimDuration downtime = millis(50);
@@ -80,12 +84,6 @@ struct FaultConfig {
   /// freezes for stall_duration before processing anything further.
   double stall_probability = 0.0;
   SimDuration stall_duration = millis(10);
-  /// One scheduled crash: at crash_at the agent reboots — all flow tables
-  /// are wiped and every in-flight message (both directions) is lost; the
-  /// agent accepts traffic again crash_downtime later. crash_at.ns() == 0
-  /// disables the scheduled crash (Network::crash_agent still works).
-  SimTime crash_at{};
-  SimDuration crash_downtime = millis(50);
   std::uint64_t seed = 0xfa417u;
 
   // --- scheduled-event lists (declarative chaos driving) --------------------

@@ -130,10 +130,6 @@ void Network::remove_crash_listener(std::uint64_t token) {
   crash_listeners_.erase(token);
 }
 
-void Network::crash_agent(SwitchId id, SimDuration downtime) {
-  endpoint(id).channel->crash_agent(downtime);
-}
-
 void Network::stall_agent(SwitchId id, SimDuration duration) {
   endpoint(id).channel->stall_agent(duration);
 }

@@ -69,9 +69,6 @@ class Network {
   /// The injector attached to `id`, or nullptr if faults are disabled.
   [[nodiscard]] FaultInjector* fault_injector(SwitchId id);
 
-  /// Crash switch `id`'s agent now (tables wiped, in-flight traffic lost).
-  void crash_agent(SwitchId id, SimDuration downtime);
-
   /// Freeze switch `id`'s agent for `duration` (state survives).
   void stall_agent(SwitchId id, SimDuration duration);
 
@@ -82,11 +79,10 @@ class Network {
   /// than at the next incidental controller interaction.
   void set_misbehavior(SwitchId id, switchsim::MisbehaviorProfile profile);
 
-  /// Observers for agent crashes (tables wiped), fired at crash time for
-  /// both injector-scheduled and forced crashes. They compose: each
-  /// concurrently-running transaction registers its own listener for the
-  /// span of its commit. Listeners fire in ascending token order. Returns a
-  /// token for removal.
+  /// Observers for agent crashes (tables wiped), fired at crash time. They
+  /// compose: each concurrently-running transaction registers its own
+  /// listener for the span of its commit. Listeners fire in ascending token
+  /// order. Returns a token for removal.
   using CrashListener = std::function<void(SwitchId)>;
   std::uint64_t add_crash_listener(CrashListener listener);
   void remove_crash_listener(std::uint64_t token);

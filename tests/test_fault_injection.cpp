@@ -276,8 +276,8 @@ TEST(FaultScenarioTest, CrashMidBatchWipesTablesAndExecutorReinstalls) {
   const auto s1 = net.add_switch(profile);
 
   FaultConfig cfg;
-  cfg.crash_at = SimTime{} + micros(300);  // while the first batch is queued
-  cfg.crash_downtime = millis(5);
+  // While the first batch is queued.
+  cfg.crashes.push_back({SimTime{} + micros(300), millis(5)});
   auto& inj = net.enable_faults(s1, cfg);
 
   sched::RequestDag dag;
@@ -297,6 +297,28 @@ TEST(FaultScenarioTest, CrashMidBatchWipesTablesAndExecutorReinstalls) {
   EXPECT_TRUE(report.failed_switches.empty());
   // Power-on wipe, then full recovery: every rule present exactly once.
   EXPECT_EQ(net.sw(s1).total_rules(), 8u);
+}
+
+// Replacing an injector cancels the faults it scheduled. Two replacements
+// let the allocator hand the third injector the first one's address, so the
+// guard must not be the injector's address.
+TEST(FaultScenarioTest, ReplacedInjectorNeverFiresItsScheduledCrash) {
+  for (const int replacements : {1, 2}) {
+    SCOPED_TRACE(replacements);
+    Network net;
+    const auto s1 = net.add_switch(quiet_switch1());
+    ProbeEngine engine(net, s1);
+    ASSERT_TRUE(engine.install(0));
+
+    FaultConfig cfg;
+    cfg.crashes.push_back({net.now() + millis(10), millis(5)});
+    net.enable_faults(s1, cfg);
+    for (int i = 0; i < replacements; ++i) net.enable_faults(s1, FaultConfig{});
+    net.run_all();
+
+    EXPECT_EQ(net.sw(s1).total_rules(), 2u);  // probe rule + default route
+    EXPECT_EQ(net.fault_injector(s1)->stats().crashes, 0u);
+  }
 }
 
 TEST(FaultScenarioTest, StallBeyondTimeoutBacksOffThenSucceeds) {
@@ -526,8 +548,7 @@ Fig10Run run_fig10_under_faults(std::uint64_t seed) {
     cfg.drop_to_controller = 0.05;
     cfg.seed = seed + id;
     if (id == ids.s1) {
-      cfg.crash_at = net.now() + millis(500);
-      cfg.crash_downtime = millis(50);
+      cfg.crashes.push_back({net.now() + millis(500), millis(50)});
     }
     net.enable_faults(id, cfg);
   }

@@ -762,8 +762,7 @@ void populate(net::Network& net, const std::map<SwitchId, sched::TableImage>& ta
 void crash_switch_one(net::Network& net) {
   net::FaultConfig cfg;
   cfg.seed = 41;
-  cfg.crash_at = net.now() + micros(400);
-  cfg.crash_downtime = millis(5);
+  cfg.crashes.push_back({net.now() + micros(400), millis(5)});
   net.enable_faults(1, cfg);
 }
 

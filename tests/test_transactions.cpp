@@ -137,8 +137,8 @@ TxnRun run_scenario(sched::RecoveryPolicy policy, bool crash, double loss,
       cfg.drop_to_controller = loss;
       cfg.seed = seed + id;
       if (crash && id == s1) {
-        cfg.crash_at = net.now() + millis(20);  // mid-commit
-        cfg.crash_downtime = millis(5);
+        // Mid-commit.
+        cfg.crashes.push_back({net.now() + millis(20), millis(5)});
       }
       net.enable_faults(id, cfg);
     }
@@ -423,8 +423,7 @@ TEST(VerifierTest, PostCommitVerifyReportsCleanTables) {
   sched::UpdateTransaction txn(net, build_update(s1, s2), topts);
 
   FaultConfig cfg;
-  cfg.crash_at = net.now() + millis(20);
-  cfg.crash_downtime = millis(5);
+  cfg.crashes.push_back({net.now() + millis(20), millis(5)});
   cfg.seed = fault_seed_from_env();
   net.enable_faults(s1, cfg);
 
@@ -557,8 +556,7 @@ bool foreign_rule_survives_rollback(bool scope_to_footprint) {
   net.barrier_sync(s1);
 
   FaultConfig cfg;
-  cfg.crash_at = net.now() + millis(20);
-  cfg.crash_downtime = millis(5);
+  cfg.crashes.push_back({net.now() + millis(20), millis(5)});
   cfg.seed = fault_seed_from_env();
   net.enable_faults(s2, cfg);
 
