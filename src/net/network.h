@@ -232,6 +232,10 @@ class Network {
   /// Step the queue until `done`, the queue drains, or (if timeout != 0)
   /// the next event lies beyond now + timeout. Returns final `done`.
   bool run_until_done(const bool& done, SimDuration timeout);
+  /// Send `req` to switch `id` and run until its typed reply arrives; a
+  /// request or reply lost to faults yields a default-constructed reply.
+  template <typename Reply, typename Request>
+  Reply request_reply(SwitchId id, Request req);
 
   sim::EventQueue events_;
   Topology topo_;

@@ -110,6 +110,14 @@ TEST(NetworkTest, InstallAdvancesVirtualTime) {
   EXPECT_GT(net.now(), t0);
 }
 
+TEST(NetworkTest, BlockingStatsCallCountsTowardWallTime) {
+  Network net;
+  const auto sw = net.add_switch(switch1());
+  const auto before = net.wall_ns();
+  net.table_stats_sync(sw);
+  EXPECT_GT(net.wall_ns(), before);
+}
+
 TEST(NetworkTest, CommandsProcessSequentially) {
   Network net;
   auto profile = switch1();
