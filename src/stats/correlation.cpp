@@ -1,9 +1,7 @@
 #include "stats/correlation.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <numeric>
 #include <vector>
 
 namespace tango::stats {
@@ -33,35 +31,6 @@ double point_biserial(std::span<const double> xs, const std::vector<bool>& cache
   std::vector<double> ys(cached.size());
   for (std::size_t i = 0; i < cached.size(); ++i) ys[i] = cached[i] ? 1.0 : 0.0;
   return pearson(xs, ys);
-}
-
-namespace {
-
-std::vector<double> ranks(std::span<const double> xs) {
-  const std::size_t n = xs.size();
-  std::vector<std::size_t> idx(n);
-  std::iota(idx.begin(), idx.end(), std::size_t{0});
-  std::sort(idx.begin(), idx.end(),
-            [&](std::size_t a, std::size_t b) { return xs[a] < xs[b]; });
-  std::vector<double> r(n, 0);
-  std::size_t i = 0;
-  while (i < n) {
-    std::size_t j = i;
-    while (j + 1 < n && xs[idx[j + 1]] == xs[idx[i]]) ++j;
-    const double avg = (static_cast<double>(i) + static_cast<double>(j)) / 2.0 + 1.0;
-    for (std::size_t t = i; t <= j; ++t) r[idx[t]] = avg;
-    i = j + 1;
-  }
-  return r;
-}
-
-}  // namespace
-
-double spearman(std::span<const double> xs, std::span<const double> ys) {
-  assert(xs.size() == ys.size());
-  const auto rx = ranks(xs);
-  const auto ry = ranks(ys);
-  return pearson(rx, ry);
 }
 
 }  // namespace tango::stats

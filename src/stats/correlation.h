@@ -16,7 +16,4 @@ double pearson(std::span<const double> xs, std::span<const double> ys);
 /// outcome (cached = 1, evicted = 0). Equivalent to Pearson with 0/1 ys.
 double point_biserial(std::span<const double> xs, const std::vector<bool>& cached);
 
-/// Spearman rank correlation (Pearson over ranks, average ranks for ties).
-double spearman(std::span<const double> xs, std::span<const double> ys);
-
 }  // namespace tango::stats

@@ -135,21 +135,6 @@ TEST(PointBiserial, TopHalfMembership) {
   EXPECT_LT(std::abs(point_biserial(xs, cached)), 0.3);
 }
 
-TEST(Spearman, MonotoneNonlinearIsPerfect) {
-  std::vector<double> xs, ys;
-  for (int i = 1; i <= 20; ++i) {
-    xs.push_back(i);
-    ys.push_back(std::exp(0.3 * i));  // nonlinear but monotone
-  }
-  EXPECT_NEAR(spearman(xs, ys), 1.0, 1e-12);
-}
-
-TEST(Spearman, HandlesTies) {
-  const std::vector<double> xs{1, 2, 2, 3};
-  const std::vector<double> ys{1, 2, 2, 3};
-  EXPECT_NEAR(spearman(xs, ys), 1.0, 1e-12);
-}
-
 TEST(NegBinomialMle, ClosedForm) {
   // k=2 trials with runs {3, 5}: p_hat = 8 / (2 + 8) = 0.8.
   const std::vector<std::size_t> runs{3, 5};
