@@ -208,8 +208,7 @@ Network::CompletionEx wrap_completion(Network::Completion done) {
 
 }  // namespace
 
-Network::InstallResult Network::install(SwitchId id, const of::FlowMod& fm,
-                                        SimDuration timeout) {
+Network::InstallResult Network::install(SwitchId id, const of::FlowMod& fm) {
   InstallResult result;
   bool done = false;
   const std::uint32_t xid = next_xid();
@@ -219,7 +218,7 @@ Network::InstallResult Network::install(SwitchId id, const of::FlowMod& fm,
     done = true;
   };
   endpoint(id).channel->send(of::Message{xid, fm});
-  if (!run_until_done(done, timeout)) {
+  if (!run_until_done(done, {})) {
     // Command or its completion notice lost; drop the callback so a late
     // duplicate cannot fire into a dead stack frame.
     flow_mod_cbs_.erase(xid);
@@ -405,8 +404,8 @@ void Network::set_link_state(std::size_t link_index, bool up) {
   }
 }
 
-Network::ProbeResult Network::probe(SwitchId id, const of::PacketHeader& header,
-                                    SimDuration timeout) {
+Network::ProbeResult Network::probe(SwitchId id,
+                                    const of::PacketHeader& header) {
   const std::uint32_t xid = next_xid();
   of::Packet pkt;
   pkt.header = header;
@@ -424,7 +423,7 @@ Network::ProbeResult Network::probe(SwitchId id, const of::PacketHeader& header,
     done = true;
   };
   endpoint(id).channel->send(of::Message{xid, po});
-  if (!run_until_done(done, timeout)) {
+  if (!run_until_done(done, {})) {
     probe_cbs_.erase(xid);
     result.lost = true;
   }

@@ -94,11 +94,9 @@ class Network {
     /// True when no completion arrived (message or notice lost to faults).
     bool lost = false;
   };
-  /// Send one flow_mod and run the simulation until it completes. With a
-  /// non-zero `timeout`, gives up (lost = true) once simulated time would
-  /// pass `now + timeout`; with zero, gives up only if the queue drains.
-  InstallResult install(SwitchId id, const of::FlowMod& fm,
-                        SimDuration timeout = {});
+  /// Send one flow_mod and run the simulation until it completes; gives up
+  /// (lost = true) only if the queue drains first.
+  InstallResult install(SwitchId id, const of::FlowMod& fm);
 
   /// Send a barrier and run until the reply arrives; returns arrival time.
   /// Asserts delivery — use try_barrier_sync() under faults.
@@ -115,9 +113,9 @@ class Network {
     bool lost = false;
   };
   /// Inject a data-plane probe (as a PACKET_OUT) and run until it finishes
-  /// its trip. rtt is the measured data-path round trip.
-  ProbeResult probe(SwitchId id, const of::PacketHeader& header,
-                    SimDuration timeout = {});
+  /// its trip, or until the queue drains (lost = true). rtt is the measured
+  /// data-path round trip.
+  ProbeResult probe(SwitchId id, const of::PacketHeader& header);
 
   /// Send an ECHO_REQUEST; `on_reply` fires if the reply makes it back.
   /// Returns the xid so the caller can cancel_reply() a lost echo.
