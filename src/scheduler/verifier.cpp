@@ -66,6 +66,9 @@ void ConsistencyVerifier::walk(const FlowCheck& flow, std::size_t index,
     report.violations.push_back(std::move(v));
   };
 
+  // The packet as the current hop sees it: after the first hop it arrives
+  // on the port the link it crossed occupies.
+  of::PacketHeader packet = flow.packet;
   SwitchId at = flow.ingress;
   std::set<SwitchId> visited;
   for (std::size_t hop = 0; hop <= kMaxHops; ++hop) {
@@ -83,7 +86,7 @@ void ConsistencyVerifier::walk(const FlowCheck& flow, std::size_t index,
     }
 
     const auto table = network_.sw(at).flow_stats(of::Match::any());
-    const auto* rule = resolve(table, flow.packet);
+    const auto* rule = resolve(table, packet);
     if (rule == nullptr) {
       violate(VerifierViolation::Kind::kBlackHole, at, "no matching rule");
       return;
@@ -95,7 +98,7 @@ void ConsistencyVerifier::walk(const FlowCheck& flow, std::size_t index,
       // leftover" from "our rule is simply gone".
       const bool intended_present = std::any_of(
           table.entries.begin(), table.entries.end(), [&](const auto& e) {
-            return e.cookie == want->second && e.match.matches(flow.packet);
+            return e.cookie == want->second && e.match.matches(packet);
           });
       violate(intended_present ? VerifierViolation::Kind::kShadowed
                                : VerifierViolation::Kind::kBlackHole,
@@ -151,6 +154,7 @@ void ConsistencyVerifier::walk(const FlowCheck& flow, std::size_t index,
     }
     const auto& l = topo.link(*link);
     at = net::Network::switch_of(l.a == node ? l.b : l.a);
+    packet.in_port = net::port_for_link(*link);
   }
 }
 

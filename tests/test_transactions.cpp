@@ -408,6 +408,32 @@ TEST(VerifierTest, WalksFlowsAndFlagsEveryViolationKind) {
   }
 }
 
+TEST(VerifierTest, DownstreamHopSeesArrivalPort) {
+  Network net;
+  const auto s1 = net.add_switch(quiet_switch1());
+  const auto s2 = net.add_switch(quiet_switch1());
+  // Link 0 occupies port 1 on both switches.
+  net.topology().add_link(Network::node_of(s1), Network::node_of(s2));
+
+  ASSERT_TRUE(net.install(s1, rule(0, /*out_port=*/1)).accepted);
+  // s2 forwards the flow only when it arrives over the link.
+  auto arrival = rule(0, /*out_port=*/5);
+  arrival.match.with_in_port(1);
+  ASSERT_TRUE(net.install(s2, arrival).accepted);
+
+  sched::FlowCheck flow;
+  flow.ingress = s1;
+  flow.packet = ProbeEngine::probe_packet(0);
+  flow.packet.in_port = 5;  // enters s1 from a host port
+
+  sched::ConsistencyVerifier verifier(net);
+  const auto report = verifier.verify({flow});
+  EXPECT_TRUE(report.clean()) << sched::to_string(report.violations[0].kind)
+                              << " at " << report.violations[0].at << ": "
+                              << report.violations[0].detail;
+  EXPECT_EQ(report.flows_checked, 1u);
+}
+
 TEST(VerifierTest, PostCommitVerifyReportsCleanTables) {
   Network net;
   const auto s1 = net.add_switch(quiet_switch1());
