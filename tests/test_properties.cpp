@@ -6,7 +6,9 @@
 //    id to the pre-rewrite reference schedulers (reference_scheduler.h),
 //  * transaction journal: the indexed journal equals the scan-based
 //    reference loop (reference_journal.h), and transactions repair a crash
-//    exactly as that journal's attribution would.
+//    exactly as that journal's attribution would,
+//  * consistency verifier: its reports equal the per-hop reference walk
+//    (reference_verifier.h) over random multi-table networks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,11 +25,13 @@
 #include "scheduler/reconciler.h"
 #include "scheduler/schedulers.h"
 #include "scheduler/transaction.h"
+#include "scheduler/verifier.h"
 #include "switchsim/profiles.h"
 #include "tango/probe_engine.h"
 #include "workload/classbench.h"
 #include "reference_journal.h"
 #include "reference_scheduler.h"
+#include "reference_verifier.h"
 
 namespace tango {
 namespace {
@@ -877,6 +881,160 @@ TEST_P(JournalProperties, TransactionsRepairCrashesLikeTheReference) {
 // roll-back; both worlds must fail it the same way instead of crashing.
 INSTANTIATE_TEST_SUITE_P(Seeds, JournalProperties,
                          ::testing::Range<std::uint64_t>(1, 31));
+
+// ---------------------------------------------------------------------------
+// Consistency verifier: the snapshot walk equals the per-hop reference
+// ---------------------------------------------------------------------------
+
+/// Flows and rules over a small header space (eight destinations, two
+/// transport ports, in_port 1-8) so matches overlap and a packet hits
+/// several rules at the same few priorities.
+constexpr std::uint16_t kVerifierPorts = 9;  // 8 is never a link's port
+
+of::PacketHeader verifier_packet(Rng& rng) {
+  of::PacketHeader pkt;
+  pkt.in_port = static_cast<std::uint16_t>(1 + rng.index(8));
+  pkt.dl_type = 0x0800;
+  pkt.nw_dst = 0x0a000000u + static_cast<std::uint32_t>(rng.index(8));
+  pkt.nw_proto = 6;
+  pkt.tp_dst = rng.chance(0.5) ? 80 : 443;
+  return pkt;
+}
+
+of::FlowMod verifier_rule(Rng& rng) {
+  of::FlowMod fm;
+  fm.match.with_dl_type(0x0800);
+  fm.match.set_nw_dst_prefix(
+      0x0a000000u + static_cast<std::uint32_t>(rng.index(8)),
+      static_cast<int>(29 + rng.index(4)));
+  if (rng.chance(0.3)) fm.match.with_tp_dst(rng.chance(0.5) ? 80 : 443);
+  if (rng.chance(0.3)) {
+    fm.match.with_in_port(static_cast<std::uint16_t>(1 + rng.index(8)));
+  }
+  fm.priority = static_cast<std::uint16_t>(100 * (1 + rng.index(3)));
+  fm.cookie = rng.index(5);
+  const double roll = rng.uniform_real(0, 1);
+  if (roll < 0.08) {
+    fm.actions = of::output_to(of::kPortController);
+  } else if (roll < 0.14) {
+    fm.actions = {};  // drop: no output action
+  } else {
+    fm.actions = of::output_to(static_cast<std::uint16_t>(1 + rng.index(kVerifierPorts)));
+  }
+  return fm;
+}
+
+/// One profile of each table layout, shrunk so a few dozen rules spill
+/// over every level: TCAM only, FIFO TCAM over user space, a two-level
+/// policy cache over software, and OVS.
+switchsim::SwitchProfile verifier_profile(std::size_t kind) {
+  switchsim::SwitchProfile p;
+  switch (kind % 4) {
+    case 0:
+      p = profiles::switch2();
+      p.cache_levels = {tables::TcamConfig{24, tables::TcamMode::kDoubleWide}};
+      break;
+    case 1:
+      p = profiles::switch1();
+      p.cache_levels = {tables::TcamConfig{6, tables::TcamMode::kDoubleWide}};
+      break;
+    case 2:
+      p = profiles::policy_cache("pc", {3, 4}, tables::LexCachePolicy::lru());
+      break;
+    default:
+      p = profiles::ovs();
+  }
+  p.costs.jitter_frac = 0;
+  p.paths.jitter_frac = 0;
+  return p;
+}
+
+std::vector<sched::FlowCheck> verifier_flows(Rng& rng, std::size_t switches) {
+  std::vector<sched::FlowCheck> flows(10 + rng.index(20));
+  for (auto& flow : flows) {
+    flow.ingress = static_cast<SwitchId>(1 + rng.index(switches));
+    flow.packet = verifier_packet(rng);
+    if (rng.chance(0.4)) {
+      flow.expected_egress = static_cast<SwitchId>(1 + rng.index(switches));
+    }
+    for (SwitchId s = 1; s <= switches; ++s) {
+      if (rng.chance(0.3)) flow.expected_cookies[s] = rng.index(5);
+    }
+  }
+  return flows;
+}
+
+void install_rules(net::Network& net, Rng& rng, std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto sw = static_cast<SwitchId>(1 + rng.index(net.switch_count()));
+    (void)net.install(sw, verifier_rule(rng));  // a full TCAM may reject
+  }
+}
+
+TEST(VerifierProperties, SnapshotWalkMatchesPerHopReference) {
+  std::size_t changed = 0;
+  std::size_t multi_table = 0;
+  std::map<sched::VerifierViolation::Kind, std::size_t> kinds;
+  for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed + 900);
+    net::Network net;
+    const std::size_t switches = 3 + rng.index(4);
+    for (std::size_t i = 0; i < switches; ++i) {
+      net.add_switch(verifier_profile(seed + i));
+    }
+    // Switch 1 is a hub with at least 8 links, so two of its links share a
+    // port (port_for_link wraps mod 7); the rest are random, parallel
+    // links included.
+    auto& topo = net.topology();
+    for (std::size_t i = 0; i < 8; ++i) {
+      topo.add_link(0, 1 + rng.index(switches - 1));
+    }
+    for (std::size_t i = rng.index(2 * switches); i > 0; --i) {
+      topo.add_link(rng.index(switches), rng.index(switches));
+    }
+    for (std::size_t li = 0; li < topo.link_count(); ++li) {
+      if (rng.chance(0.1)) topo.set_link_state(li, false);
+    }
+    for (SwitchId s = 1; s <= switches; ++s) {
+      if (rng.chance(0.3)) {
+        net.sw(s).set_port_link(static_cast<std::uint16_t>(1 + rng.index(8)), false);
+      }
+    }
+    install_rules(net, rng, 12 * switches);
+    for (SwitchId s = 1; s <= switches; ++s) {
+      std::set<std::uint8_t> tables;
+      for (const auto& e : net.sw(s).flow_stats(of::Match::any()).entries) {
+        tables.insert(e.table_id);
+      }
+      if (tables.size() > 1) ++multi_table;
+    }
+
+    const auto flows = verifier_flows(rng, switches);
+    sched::ConsistencyVerifier verifier(net);
+    const auto first = verifier.verify(flows);
+    EXPECT_EQ(sched::testing::verifier_difference(
+                  first, sched::testing::reference_verify(net, flows)),
+              "");
+
+    // The same verifier after the tables changed: nothing it read in the
+    // first call may answer for the second.
+    install_rules(net, rng, 6 * switches);
+    const auto second = verifier.verify(flows);
+    EXPECT_EQ(sched::testing::verifier_difference(
+                  second, sched::testing::reference_verify(net, flows)),
+              "");
+    if (!sched::testing::verifier_difference(first, second).empty()) ++changed;
+    for (const auto* report : {&first, &second}) {
+      for (const auto& v : report->violations) ++kinds[v.kind];
+    }
+  }
+  // The generator reaches every violation kind, tables that span several
+  // levels, and second calls whose answer moved.
+  EXPECT_EQ(kinds.size(), 4u);
+  EXPECT_GT(multi_table, 100u);
+  EXPECT_GT(changed, 60u);
+}
 
 }  // namespace
 }  // namespace tango
