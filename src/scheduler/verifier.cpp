@@ -1,7 +1,9 @@
 #include "scheduler/verifier.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <unordered_map>
 
 #include "net/topology.h"
 #include "openflow/actions.h"
@@ -24,32 +26,52 @@ namespace {
 /// where the visited-set loop check cannot fire first.
 constexpr std::size_t kMaxHops = 64;
 
-/// The rule the switch's lookup resolves for `pkt`: highest priority among
-/// matching wildcard entries (ties by table order, the order flow_stats
-/// lists them in — level 0 first).
-const of::FlowStatsEntry* resolve(const of::FlowStatsReply& table,
+/// One switch's flow_stats(any) entries in resolution order: descending
+/// priority, ties in the order flow_stats lists them (level 0 first,
+/// software last).
+using TableSnapshot = std::vector<of::FlowStatsEntry>;
+
+/// The rule the switch's lookup resolves for `pkt`: the first matching
+/// entry in resolution order, i.e. the highest-priority match with ties
+/// to table order.
+const of::FlowStatsEntry* resolve(const TableSnapshot& table,
                                   const of::PacketHeader& pkt) {
-  const of::FlowStatsEntry* best = nullptr;
-  for (const auto& e : table.entries) {
-    if (!e.match.matches(pkt)) continue;
-    if (best == nullptr || e.priority > best->priority) best = &e;
+  for (const auto& e : table) {
+    if (e.match.matches(pkt)) return &e;
   }
-  return best;
+  return nullptr;
 }
 
-}  // namespace
+/// The walks of one verify() call, with the tables they read. Tables do
+/// not change within a call, so each switch is read once, on the first
+/// visit; a new call reads them afresh.
+class Walker {
+ public:
+  Walker(net::Network& network, VerifierReport& report)
+      : network_(network), report_(report) {}
 
-VerifierReport ConsistencyVerifier::verify(const std::vector<FlowCheck>& flows) {
-  VerifierReport report;
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    ++report.flows_checked;
-    walk(flows[i], i, report);
+  void walk(const FlowCheck& flow, std::size_t index);
+
+ private:
+  const TableSnapshot& table(SwitchId id) {
+    auto [it, inserted] = tables_.try_emplace(id);
+    if (inserted) {
+      it->second = network_.sw(id).flow_stats(of::Match::any()).entries;
+      std::stable_sort(it->second.begin(), it->second.end(),
+                       [](const of::FlowStatsEntry& a,
+                          const of::FlowStatsEntry& b) {
+                         return a.priority > b.priority;
+                       });
+    }
+    return it->second;
   }
-  return report;
-}
 
-void ConsistencyVerifier::walk(const FlowCheck& flow, std::size_t index,
-                               VerifierReport& report) {
+  net::Network& network_;
+  VerifierReport& report_;
+  std::unordered_map<SwitchId, TableSnapshot> tables_;
+};
+
+void Walker::walk(const FlowCheck& flow, std::size_t index) {
   auto violate = [&](VerifierViolation::Kind kind, SwitchId at,
                      std::string detail) {
     VerifierViolation v;
@@ -58,12 +80,12 @@ void ConsistencyVerifier::walk(const FlowCheck& flow, std::size_t index,
     v.at = at;
     v.detail = std::move(detail);
     switch (kind) {
-      case VerifierViolation::Kind::kBlackHole: ++report.black_holes; break;
-      case VerifierViolation::Kind::kLoop: ++report.loops; break;
-      case VerifierViolation::Kind::kShadowed: ++report.shadowed; break;
-      case VerifierViolation::Kind::kWrongEgress: ++report.wrong_egress; break;
+      case VerifierViolation::Kind::kBlackHole: ++report_.black_holes; break;
+      case VerifierViolation::Kind::kLoop: ++report_.loops; break;
+      case VerifierViolation::Kind::kShadowed: ++report_.shadowed; break;
+      case VerifierViolation::Kind::kWrongEgress: ++report_.wrong_egress; break;
     }
-    report.violations.push_back(std::move(v));
+    report_.violations.push_back(std::move(v));
   };
 
   // The packet as the current hop sees it: after the first hop it arrives
@@ -85,8 +107,8 @@ void ConsistencyVerifier::walk(const FlowCheck& flow, std::size_t index,
       return;
     }
 
-    const auto table = network_.sw(at).flow_stats(of::Match::any());
-    const auto* rule = resolve(table, packet);
+    const TableSnapshot& entries = table(at);
+    const auto* rule = resolve(entries, packet);
     if (rule == nullptr) {
       violate(VerifierViolation::Kind::kBlackHole, at, "no matching rule");
       return;
@@ -96,8 +118,8 @@ void ConsistencyVerifier::walk(const FlowCheck& flow, std::size_t index,
     if (want != flow.expected_cookies.end() && rule->cookie != want->second) {
       // Distinguish "our rule is shadowed by a stale higher-priority
       // leftover" from "our rule is simply gone".
-      const bool intended_present = std::any_of(
-          table.entries.begin(), table.entries.end(), [&](const auto& e) {
+      const bool intended_present =
+          std::any_of(entries.begin(), entries.end(), [&](const auto& e) {
             return e.cookie == want->second && e.match.matches(packet);
           });
       violate(intended_present ? VerifierViolation::Kind::kShadowed
@@ -128,13 +150,14 @@ void ConsistencyVerifier::walk(const FlowCheck& flow, std::size_t index,
     }
 
     // Map the output port back to a topology link; a port with no link is a
-    // host-facing port, i.e. the packet leaves the network here.
+    // host-facing port, i.e. the packet leaves the network here. links_of
+    // is in link-index order, so an aliased port resolves to its lowest
+    // link.
     const net::NodeId node = net::Network::node_of(at);
     const auto& topo = network_.topology();
     std::optional<std::size_t> link;
-    for (std::size_t li = 0; li < topo.link_count(); ++li) {
-      const auto& l = topo.link(li);
-      if ((l.a == node || l.b == node) && net::port_for_link(li) == port) {
+    for (const std::size_t li : topo.links_of(node)) {
+      if (net::port_for_link(li) == port) {
         link = li;
         break;
       }
@@ -156,6 +179,18 @@ void ConsistencyVerifier::walk(const FlowCheck& flow, std::size_t index,
     at = net::Network::switch_of(l.a == node ? l.b : l.a);
     packet.in_port = net::port_for_link(*link);
   }
+}
+
+}  // namespace
+
+VerifierReport ConsistencyVerifier::verify(const std::vector<FlowCheck>& flows) {
+  VerifierReport report;
+  Walker walker(network_, report);
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    ++report.flows_checked;
+    walker.walk(flows[i], i);
+  }
+  return report;
 }
 
 }  // namespace tango::sched

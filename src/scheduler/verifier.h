@@ -4,7 +4,9 @@
 // each affected flow through the simulated network: starting at its ingress
 // switch it resolves the highest-priority matching rule, follows the output
 // action across the topology, and repeats until the packet leaves the
-// network. Three invariants are checked along the way:
+// network. At every hop after the first the packet's in_port is its
+// arrival port, the port the crossed link occupies. Three invariants are
+// checked along the way:
 //
 //  * no black hole — every hop has a matching rule that forwards out of an
 //    up port (a punt to the controller via the default route counts as a
@@ -17,8 +19,14 @@
 //
 // The walk reads table state through SimulatedSwitch::flow_stats() — the
 // same projection the OpenFlow readback returns — without touching the
-// data plane, so verification has no side effects (no microflow-cache
-// warming, no counter changes) and perturbs neither channels nor timing.
+// data plane: no microflow-cache warming, no counter changes, and neither
+// channels nor timing are perturbed. Each switch a walk visits is read
+// once per verify() call, on its first visit, and every hop of that call
+// resolves against that copy; tables cannot change within a call, and the
+// next call reads them afresh. The one side effect is flow_stats()'s own:
+// a switch with a pending stale-stats lie (switchsim/misbehavior.h) serves
+// it and spends one unit of its budget per visited switch per call. No
+// caller verifies while a lie is armed.
 #pragma once
 
 #include <cstdint>
@@ -76,8 +84,6 @@ class ConsistencyVerifier {
   VerifierReport verify(const std::vector<FlowCheck>& flows);
 
  private:
-  void walk(const FlowCheck& flow, std::size_t index, VerifierReport& report);
-
   net::Network& network_;
 };
 
