@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_map>
 
 #include "openflow/actions.h"
 #include "scheduler/reconciler.h"
@@ -126,30 +127,7 @@ void check_readback(const OracleInput& in, std::vector<OracleViolation>& out) {
 }
 
 void check_verifier(const OracleInput& in, std::vector<OracleViolation>& out) {
-  std::vector<sched::FlowCheck> flows;
-  for (const auto id : affected_switches(*in.txn)) {
-    const auto& want = desired_image(*in.txn, id);
-    // Only matches with a single desired rule on this switch: when the
-    // same match exists at two priorities, the lower one is legitimately
-    // shadowed by its sibling and a walk cannot distinguish that from a
-    // stale leftover.
-    std::map<std::string, std::size_t> by_match;  // match string -> count
-    for (const auto& [key, rule] : want) ++by_match[rule.match.to_string()];
-    for (const auto& [key, rule] : want) {
-      if (by_match[rule.match.to_string()] != 1) continue;
-      // Walk only rules that forward somewhere. The switch's own table-miss
-      // rule (and any deliberate punt-to-controller rule) is not a flow.
-      const auto port = of::output_port(rule.actions);
-      if (port == of::kPortNone || port == of::kPortController) continue;
-      sched::FlowCheck flow;
-      flow.ingress = id;
-      if (!packet_from(rule.match, flow.packet)) continue;
-      if (in.cookie_checks && rule.cookie != 0) {
-        flow.expected_cookies[id] = rule.cookie;
-      }
-      flows.push_back(std::move(flow));
-    }
-  }
+  const auto flows = verifier_flows(*in.txn, in.cookie_checks);
   sched::ConsistencyVerifier verifier(*in.net);
   const auto report = verifier.verify(flows);
   for (const auto& v : report.violations) {
@@ -217,6 +195,36 @@ void check_counters(const OracleInput& in, std::vector<OracleViolation>& out) {
 }
 
 }  // namespace
+
+std::vector<sched::FlowCheck> verifier_flows(const sched::UpdateTransaction& txn,
+                                             bool cookie_checks) {
+  std::vector<sched::FlowCheck> flows;
+  for (const auto id : affected_switches(txn)) {
+    const auto& want = desired_image(txn, id);
+    // Only matches with a single desired rule on this switch: when the
+    // same match exists at two priorities, the lower one is legitimately
+    // shadowed by its sibling and a walk cannot distinguish that from a
+    // stale leftover. A key at priority 0 is equal exactly when the
+    // matches print alike.
+    std::unordered_map<sched::RuleKey, std::size_t, sched::RuleKeyHash> by_match;
+    for (const auto& [key, rule] : want) ++by_match[sched::RuleKey(rule.match, 0)];
+    for (const auto& [key, rule] : want) {
+      if (by_match.at(sched::RuleKey(rule.match, 0)) != 1) continue;
+      // Walk only rules that forward somewhere. The switch's own table-miss
+      // rule (and any deliberate punt-to-controller rule) is not a flow.
+      const auto port = of::output_port(rule.actions);
+      if (port == of::kPortNone || port == of::kPortController) continue;
+      sched::FlowCheck flow;
+      flow.ingress = id;
+      if (!packet_from(rule.match, flow.packet)) continue;
+      if (cookie_checks && rule.cookie != 0) {
+        flow.expected_cookies[id] = rule.cookie;
+      }
+      flows.push_back(std::move(flow));
+    }
+  }
+  return flows;
+}
 
 std::vector<OracleViolation> check_invariants(const OracleInput& in) {
   std::vector<OracleViolation> out;

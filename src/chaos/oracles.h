@@ -36,6 +36,7 @@
 #include "net/fault_injector.h"
 #include "net/network.h"
 #include "scheduler/transaction.h"
+#include "scheduler/verifier.h"
 
 namespace tango::chaos {
 
@@ -70,5 +71,13 @@ std::vector<OracleViolation> check_invariants(const OracleInput& in);
 /// post-commit crash recovery.)
 const sched::TableImage& desired_image(const sched::UpdateTransaction& txn,
                                        SwitchId id);
+
+/// The flows the verifier oracle walks: one per forwarding rule of each
+/// affected switch's desired image whose match no other desired rule there
+/// shares, entering at that switch with a packet built from the match.
+/// Each flow expects the rule's cookie when `cookie_checks` is on and the
+/// cookie is non-zero.
+std::vector<sched::FlowCheck> verifier_flows(const sched::UpdateTransaction& txn,
+                                             bool cookie_checks);
 
 }  // namespace tango::chaos
