@@ -42,36 +42,26 @@ const of::FlowStatsEntry* resolve(const TableSnapshot& table,
   return nullptr;
 }
 
-/// The walks of one verify() call, with the tables they read. Tables do
-/// not change within a call, so each switch is read once, on the first
-/// visit; a new call reads them afresh.
-class Walker {
- public:
-  Walker(net::Network& network, VerifierReport& report)
-      : network_(network), report_(report) {}
+/// The snapshots of one verify() call, keyed by switch. Tables do not
+/// change within a call, so each switch is read once, on its first visit;
+/// the next call starts from an empty map.
+using Snapshots = std::unordered_map<SwitchId, TableSnapshot>;
 
-  void walk(const FlowCheck& flow, std::size_t index);
-
- private:
-  const TableSnapshot& table(SwitchId id) {
-    auto [it, inserted] = tables_.try_emplace(id);
-    if (inserted) {
-      it->second = network_.sw(id).flow_stats(of::Match::any()).entries;
-      std::stable_sort(it->second.begin(), it->second.end(),
-                       [](const of::FlowStatsEntry& a,
-                          const of::FlowStatsEntry& b) {
-                         return a.priority > b.priority;
-                       });
-    }
-    return it->second;
+const TableSnapshot& snapshot(net::Network& network, Snapshots& snapshots,
+                              SwitchId id) {
+  auto [it, inserted] = snapshots.try_emplace(id);
+  if (inserted) {
+    it->second = network.sw(id).flow_stats(of::Match::any()).entries;
+    std::stable_sort(it->second.begin(), it->second.end(),
+                     [](const of::FlowStatsEntry& a, const of::FlowStatsEntry& b) {
+                       return a.priority > b.priority;
+                     });
   }
+  return it->second;
+}
 
-  net::Network& network_;
-  VerifierReport& report_;
-  std::unordered_map<SwitchId, TableSnapshot> tables_;
-};
-
-void Walker::walk(const FlowCheck& flow, std::size_t index) {
+void walk(net::Network& network, Snapshots& snapshots, const FlowCheck& flow,
+          std::size_t index, VerifierReport& report) {
   auto violate = [&](VerifierViolation::Kind kind, SwitchId at,
                      std::string detail) {
     VerifierViolation v;
@@ -80,12 +70,12 @@ void Walker::walk(const FlowCheck& flow, std::size_t index) {
     v.at = at;
     v.detail = std::move(detail);
     switch (kind) {
-      case VerifierViolation::Kind::kBlackHole: ++report_.black_holes; break;
-      case VerifierViolation::Kind::kLoop: ++report_.loops; break;
-      case VerifierViolation::Kind::kShadowed: ++report_.shadowed; break;
-      case VerifierViolation::Kind::kWrongEgress: ++report_.wrong_egress; break;
+      case VerifierViolation::Kind::kBlackHole: ++report.black_holes; break;
+      case VerifierViolation::Kind::kLoop: ++report.loops; break;
+      case VerifierViolation::Kind::kShadowed: ++report.shadowed; break;
+      case VerifierViolation::Kind::kWrongEgress: ++report.wrong_egress; break;
     }
-    report_.violations.push_back(std::move(v));
+    report.violations.push_back(std::move(v));
   };
 
   // The packet as the current hop sees it: after the first hop it arrives
@@ -107,7 +97,7 @@ void Walker::walk(const FlowCheck& flow, std::size_t index) {
       return;
     }
 
-    const TableSnapshot& entries = table(at);
+    const TableSnapshot& entries = snapshot(network, snapshots, at);
     const auto* rule = resolve(entries, packet);
     if (rule == nullptr) {
       violate(VerifierViolation::Kind::kBlackHole, at, "no matching rule");
@@ -143,7 +133,7 @@ void Walker::walk(const FlowCheck& flow, std::size_t index) {
                   : "matching rule has no output action");
       return;
     }
-    if (!network_.sw(at).port_forwarding(port)) {
+    if (!network.sw(at).port_forwarding(port)) {
       violate(VerifierViolation::Kind::kBlackHole, at,
               "output port " + std::to_string(port) + " is down");
       return;
@@ -154,7 +144,7 @@ void Walker::walk(const FlowCheck& flow, std::size_t index) {
     // is in link-index order, so an aliased port resolves to its lowest
     // link.
     const net::NodeId node = net::Network::node_of(at);
-    const auto& topo = network_.topology();
+    const auto& topo = network.topology();
     std::optional<std::size_t> link;
     for (const std::size_t li : topo.links_of(node)) {
       if (net::port_for_link(li) == port) {
@@ -185,10 +175,10 @@ void Walker::walk(const FlowCheck& flow, std::size_t index) {
 
 VerifierReport ConsistencyVerifier::verify(const std::vector<FlowCheck>& flows) {
   VerifierReport report;
-  Walker walker(network_, report);
+  Snapshots snapshots;
   for (std::size_t i = 0; i < flows.size(); ++i) {
     ++report.flows_checked;
-    walker.walk(flows[i], i);
+    walk(network_, snapshots, flows[i], i, report);
   }
   return report;
 }
