@@ -10,9 +10,11 @@
 //    makespan over simulated time.
 //
 // enable_faults() attaches a per-switch FaultInjector to the channel. Under
-// faults the synchronous operations accept a timeout: instead of asserting
-// that the operation completed, they report `lost = true` when the queue
-// drains (or passes the deadline) without an answer — callers retry.
+// faults the synchronous operations that can lose their answer report the
+// loss instead of asserting: install() and probe() return `lost = true`
+// when the queue drains without an answer; try_barrier_sync(),
+// try_flow_stats() and claim_epoch_sync() do the same, or give up earlier
+// at a finite timeout the caller passes. Callers retry.
 #pragma once
 
 #include <cstdint>
