@@ -8,8 +8,10 @@
 // byte-for-byte reproducibility by running twice and comparing everything.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "scheduler/schedulers.h"
 #include "scheduler/transaction.h"
 #include "switchsim/profiles.h"
+#include "tango/knowledge_io.h"
 #include "tango/probe_engine.h"
 #include "tango/tango.h"
 #include "workload/scenarios.h"
@@ -609,6 +612,133 @@ TEST(FaultAcceptanceTest, Fig10LinkFailureSurvivesLossAndCrashDeterministically)
     EXPECT_EQ(first.faults[i].lost_to_crash, second.faults[i].lost_to_crash);
     EXPECT_EQ(first.faults[i].lost_to_down, second.faults[i].lost_to_down);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Differential: the pooled channel path against the per-frame path
+// ---------------------------------------------------------------------------
+//
+// Without an injector, frames travel in the channel's pooled frame slots and
+// a batch arrives in one event. An injector whose rates are all zero sends
+// every frame through its own delivery plan and buffer instead, yet no fault
+// ever fires. Both twins must schedule the same events at the same times, so
+// everything the controller observes has to match.
+
+void expect_same_stats(const ChannelStats& a, const ChannelStats& b) {
+  EXPECT_EQ(a.messages_to_switch, b.messages_to_switch);
+  EXPECT_EQ(a.bytes_to_switch, b.bytes_to_switch);
+  EXPECT_EQ(a.messages_to_controller, b.messages_to_controller);
+  EXPECT_EQ(a.bytes_to_controller, b.bytes_to_controller);
+  EXPECT_EQ(a.flow_mods, b.flow_mods);
+  EXPECT_EQ(a.packets_out, b.packets_out);
+}
+
+void expect_same_report(const sched::ExecutionReport& a,
+                        const sched::ExecutionReport& b) {
+  EXPECT_EQ(a.makespan.ns(), b.makespan.ns());
+  EXPECT_EQ(a.issued, b.issued);
+  EXPECT_EQ(a.rejected, b.rejected);
+  EXPECT_EQ(a.rejected_retryable, b.rejected_retryable);
+  EXPECT_EQ(a.rejected_fatal, b.rejected_fatal);
+  EXPECT_EQ(a.scheduling_rounds, b.scheduling_rounds);
+  EXPECT_EQ(a.deadline_misses, b.deadline_misses);
+  EXPECT_EQ(a.per_switch_busy, b.per_switch_busy);
+  EXPECT_EQ(a.total_queueing_delay.ns(), b.total_queueing_delay.ns());
+  EXPECT_EQ(a.max_queueing_delay.ns(), b.max_queueing_delay.ns());
+  EXPECT_EQ(a.timeouts, b.timeouts);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.echo_probes, b.echo_probes);
+  EXPECT_EQ(a.failed_requests, b.failed_requests);
+  EXPECT_EQ(a.lost_requests, b.lost_requests);
+  EXPECT_EQ(a.failed_switches, b.failed_switches);
+  EXPECT_EQ(a.cyclic, b.cyclic);
+  EXPECT_EQ(a.fault_crashes, b.fault_crashes);
+  EXPECT_EQ(a.fault_lost_to_crash, b.fault_lost_to_crash);
+  EXPECT_EQ(a.fault_dropped_to_switch, b.fault_dropped_to_switch);
+  EXPECT_EQ(a.fault_dropped_to_controller, b.fault_dropped_to_controller);
+  EXPECT_EQ(a.crashed_switches, b.crashed_switches);
+}
+
+struct LearnRun {
+  std::string knowledge;
+  ChannelStats stats;
+  SimTime end{};
+};
+
+/// learn() exercises batched and single flow_mods, barriers, probe hits at
+/// both levels and misses.
+LearnRun learn_lru100(bool per_frame) {
+  Network net;
+  const auto id = net.add_switch(profiles::policy_cache(
+      "lru-100", {100}, tables::LexCachePolicy::lru()));
+  if (per_frame) net.enable_faults(id, FaultConfig{});
+  core::TangoController tango(net);
+  std::ostringstream out;
+  core::write_knowledge(out, "lru-100", tango.learn(id));
+  return {out.str(), net.stats(id), net.now()};
+}
+
+TEST(ChannelPathDiff, LearnMatchesPerFramePath) {
+  const auto pooled = learn_lru100(false);
+  const auto per_frame = learn_lru100(true);
+  EXPECT_EQ(pooled.knowledge, per_frame.knowledge);
+  expect_same_stats(pooled.stats, per_frame.stats);
+  EXPECT_EQ(pooled.end.ns(), per_frame.end.ns());
+  EXPECT_GT(pooled.stats.packets_out, 0u);
+  EXPECT_GT(pooled.stats.flow_mods, 0u);
+}
+
+struct ExecuteRun {
+  sched::ExecutionReport report;
+  std::vector<ChannelStats> stats;
+  std::vector<of::FlowStatsReply> tables;
+  SimTime end{};
+};
+
+/// The fig10 link-failure update on the three-switch testbed.
+ExecuteRun execute_fig10(bool per_frame) {
+  Network net;
+  workload::TestbedIds ids;
+  ids.s1 = net.add_switch(profiles::switch1());
+  ids.s2 = net.add_switch(profiles::switch1());
+  ids.s3 = net.add_switch(profiles::switch3());
+  const std::array<SwitchId, 3> all = {ids.s1, ids.s2, ids.s3};
+  if (per_frame) {
+    for (const auto id : all) net.enable_faults(id, FaultConfig{});
+  }
+  for (const auto id : all) {
+    ProbeEngine probe(net, id);
+    for (std::uint32_t i = 0; i < 400; ++i) {
+      probe.install(i, static_cast<std::uint16_t>(100 + (i * 7) % 900));
+    }
+    net.barrier_sync(id);
+  }
+  Rng rng(99);
+  const auto dag = workload::link_failure_scenario(ids, 400, rng, 0);
+  sched::DionysusScheduler sched;
+  ExecuteRun out;
+  out.report = sched::execute(net, dag, sched);
+  for (const auto id : all) {
+    out.stats.push_back(net.stats(id));
+    // Read the model, not the wire: s3 holds more rules than one
+    // FLOW_STATS reply can carry.
+    out.tables.push_back(net.sw(id).flow_stats(of::Match{}));
+  }
+  out.end = net.now();
+  return out;
+}
+
+TEST(ChannelPathDiff, Fig10ExecuteMatchesPerFramePath) {
+  const auto pooled = execute_fig10(false);
+  const auto per_frame = execute_fig10(true);
+  expect_same_report(pooled.report, per_frame.report);
+  EXPECT_EQ(pooled.report.issued, 800u);
+  for (std::size_t i = 0; i < pooled.stats.size(); ++i) {
+    SCOPED_TRACE("switch " + std::to_string(i + 1));
+    expect_same_stats(pooled.stats[i], per_frame.stats[i]);
+    EXPECT_EQ(pooled.tables[i], per_frame.tables[i]);
+  }
+  EXPECT_EQ(pooled.end.ns(), per_frame.end.ns());
 }
 
 }  // namespace
