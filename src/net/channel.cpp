@@ -44,67 +44,68 @@ void ControlChannel::set_telemetry(telemetry::Telemetry* t, SwitchId lane) {
       {10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000, 50000});
 }
 
-void ControlChannel::send(of::Message msg) {
+void ControlChannel::send(const of::Message& msg) {
   // Round-trip through the codec: what arrives is what the wire carried.
+  if (injector_ == nullptr) {
+    const std::uint32_t slot = frames_.acquire();
+    of::encode_into(msg, frames_[slot]);
+    ship_to_switch(slot, 1);
+    return;
+  }
   auto frame = of::encode(msg);
   stats_.messages_to_switch += 1;
   stats_.bytes_to_switch += frame.size();
   deliver_to_switch(std::move(frame));
 }
 
-void ControlChannel::send_batch(std::span<of::Message> msgs) {
+void ControlChannel::send_batch(std::span<const of::Message> msgs) {
   if (msgs.empty()) return;
   if (injector_ != nullptr) {
     // Fault plans are per frame (drop/duplicate/corrupt decide message by
     // message), so a faulted batch degenerates to sequential sends.
-    for (auto& m : msgs) send(std::move(m));
+    for (const auto& m : msgs) send(m);
     return;
   }
-  auto buf = acquire_buffer();
-  const std::size_t bytes = of::encode_batch(msgs, buf);
-  stats_.messages_to_switch += msgs.size();
-  stats_.bytes_to_switch += bytes;
+  const std::uint32_t slot = frames_.acquire();
+  of::encode_batch(msgs, frames_[slot]);
   // One arrival event decodes the frames in order. Sequential send() calls
   // would schedule one event per frame at this same instant with ascending
   // sequence numbers; no other event can slot between them, so processing
   // all frames inside one event is observationally identical.
-  events_.schedule_after(latency_, [this, f = std::move(buf)]() mutable {
-    std::size_t offset = 0;
-    while (offset + of::kHeaderLen <= f.size()) {
-      const std::size_t len =
-          (static_cast<std::size_t>(f[offset + 2]) << 8) | f[offset + 3];
-      auto decoded = of::decode(
-          std::span<const std::uint8_t>(f).subspan(offset, len));
-      assert(decoded.ok());
-      on_arrival(decoded.value());
-      offset += len;
-    }
-    release_buffer(std::move(f));
-  });
+  ship_to_switch(slot, msgs.size());
 }
 
-std::vector<std::uint8_t> ControlChannel::acquire_buffer() {
-  if (spare_bufs_.empty()) return {};
-  auto buf = std::move(spare_bufs_.back());
-  spare_bufs_.pop_back();
-  return buf;
+void ControlChannel::ship_to_switch(std::uint32_t slot, std::size_t frames) {
+  stats_.messages_to_switch += frames;
+  stats_.bytes_to_switch += frames_[slot].size();
+  events_.schedule_after(latency_, [this, slot]() { arrive(slot); });
 }
 
-void ControlChannel::release_buffer(std::vector<std::uint8_t> buf) {
-  if (spare_bufs_.size() >= 4) return;  // cap pooled capacity
-  buf.clear();
-  spare_bufs_.push_back(std::move(buf));
+void ControlChannel::arrive(std::uint32_t slot) {
+  std::size_t offset = 0;
+  bool last = false;
+  while (!last) {
+    // Index the store afresh for every frame: a send nested in on_arrival()
+    // can grow it. The slot stays ours until its last frame is decoded.
+    const std::vector<std::uint8_t>& f = frames_[slot];
+    const std::size_t len =
+        (static_cast<std::size_t>(f[offset + 2]) << 8) | f[offset + 3];
+    auto decoded =
+        of::decode(std::span<const std::uint8_t>(f).subspan(offset, len));
+    assert(decoded.ok());
+    offset += len;
+    last = offset + of::kHeaderLen > f.size();
+    if (last) release_frame(slot);
+    on_arrival(decoded.value());
+  }
+}
+
+void ControlChannel::release_frame(std::uint32_t slot) {
+  frames_[slot].clear();
+  frames_.release(slot);
 }
 
 void ControlChannel::deliver_to_switch(std::vector<std::uint8_t> frame) {
-  if (injector_ == nullptr) {
-    events_.schedule_after(latency_, [this, frame = std::move(frame)]() {
-      auto decoded = of::decode(frame);
-      assert(decoded.ok());
-      on_arrival(decoded.value());
-    });
-    return;
-  }
   for (auto& d : injector_->plan(FaultInjector::Direction::kToSwitch,
                                  std::move(frame), events_.now())) {
     const std::uint64_t epoch = epoch_;
@@ -130,18 +131,23 @@ void ControlChannel::deliver_to_switch(std::vector<std::uint8_t> frame) {
   }
 }
 
-void ControlChannel::reply(of::Message msg, SimTime at) {
-  auto frame = of::encode(msg);
-  stats_.messages_to_controller += 1;
-  stats_.bytes_to_controller += frame.size();
+void ControlChannel::reply(const of::Message& msg, SimTime at) {
   if (injector_ == nullptr) {
-    events_.schedule_at(at + latency_, [this, frame = std::move(frame)]() {
-      auto decoded = of::decode(frame);
+    const std::uint32_t slot = frames_.acquire();
+    of::encode_into(msg, frames_[slot]);
+    stats_.messages_to_controller += 1;
+    stats_.bytes_to_controller += frames_[slot].size();
+    events_.schedule_at(at + latency_, [this, slot]() {
+      auto decoded = of::decode(frames_[slot]);
       assert(decoded.ok());
+      release_frame(slot);
       if (on_message_) on_message_(decoded.value());
     });
     return;
   }
+  auto frame = of::encode(msg);
+  stats_.messages_to_controller += 1;
+  stats_.bytes_to_controller += frame.size();
   for (auto& d : injector_->plan(FaultInjector::Direction::kToController,
                                  std::move(frame), at)) {
     const std::uint64_t epoch = epoch_;
@@ -163,21 +169,32 @@ void ControlChannel::reply(of::Message msg, SimTime at) {
   }
 }
 
-void ControlChannel::notify(SimTime at, std::function<void()> fn) {
+void ControlChannel::notify(SimTime at, Notice notice) {
   SimDuration extra{};
   if (injector_ != nullptr) {
     const auto plan = injector_->plan_notification(at);
     if (!plan.has_value()) return;  // the controller never hears about it
     extra = *plan;
   }
-  const std::uint64_t epoch = epoch_;
-  events_.schedule_at(at + extra, [this, epoch, fn = std::move(fn)]() {
-    if (epoch != epoch_) {
-      if (injector_) ++injector_->mutable_stats().lost_to_crash;
-      return;
-    }
-    fn();
-  });
+  notice.epoch = epoch_;
+  const std::uint32_t slot = notices_.acquire();
+  notices_[slot] = std::move(notice);
+  events_.schedule_at(at + extra, [this, slot]() { deliver_notice(slot); });
+}
+
+void ControlChannel::deliver_notice(std::uint32_t slot) {
+  // Move the notice out first: a handler may schedule notices of its own.
+  const Notice n = std::move(notices_[slot]);
+  notices_.release(slot);
+  if (n.epoch != epoch_) {
+    if (injector_) ++injector_->mutable_stats().lost_to_crash;
+    return;
+  }
+  if (n.probe) {
+    if (on_probe_) on_probe_(n.xid, n.outcome);
+  } else if (on_flow_mod_) {
+    on_flow_mod_(n.xid, n.accepted, n.completed_at, n.error);
+  }
 }
 
 void ControlChannel::attach_fault_injector(FaultInjector* injector) {
@@ -274,21 +291,19 @@ void ControlChannel::handle(const of::Message& msg) {
   if (const auto* fm = std::get_if<of::FlowMod>(&msg.body)) {
     stats_.flow_mods += 1;
     const SimTime start = std::max(now, busy_until_);
-    // Table state mutates at completion time; completion drives callbacks.
-    const of::FlowMod fm_copy = *fm;
     const std::uint32_t xid = msg.xid;
     // Reserve the agent: we must know the processing time, which requires
     // applying the command — apply lazily at start time via an event.
     // We approximate by applying now but time-stamping at start; since the
     // controller serializes commands per switch through this queue, the
     // application order equals the queue order.
-    auto outcome = switch_.apply_flow_mod(fm_copy, start);
+    auto outcome = switch_.apply_flow_mod(*fm, start);
     busy_until_ = start + outcome.processing_time;
     const bool accepted = outcome.accepted;
     if (telemetry_ != nullptr) {
       // The agent's busy slice for this command: queue wait excluded, so
       // lanes show contention as gaps between arrival and start.
-      telemetry_->trace.span("switch", command_name(fm_copy.command), lane_,
+      telemetry_->trace.span("switch", command_name(fm->command), lane_,
                              start, busy_until_,
                              {telemetry::arg("xid", std::uint64_t{xid}),
                               telemetry::arg("accepted", accepted)});
@@ -299,10 +314,12 @@ void ControlChannel::handle(const of::Message& msg) {
     if (outcome.error.has_value()) {
       reply(of::Message{xid, *outcome.error}, busy_until_);
     }
-    const SimTime done = busy_until_;
-    notify(done, [this, xid, accepted, done, err = outcome.error]() {
-      if (on_flow_mod_) on_flow_mod_(xid, accepted, done, err);
-    });
+    Notice notice;
+    notice.xid = xid;
+    notice.accepted = accepted;
+    notice.completed_at = busy_until_;
+    notice.error = std::move(outcome.error);
+    notify(busy_until_, std::move(notice));
     return;
   }
 
@@ -322,12 +339,14 @@ void ControlChannel::handle(const of::Message& msg) {
       pin.in_port = pkt.value().header.in_port;
       pin.reason = of::PacketInReason::kNoMatch;
       pin.total_len = static_cast<std::uint16_t>(pkt.value().total_len());
-      pin.data = pkt.value().encode();
-      reply(of::Message{xid, pin}, now + outcome.delay);
+      pkt.value().encode(pin.data);
+      reply(of::Message{xid, std::move(pin)}, now + outcome.delay);
     }
-    notify(now + outcome.delay, [this, xid, outcome]() {
-      if (on_probe_) on_probe_(xid, outcome);
-    });
+    Notice notice;
+    notice.xid = xid;
+    notice.probe = true;
+    notice.outcome = outcome;
+    notify(now + outcome.delay, std::move(notice));
     return;
   }
 

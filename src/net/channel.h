@@ -16,6 +16,17 @@
 // crash that wipes the flow tables and loses everything in flight. Crash
 // semantics use a delivery epoch: each in-flight event carries the epoch it
 // was sent under and is discarded on arrival if a crash bumped it since.
+//
+// A round trip does not allocate once the channel is warm. Without an
+// injector, a frame is encoded into a pooled buffer held in one of the
+// channel's frame slots; completion notices (flow_mod done, probe returned)
+// are plain records in notice slots, with or without an injector. Each
+// delivery or notice event captures only (this, slot), which std::function
+// stores inline. The event decodes its frame (or moves its notice out),
+// frees the slot and only then dispatches, so a reply sent while handling
+// the message reuses the same buffer. A freed slot keeps its buffer's
+// capacity. With an injector, frames keep their per-frame delivery plans
+// and buffers, since the injector copies and corrupts them.
 #pragma once
 
 #include <cstdint>
@@ -65,18 +76,19 @@ class ControlChannel {
                  SimDuration one_way_latency = micros(100));
 
   /// Send a controller->switch message; it is encoded, delayed by the
-  /// channel latency, decoded, and handled by the switch agent.
-  void send(of::Message msg);
+  /// channel latency, decoded, and handled by the switch agent. `msg` is
+  /// only read while it is encoded, so a caller may reuse it at once.
+  void send(const of::Message& msg);
 
   /// Send many messages as one wire burst: all frames are encoded
-  /// back-to-back into a pooled buffer (reused across batches, so the
-  /// executor hot path stops allocating one vector per message) and the
-  /// switch processes them in order at the same simulated arrival instant
-  /// sequential send() calls would produce — observable behaviour is
-  /// bit-identical. With a fault injector attached, each frame must route
-  /// through its own per-frame delivery plan (drop/duplicate/corrupt are
-  /// per-message decisions), so the batch falls back to sequential sends.
-  void send_batch(std::span<of::Message> msgs);
+  /// back-to-back into one frame slot, the same pool send() uses, and one
+  /// (this, slot) event hands them to the switch in order at the simulated
+  /// arrival instant sequential send() calls would produce — observable
+  /// behaviour is bit-identical. With a fault injector attached, each frame
+  /// must route through its own per-frame delivery plan
+  /// (drop/duplicate/corrupt are per-message decisions), so the batch falls
+  /// back to sequential sends.
+  void send_batch(std::span<const of::Message> msgs);
 
   void set_flow_mod_handler(FlowModHandler h) { on_flow_mod_ = std::move(h); }
   void set_message_handler(MessageHandler h) { on_message_ = std::move(h); }
@@ -113,17 +125,62 @@ class ControlChannel {
   /// every in-flight message in both directions lost, and the agent
   /// rejects traffic until `downtime` has elapsed.
   void crash_agent(SimDuration downtime);
+
+  /// Slot-addressed storage with a free list. A released slot keeps its
+  /// value for the next acquire(), so a pooled buffer keeps its capacity.
+  /// References into it do not survive an acquire(): index it afresh.
+  template <typename T>
+  class Slots {
+   public:
+    std::uint32_t acquire() {
+      if (free_.empty()) {
+        items_.emplace_back();
+        return static_cast<std::uint32_t>(items_.size() - 1);
+      }
+      const std::uint32_t slot = free_.back();
+      free_.pop_back();
+      return slot;
+    }
+    void release(std::uint32_t slot) { free_.push_back(slot); }
+    T& operator[](std::uint32_t slot) { return items_[slot]; }
+
+   private:
+    std::vector<T> items_;
+    std::vector<std::uint32_t> free_;
+  };
+
+  /// An out-of-band completion notice waiting in its slot: a flow_mod's
+  /// completion or a probe's data-plane outcome.
+  struct Notice {
+    std::uint32_t xid = 0;
+    /// The crash epoch the notice was scheduled under.
+    std::uint64_t epoch = 0;
+    bool probe = false;
+    // flow_mod
+    bool accepted = false;
+    SimTime completed_at{};
+    std::optional<of::ErrorMsg> error;
+    // probe
+    switchsim::ForwardOutcome outcome;
+  };
+
+  /// Count the frames encoded into `slot` and schedule their arrival.
+  void ship_to_switch(std::uint32_t slot, std::size_t frames);
+  /// The arrival event of a frame slot: decodes and handles its frames in
+  /// order, freeing the slot once the last one is decoded.
+  void arrive(std::uint32_t slot);
+  void release_frame(std::uint32_t slot);
+  /// The injector path: schedule each copy of `frame` its plan delivers.
   void deliver_to_switch(std::vector<std::uint8_t> frame);
-  /// Pooled frame buffers for send_batch: capacity is recycled once a
-  /// batch has been delivered and decoded.
-  std::vector<std::uint8_t> acquire_buffer();
-  void release_buffer(std::vector<std::uint8_t> buf);
   void on_arrival(const of::Message& msg);
   void handle(const of::Message& msg);
-  void reply(of::Message msg, SimTime at);
+  void reply(const of::Message& msg, SimTime at);
   /// Schedule an out-of-band completion notice at `at`, subject to the
   /// injector's notification faults and the crash epoch.
-  void notify(SimTime at, std::function<void()> fn);
+  void notify(SimTime at, Notice notice);
+  /// The event of a notice slot: frees it, then fires the handler unless a
+  /// crash bumped the epoch since the notice was scheduled.
+  void deliver_notice(std::uint32_t slot);
 
   sim::EventQueue& events_;
   switchsim::SimulatedSwitch& switch_;
@@ -138,7 +195,8 @@ class ControlChannel {
   /// Bumped by every attach_fault_injector(); a scheduled fault fires only
   /// under the attachment that scheduled it.
   std::uint64_t attach_generation_ = 0;
-  std::vector<std::vector<std::uint8_t>> spare_bufs_;
+  Slots<std::vector<std::uint8_t>> frames_;
+  Slots<Notice> notices_;
   /// Bumped on every crash; in-flight deliveries from older epochs vanish.
   std::uint64_t epoch_ = 0;
   SimTime down_until_{};

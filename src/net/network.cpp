@@ -1,5 +1,6 @@
 #include "net/network.h"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 
@@ -9,7 +10,11 @@
 namespace tango::net {
 
 Network::Network(SimDuration control_latency)
-    : control_latency_(control_latency) {}
+    : control_latency_(control_latency) {
+  // Every probe runs through the flow tables.
+  std::get<of::PacketOut>(probe_out_.body).actions =
+      of::output_to(of::kPortTable);
+}
 
 SwitchId Network::add_switch(const switchsim::SwitchProfile& profile,
                              std::uint64_t seed) {
@@ -39,11 +44,15 @@ SwitchId Network::add_switch(const switchsim::SwitchProfile& profile,
       });
   ep.channel->set_probe_handler(
       [this](std::uint32_t xid, const switchsim::ForwardOutcome& outcome) {
-        auto it = probe_cbs_.find(xid);
-        if (it == probe_cbs_.end()) return;
-        auto cb = std::move(it->second);
-        probe_cbs_.erase(it);
-        cb(outcome);
+        const auto it = std::find_if(
+            probe_waits_.begin(), probe_waits_.end(),
+            [xid](const ProbeWait& w) { return w.xid == xid; });
+        if (it == probe_waits_.end()) return;
+        const ProbeWait wait = *it;
+        probe_waits_.erase(it);
+        wait.result->outcome = outcome;
+        wait.result->rtt = outcome.delay;
+        *wait.done = true;
       });
   ep.channel->set_crash_handler([this, id]() {
     // Snapshot tokens first: a listener may add/remove listeners (e.g. a
@@ -407,24 +416,22 @@ void Network::set_link_state(std::size_t link_index, bool up) {
 Network::ProbeResult Network::probe(SwitchId id,
                                     const of::PacketHeader& header) {
   const std::uint32_t xid = next_xid();
+  // Rewrite the one PACKET_OUT every probe sends: send() encodes it before
+  // it returns, so a probe nested in the wait below may rewrite it again.
+  auto& po = std::get<of::PacketOut>(probe_out_.body);
+  probe_out_.xid = xid;
+  po.in_port = header.in_port;
   of::Packet pkt;
   pkt.header = header;
-
-  of::PacketOut po;
-  po.in_port = header.in_port;
-  po.actions = of::output_to(of::kPortTable);  // run through the flow tables
-  po.data = pkt.encode();
+  pkt.encode(po.data);
 
   ProbeResult result;
   bool done = false;
-  probe_cbs_[xid] = [&](const switchsim::ForwardOutcome& outcome) {
-    result.outcome = outcome;
-    result.rtt = outcome.delay;
-    done = true;
-  };
-  endpoint(id).channel->send(of::Message{xid, po});
+  probe_waits_.push_back(ProbeWait{xid, &result, &done});
+  endpoint(id).channel->send(probe_out_);
   if (!run_until_done(done, {})) {
-    probe_cbs_.erase(xid);
+    std::erase_if(probe_waits_,
+                  [xid](const ProbeWait& w) { return w.xid == xid; });
     result.lost = true;
   }
   return result;

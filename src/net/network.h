@@ -245,12 +245,21 @@ class Network {
   std::uint32_t xid_ = 1;
   std::uint64_t wall_ns_ = 0;
 
+  /// A probe() waiting for its outcome. probe() waits for its own, so the
+  /// list holds one entry unless probes nest; it is scanned by xid.
+  struct ProbeWait {
+    std::uint32_t xid = 0;
+    ProbeResult* result = nullptr;
+    bool* done = nullptr;
+  };
+
   // Dispatch tables keyed by xid. Flow-mod completions are stored in the
   // detailed form; plain Completion callers are wrapped on entry.
   std::unordered_map<std::uint32_t, CompletionEx> flow_mod_cbs_;
-  std::unordered_map<std::uint32_t, std::function<void(const switchsim::ForwardOutcome&)>>
-      probe_cbs_;
+  std::vector<ProbeWait> probe_waits_;
   std::unordered_map<std::uint32_t, std::function<void(const of::Message&)>> reply_cbs_;
+  /// The PACKET_OUT every probe() rewrites and sends.
+  of::Message probe_out_{0, of::PacketOut{}};
   UnsolicitedHandler unsolicited_;
   std::map<std::uint64_t, CrashListener> crash_listeners_;
   std::uint64_t next_crash_token_ = 1;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "common/buffer.h"
 
@@ -450,13 +451,13 @@ Result<MessageBody> decode_body(MsgType type, BufReader& r, std::size_t body_len
       EchoRequest m;
       auto bytes = r.raw(body_len);
       m.payload.assign(bytes.begin(), bytes.end());
-      return MessageBody{m};
+      return MessageBody{std::move(m)};
     }
     case MsgType::kEchoReply: {
       EchoReply m;
       auto bytes = r.raw(body_len);
       m.payload.assign(bytes.begin(), bytes.end());
-      return MessageBody{m};
+      return MessageBody{std::move(m)};
     }
     case MsgType::kError: {
       if (body_len < 4) return Error{"error body too short"};
@@ -465,7 +466,7 @@ Result<MessageBody> decode_body(MsgType type, BufReader& r, std::size_t body_len
       m.code = r.u16();
       auto bytes = r.raw(body_len - 4);
       m.data.assign(bytes.begin(), bytes.end());
-      return MessageBody{m};
+      return MessageBody{std::move(m)};
     }
     case MsgType::kFeaturesRequest:
       return MessageBody{FeaturesRequest{}};
@@ -483,7 +484,7 @@ Result<MessageBody> decode_body(MsgType type, BufReader& r, std::size_t body_len
       for (std::size_t i = 0; i < rest / 48; ++i) {
         m.ports.push_back(decode_phy_port(r));
       }
-      return MessageBody{m};
+      return MessageBody{std::move(m)};
     }
     case MsgType::kGetConfigRequest:
       return MessageBody{GetConfigRequest{}};
@@ -492,14 +493,14 @@ Result<MessageBody> decode_body(MsgType type, BufReader& r, std::size_t body_len
       GetConfigReply m;
       m.flags = r.u16();
       m.miss_send_len = r.u16();
-      return MessageBody{m};
+      return MessageBody{std::move(m)};
     }
     case MsgType::kSetConfig: {
       if (body_len < 4) return Error{"set_config too short"};
       SetConfig m;
       m.flags = r.u16();
       m.miss_send_len = r.u16();
-      return MessageBody{m};
+      return MessageBody{std::move(m)};
     }
     case MsgType::kPortStatus: {
       if (body_len < 56) return Error{"port_status too short"};
@@ -507,7 +508,7 @@ Result<MessageBody> decode_body(MsgType type, BufReader& r, std::size_t body_len
       m.reason = static_cast<PortReason>(r.u8());
       r.skip(7);
       m.port = decode_phy_port(r);
-      return MessageBody{m};
+      return MessageBody{std::move(m)};
     }
     case MsgType::kPortMod: {
       if (body_len < 24) return Error{"port_mod too short"};
@@ -519,7 +520,7 @@ Result<MessageBody> decode_body(MsgType type, BufReader& r, std::size_t body_len
       m.mask = r.u32();
       m.advertise = r.u32();
       r.skip(4);
-      return MessageBody{m};
+      return MessageBody{std::move(m)};
     }
     case MsgType::kVendor: {
       if (body_len < 4) return Error{"vendor too short"};
@@ -527,7 +528,7 @@ Result<MessageBody> decode_body(MsgType type, BufReader& r, std::size_t body_len
       m.vendor_id = r.u32();
       auto bytes = r.raw(body_len - 4);
       m.data.assign(bytes.begin(), bytes.end());
-      return MessageBody{m};
+      return MessageBody{std::move(m)};
     }
     case MsgType::kFlowMod: {
       if (body_len < 64) return Error{"flow_mod body too short"};
@@ -544,7 +545,7 @@ Result<MessageBody> decode_body(MsgType type, BufReader& r, std::size_t body_len
       auto actions = decode_actions(r, body_len - 64);
       if (!actions) return Error{actions.error()};
       m.actions = std::move(actions.value());
-      return MessageBody{m};
+      return MessageBody{std::move(m)};
     }
     case MsgType::kFlowRemoved: {
       if (body_len < 72) return Error{"flow_removed body too short"};
@@ -560,7 +561,7 @@ Result<MessageBody> decode_body(MsgType type, BufReader& r, std::size_t body_len
       r.skip(2);
       m.packet_count = r.u64();
       m.byte_count = r.u64();
-      return MessageBody{m};
+      return MessageBody{std::move(m)};
     }
     case MsgType::kPacketIn: {
       if (body_len < 10) return Error{"packet_in body too short"};
@@ -572,7 +573,7 @@ Result<MessageBody> decode_body(MsgType type, BufReader& r, std::size_t body_len
       r.skip(1);
       auto bytes = r.raw(body_len - 10);
       m.data.assign(bytes.begin(), bytes.end());
-      return MessageBody{m};
+      return MessageBody{std::move(m)};
     }
     case MsgType::kPacketOut: {
       if (body_len < 8) return Error{"packet_out body too short"};
@@ -586,7 +587,7 @@ Result<MessageBody> decode_body(MsgType type, BufReader& r, std::size_t body_len
       m.actions = std::move(actions.value());
       auto bytes = r.raw(body_len - 8 - actions_len);
       m.data.assign(bytes.begin(), bytes.end());
-      return MessageBody{m};
+      return MessageBody{std::move(m)};
     }
     case MsgType::kBarrierRequest:
       return MessageBody{BarrierRequest{}};
@@ -603,7 +604,7 @@ Result<MessageBody> decode_body(MsgType type, BufReader& r, std::size_t body_len
         m.table_id = r.u8();
         r.skip(1);
         m.out_port = r.u16();
-        return MessageBody{m};
+        return MessageBody{std::move(m)};
       }
       if (stats_type == StatsType::kTable) return MessageBody{TableStatsRequest{}};
       if (stats_type == StatsType::kDesc) return MessageBody{DescStatsRequest{}};
@@ -614,14 +615,14 @@ Result<MessageBody> decode_body(MsgType type, BufReader& r, std::size_t body_len
         m.table_id = r.u8();
         r.skip(1);
         m.out_port = r.u16();
-        return MessageBody{m};
+        return MessageBody{std::move(m)};
       }
       if (stats_type == StatsType::kPort) {
         if (body_len < 4 + 8) return Error{"port_stats_request too short"};
         PortStatsRequest m;
         m.port_no = r.u16();
         r.skip(6);
-        return MessageBody{m};
+        return MessageBody{std::move(m)};
       }
       return Error{"unsupported stats_request type"};
     }
@@ -655,7 +656,7 @@ Result<MessageBody> decode_body(MsgType type, BufReader& r, std::size_t body_len
           m.entries.push_back(std::move(e));
           rest -= entry_len;
         }
-        return MessageBody{m};
+        return MessageBody{std::move(m)};
       }
       if (stats_type == StatsType::kAggregate) {
         if (rest < 24) return Error{"aggregate_stats_reply too short"};
@@ -664,7 +665,7 @@ Result<MessageBody> decode_body(MsgType type, BufReader& r, std::size_t body_len
         m.byte_count = r.u64();
         m.flow_count = r.u32();
         r.skip(4);
-        return MessageBody{m};
+        return MessageBody{std::move(m)};
       }
       if (stats_type == StatsType::kDesc) {
         if (rest < 256 * 4 + 32) return Error{"desc_stats_reply too short"};
@@ -674,7 +675,7 @@ Result<MessageBody> decode_body(MsgType type, BufReader& r, std::size_t body_len
         m.sw_desc = decode_name(r, 256);
         m.serial_num = decode_name(r, 32);
         m.dp_desc = decode_name(r, 256);
-        return MessageBody{m};
+        return MessageBody{std::move(m)};
       }
       if (stats_type == StatsType::kPort) {
         if (rest % 72 != 0) return Error{"port_stats entries misaligned"};
@@ -693,7 +694,7 @@ Result<MessageBody> decode_body(MsgType type, BufReader& r, std::size_t body_len
           e.tx_errors = r.u64();
           m.entries.push_back(e);
         }
-        return MessageBody{m};
+        return MessageBody{std::move(m)};
       }
       if (stats_type == StatsType::kTable) {
         TableStatsReply m;
@@ -710,7 +711,7 @@ Result<MessageBody> decode_body(MsgType type, BufReader& r, std::size_t body_len
           e.matched_count = r.u64();
           m.entries.push_back(std::move(e));
         }
-        return MessageBody{m};
+        return MessageBody{std::move(m)};
       }
       return Error{"unsupported stats_reply type"};
     }

@@ -6,8 +6,10 @@
 
 namespace tango::of {
 
-std::vector<std::uint8_t> Packet::encode() const {
-  BufWriter w;
+void Packet::encode(std::vector<std::uint8_t>& out) const {
+  out.clear();
+  out.reserve(kWireHeaderLen);  // one allocation at most, none once warm
+  BufWriter w(out);
   w.u16(header.in_port);
   w.raw(header.dl_src);
   w.raw(header.dl_dst);
@@ -21,7 +23,6 @@ std::vector<std::uint8_t> Packet::encode() const {
   w.u16(header.tp_src);
   w.u16(header.tp_dst);
   w.u32(payload_len);
-  return w.take();
 }
 
 Result<Packet> Packet::decode(std::span<const std::uint8_t> bytes) {

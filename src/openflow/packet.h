@@ -28,7 +28,9 @@ struct Packet {
   /// Serialized header size (fixed-width field dump).
   static constexpr std::size_t kWireHeaderLen = 2 + 6 + 6 + 2 + 1 + 2 + 1 + 1 + 4 + 4 + 2 + 2 + 4;
 
-  [[nodiscard]] std::vector<std::uint8_t> encode() const;
+  /// Overwrite `out` with the wire form, keeping its capacity, so a caller
+  /// that encodes packet after packet into one vector stops allocating.
+  void encode(std::vector<std::uint8_t>& out) const;
   static Result<Packet> decode(std::span<const std::uint8_t> bytes);
 };
 

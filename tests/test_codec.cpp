@@ -506,11 +506,17 @@ TEST(PacketWire, RoundTrip) {
   p.header.nw_dst = 0xc0a80005;
   p.header.tp_dst = 8080;
   p.payload_len = 1400;
-  const auto bytes = p.encode();
+  std::vector<std::uint8_t> bytes;
+  p.encode(bytes);
   auto decoded = Packet::decode(bytes);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value(), p);
   EXPECT_EQ(p.total_len(), Packet::kWireHeaderLen + 1400);
+  // Encoding again overwrites the bytes in the same storage.
+  const std::uint8_t* storage = bytes.data();
+  p.encode(bytes);
+  EXPECT_EQ(bytes.size(), Packet::kWireHeaderLen);
+  EXPECT_EQ(bytes.data(), storage);
 }
 
 TEST(PacketWire, RejectsShortBuffer) {
