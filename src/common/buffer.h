@@ -14,13 +14,10 @@ namespace tango {
 
 class BufWriter {
  public:
-  /// Owned mode: writes into an internal vector retrievable with take().
-  BufWriter() : out_(&owned_) {}
-
-  /// External-storage mode: appends to `out` starting at its current end.
-  /// Offsets (size(), patch_u16()) are relative to that starting point, so
-  /// codec code is oblivious to whether it writes a fresh frame or appends
-  /// one to a batch buffer. The caller keeps ownership; take() is invalid.
+  /// Appends to the caller's `out`, starting at its current end. Offsets
+  /// (size(), patch_u16()) are relative to that starting point, so codec
+  /// code is oblivious to whether it writes a fresh frame or appends one to
+  /// a batch buffer.
   explicit BufWriter(std::vector<std::uint8_t>& out)
       : out_(&out), base_(out.size()) {}
 
@@ -44,20 +41,16 @@ class BufWriter {
 
   /// Overwrite a previously written big-endian u16 at `offset` (for length
   /// fields that are only known once the body has been written). Relative
-  /// to this writer's first byte, not the external buffer's start.
+  /// to this writer's first byte, not the start of `out`.
   void patch_u16(std::size_t offset, std::uint16_t v) {
     (*out_)[base_ + offset] = static_cast<std::uint8_t>(v >> 8);
     (*out_)[base_ + offset + 1] = static_cast<std::uint8_t>(v);
   }
 
-  /// Bytes written through this writer (excludes pre-existing bytes of an
-  /// external buffer).
+  /// Bytes written through this writer (excludes bytes `out` held before).
   [[nodiscard]] std::size_t size() const { return out_->size() - base_; }
-  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return owned_; }
-  std::vector<std::uint8_t> take() { return std::move(owned_); }
 
  private:
-  std::vector<std::uint8_t> owned_;
   std::vector<std::uint8_t>* out_;
   std::size_t base_ = 0;
 };

@@ -41,12 +41,12 @@ TEST(FormatDuration, PicksHumanUnits) {
 }
 
 TEST(BufWriter, BigEndianLayout) {
-  BufWriter w;
+  std::vector<std::uint8_t> b;
+  BufWriter w(b);
   w.u8(0xab);
   w.u16(0x1234);
   w.u32(0xdeadbeef);
   w.u64(0x0102030405060708ULL);
-  const auto& b = w.bytes();
   ASSERT_EQ(b.size(), 15u);
   EXPECT_EQ(b[0], 0xab);
   EXPECT_EQ(b[1], 0x12);
@@ -58,21 +58,23 @@ TEST(BufWriter, BigEndianLayout) {
 }
 
 TEST(BufWriter, PatchU16) {
-  BufWriter w;
+  std::vector<std::uint8_t> b;
+  BufWriter w(b);
   w.u16(0);
   w.u32(42);
   w.patch_u16(0, static_cast<std::uint16_t>(w.size()));
-  BufReader r(w.bytes());
+  BufReader r(b);
   EXPECT_EQ(r.u16(), 6);
 }
 
 TEST(BufReader, RoundTrip) {
-  BufWriter w;
+  std::vector<std::uint8_t> b;
+  BufWriter w(b);
   w.u8(7);
   w.u16(300);
   w.u32(70000);
   w.u64(1ULL << 40);
-  BufReader r(w.bytes());
+  BufReader r(b);
   EXPECT_EQ(r.u8(), 7);
   EXPECT_EQ(r.u16(), 300);
   EXPECT_EQ(r.u32(), 70000u);
@@ -82,22 +84,24 @@ TEST(BufReader, RoundTrip) {
 }
 
 TEST(BufReader, OutOfBoundsSetsFailedInsteadOfUB) {
-  BufWriter w;
+  std::vector<std::uint8_t> b;
+  BufWriter w(b);
   w.u16(5);
-  BufReader r(w.bytes());
+  BufReader r(b);
   EXPECT_EQ(r.u16(), 5);
   EXPECT_EQ(r.u32(), 0u);  // past the end
   EXPECT_TRUE(r.failed());
 }
 
 TEST(BufReader, SkipAndRaw) {
-  BufWriter w;
+  std::vector<std::uint8_t> b;
+  BufWriter w(b);
   w.zeros(4);
   w.u8(9);
-  BufReader r(w.bytes());
+  BufReader r(b);
   r.skip(4);
   EXPECT_EQ(r.u8(), 9);
-  BufReader r2(w.bytes());
+  BufReader r2(b);
   auto s = r2.raw(5);
   EXPECT_EQ(s.size(), 5u);
   EXPECT_EQ(s[4], 9);
