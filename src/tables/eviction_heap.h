@@ -15,10 +15,10 @@
 // property suite in tests/test_tables.cpp asserts this).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "tables/cache_policy.h"
@@ -71,21 +71,23 @@ class EvictionHeap {
   template <typename Resolve>
   void maybe_compact(std::size_t resident, Resolve&& resolve) {
     if (heap_.size() <= 2 * resident + 64) return;
-    // Keep one fresh record per live id. Fresh duplicates are bit-identical
-    // (both equal the live attribute values), so dropping all but the first
-    // cannot change the victim — but keeping them would let the heap stay
-    // above the compaction threshold forever.
-    std::vector<Record> kept;
-    kept.reserve(resident);
-    std::unordered_set<FlowId> seen;
-    seen.reserve(resident);
-    for (const auto& r : heap_) {
+    // Keep one fresh record per live id, in place. Fresh duplicates are
+    // bit-identical (both equal the live attribute values), so dropping all
+    // but one cannot change the victim — but keeping them would let the
+    // heap stay above the compaction threshold forever. The victim is the
+    // unique greatest record under record_prefers() (ties fall to the id),
+    // so the rebuilt layout may differ without moving any victim.
+    std::erase_if(heap_, [&](const Record& r) {
       const FlowEntry* live = resolve(r.id);
-      if (live != nullptr && fresh(r, *live) && seen.insert(r.id).second) {
-        kept.push_back(r);
-      }
-    }
-    heap_ = std::move(kept);
+      return live == nullptr || !fresh(r, *live);
+    });
+    std::sort(heap_.begin(), heap_.end(),
+              [](const Record& a, const Record& b) { return a.id < b.id; });
+    heap_.erase(std::unique(heap_.begin(), heap_.end(),
+                            [](const Record& a, const Record& b) {
+                              return a.id == b.id;
+                            }),
+                heap_.end());
     rebuild();
   }
 
