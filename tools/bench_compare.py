@@ -9,7 +9,11 @@ Which metrics gate:
 
   * Keys starting with ``speedup_`` are machine-independent ratios
     (indexed implementation vs in-process reference). They gate by
-    default: current must be >= baseline * (1 - tolerance).
+    default as floors: current must be >= baseline * (1 - tolerance).
+  * Keys starting with ``allocs_``, ``scaling_`` or ``share_`` are
+    machine-independent costs (heap allocations per operation, wall-time
+    ratios across problem sizes, layer shares) where lower is better. They
+    gate by default as ceilings: current must be <= baseline * (1 + tolerance).
   * Absolute metrics (``*_ops_per_sec``, latencies, counts) vary with
     host load, so they are reported but do NOT gate unless
     ``--gate-absolute`` is passed (then they use the same lower band).
@@ -40,8 +44,15 @@ def load_results(path):
     return report.get("name", os.path.basename(path)), numeric
 
 
+CEILING_PREFIXES = ("allocs_", "scaling_", "share_")
+
+
+def is_ceiling(key):
+    return key.startswith(CEILING_PREFIXES)
+
+
 def is_gated(key, gate_absolute):
-    return key.startswith("speedup_") or gate_absolute
+    return key.startswith("speedup_") or is_ceiling(key) or gate_absolute
 
 
 def compare(name, current, baseline, tolerance, gate_absolute):
@@ -61,15 +72,20 @@ def compare(name, current, baseline, tolerance, gate_absolute):
                 failures.append(f"{key}: present in baseline, missing from current report")
             continue
         delta = (cur - base) / base if base != 0 else float("inf")
-        floor = base * (1.0 - tolerance)
+        if is_ceiling(key):
+            bound = base * (1.0 + tolerance)
+            within, relation, kind = cur <= bound, ">", "ceiling"
+        else:
+            bound = base * (1.0 - tolerance)
+            within, relation, kind = cur >= bound, "<", "floor"
         if not gated:
             status = "info"
-        elif cur >= floor:
+        elif within:
             status = "ok"
         else:
             status = "REGRESSION"
             failures.append(
-                f"{key}: {cur:.6g} < floor {floor:.6g} "
+                f"{key}: {cur:.6g} {relation} {kind} {bound:.6g} "
                 f"(baseline {base:.6g}, tolerance {tolerance:.0%})")
         rows.append((key, f"{base:.6g}", f"{cur:.6g}", f"{delta:+.1%}", status))
 
