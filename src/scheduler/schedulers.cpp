@@ -1,7 +1,6 @@
 #include "scheduler/schedulers.h"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 #include <numeric>
 #include <utility>
@@ -12,20 +11,14 @@ namespace {
 
 constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
 
-constexpr std::size_t index_of(RequestType t) { return static_cast<std::size_t>(t); }
+/// A radix word is a 16-bit sort key above a request id. Ids index the
+/// DAG's request vector, so they fit below the key.
+constexpr int kIdBits = 48;
+constexpr std::uint64_t kIdMask = (std::uint64_t{1} << kIdBits) - 1;
 
-/// Stable sort of (16-bit priority << 32 | pool position) keys on the
-/// priority: one counting pass per byte, low byte first.
-void stable_sort_by_priority(std::vector<std::uint64_t>& keys,
-                             std::vector<std::uint64_t>& scratch) {
-  scratch.resize(keys.size());
-  for (const int shift : {32, 40}) {
-    std::size_t next[257] = {};
-    for (const std::uint64_t k : keys) ++next[((k >> shift) & 0xFF) + 1];
-    for (std::size_t b = 1; b < 257; ++b) next[b] += next[b - 1];
-    for (const std::uint64_t k : keys) scratch[next[(k >> shift) & 0xFF]++] = k;
-    keys.swap(scratch);
-  }
+template <typename Enum>
+constexpr std::size_t index_of(Enum e) {
+  return static_cast<std::size_t>(e);
 }
 
 }  // namespace
@@ -78,6 +71,9 @@ BasicTangoScheduler::BasicTangoScheduler(
       {"ASCEND_ADD DEL MOD", {RT::kAdd, RT::kDel, RT::kMod}, true},
       {"ASCEND_ADD MOD DEL", {RT::kAdd, RT::kMod, RT::kDel}, true},
   };
+  descending_can_win_ = std::any_of(costs_.begin(), costs_.end(), [](const auto& entry) {
+    return !(entry.second.add_descending_ms >= entry.second.add_ascending_ms);
+  });
 }
 
 double BasicTangoScheduler::op_cost_ms(SwitchId sw, RequestType type,
@@ -121,33 +117,46 @@ std::uint32_t BasicTangoScheduler::slot_of(std::size_t id, SwitchId sw) const {
   return cached;
 }
 
-void BasicTangoScheduler::load_keys(const RequestDag& dag,
-                                    const std::vector<std::size_t>& ready) const {
-  if (request_slot_.size() < dag.size()) request_slot_.resize(dag.size(), kNoSlot);
-  keys_.resize(ready.size());
+BasicTangoScheduler::Scores BasicTangoScheduler::read_pool(
+    const RequestDag& dag, const std::vector<std::size_t>& ready, bool score) const {
+  entries_.resize(ready.size());
+  std::fill(std::begin(class_count_), std::end(class_count_), 0);
+  std::fill(std::begin(low_bytes_), std::end(low_bytes_), 0);
+  std::fill(std::begin(high_bytes_), std::end(high_bytes_), 0);
+  if (score && request_slot_.size() < dag.size()) {
+    request_slot_.resize(dag.size(), kNoSlot);
+  }
   for (std::size_t i = 0; i < ready.size(); ++i) {
     const std::size_t id = ready[i];
     const auto& req = dag.request(id);
-    keys_[i] = {id, slot_of(id, req.location), req.type,
-                req.priority.has_value(), req.priority.value_or(0)};
-  }
-}
-
-BasicTangoScheduler::Scores BasicTangoScheduler::score_keys() const {
-  // Score = negated estimated cost; per-switch queues run in parallel, so
-  // the estimate is the max over switches of their serial cost. Each
-  // switch's sums add up in pool order, as a per-pattern sum would, so the
-  // scores and the near-ties between directions come out bit-equal.
-  for (const auto& key : keys_) {
-    if (slot_touched_[key.slot] == 0) {
-      slot_touched_[key.slot] = 1;
-      touched_.push_back(key.slot);
+    PoolEntry entry{PoolClass::kPoolOrderAdd, 0};
+    if (req.type == RequestType::kDel) {
+      entry.cls = PoolClass::kDel;
+    } else if (req.type == RequestType::kMod) {
+      entry.cls = PoolClass::kMod;
+    } else if (options_.sort_priorities && req.priority.has_value()) {
+      entry = {PoolClass::kSortedAdd, *req.priority};
+      ++low_bytes_[entry.priority & 0xFF];
+      ++high_bytes_[entry.priority >> 8];
     }
-    const auto& costs = slot_costs_[key.slot];
-    auto& sums = slot_sums_[key.slot];
-    sums.ascending += costs.ascending[index_of(key.type)];
-    sums.descending += costs.descending[index_of(key.type)];
+    entries_[i] = entry;
+    ++class_count_[index_of(entry.cls)];
+    if (!score) continue;
+    // Each switch's sums add up in pool order, as a per-pattern sum would,
+    // so the scores and the near-ties between directions come out
+    // bit-equal.
+    const std::uint32_t slot = slot_of(id, req.location);
+    if (slot_touched_[slot] == 0) {
+      slot_touched_[slot] = 1;
+      touched_.push_back(slot);
+    }
+    const auto& costs = slot_costs_[slot];
+    auto& sums = slot_sums_[slot];
+    sums.ascending += costs.ascending[index_of(req.type)];
+    sums.descending += costs.descending[index_of(req.type)];
   }
+  // Score = negated estimated cost; per-switch queues run in parallel, so
+  // the estimate is the max over switches of their serial cost.
   double worst_ascending = 0;
   double worst_descending = 0;
   for (const std::uint32_t slot : touched_) {
@@ -163,50 +172,75 @@ BasicTangoScheduler::Scores BasicTangoScheduler::score_keys() const {
 double BasicTangoScheduler::pattern_score(const RequestDag& dag,
                                           const std::vector<std::size_t>& ready,
                                           const OrderingPattern& pattern) const {
-  load_keys(dag, ready);
-  const Scores scores = score_keys();
+  const Scores scores = read_pool(dag, ready, /*score=*/true);
   return pattern.adds_ascending ? scores.ascending : scores.descending;
 }
 
-void BasicTangoScheduler::apply_pattern(const OrderingPattern& pattern,
-                                        std::vector<std::size_t>& out) {
-  // Stable bucket pass on type rank (a type's first place in the pattern).
-  std::size_t rank[3] = {3, 3, 3};
-  for (std::size_t i = 3; i-- > 0;) rank[index_of(pattern.sequence[i])] = i;
-  std::size_t next[5] = {};
-  for (const auto& key : keys_) ++next[rank[index_of(key.type)] + 1];
-  for (std::size_t r = 1; r < 5; ++r) next[r] += next[r - 1];
-  const std::size_t add_begin = next[rank[index_of(RequestType::kAdd)]];
-  for (const auto& key : keys_) out[next[rank[index_of(key.type)]]++] = key.id;
-  if (!options_.sort_priorities) return;
-
-  // The ADD bucket: prioritized ADDs by priority in the pattern's
-  // direction, ties in pool order, then ADDs without a priority in pool
-  // order.
-  add_keys_.clear();
-  for (std::size_t i = 0; i < keys_.size(); ++i) {
-    const auto& key = keys_[i];
-    if (key.type != RequestType::kAdd || !key.has_priority) continue;
-    const std::uint64_t priority =
-        pattern.adds_ascending ? key.priority : 0xFFFFu - key.priority;
-    add_keys_.push_back(priority << 32 | i);
+void BasicTangoScheduler::place(const std::vector<std::size_t>& ready,
+                                const OrderingPattern& pattern) {
+  // Each class's next output position: the types in the pattern's order,
+  // the sorted ADDs first in the ADD bucket, then the pool-order ADDs.
+  std::size_t next[4] = {};
+  std::size_t at = 0;
+  std::size_t sorted_begin = 0;
+  for (const RequestType t : pattern.sequence) {
+    if (t == RequestType::kAdd) {
+      sorted_begin = at;
+      at += class_count_[index_of(PoolClass::kSortedAdd)];
+    }
+    const PoolClass cls = t == RequestType::kDel   ? PoolClass::kDel
+                          : t == RequestType::kMod ? PoolClass::kMod
+                                                   : PoolClass::kPoolOrderAdd;
+    next[index_of(cls)] = at;
+    at += class_count_[index_of(cls)];
   }
-  stable_sort_by_priority(add_keys_, add_scratch_);
-  std::size_t at = add_begin;
-  for (const std::uint64_t k : add_keys_) out[at++] = keys_[k & 0xFFFFFFFFu].id;
-  for (const auto& key : keys_) {
-    if (key.type == RequestType::kAdd && !key.has_priority) out[at++] = key.id;
+
+  // Counting-sort cursors by key byte. A descending key is 0xFFFF -
+  // priority, whose bytes are 0xFF minus the priority's: read the
+  // histograms backwards.
+  const bool ascending = pattern.adds_ascending;
+  std::size_t low_next[256];
+  std::size_t high_next[256];
+  std::size_t low_at = 0;
+  std::size_t high_at = sorted_begin;
+  for (std::size_t b = 0; b < 256; ++b) {
+    const std::size_t from = ascending ? b : 255 - b;
+    low_next[b] = low_at;
+    low_at += low_bytes_[from];
+    high_next[b] = high_at;
+    high_at += high_bytes_[from];
+  }
+
+  // The scatter pass; sorted ADDs go to radix_ by their key's low byte.
+  out_.resize(ready.size());
+  radix_.resize(class_count_[index_of(PoolClass::kSortedAdd)]);
+  for (std::size_t i = 0; i < ready.size(); ++i) {
+    const PoolEntry entry = entries_[i];
+    if (entry.cls != PoolClass::kSortedAdd) {
+      out_[next[index_of(entry.cls)]++] = ready[i];
+      continue;
+    }
+    const std::uint64_t key =
+        ascending ? entry.priority : 0xFFFFu - entry.priority;
+    radix_[low_next[key & 0xFF]++] = key << kIdBits | ready[i];
+  }
+  // The high-byte pass, stable, so equal keys keep pool order.
+  for (const std::uint64_t word : radix_) {
+    out_[high_next[word >> (kIdBits + 8)]++] = word & kIdMask;
   }
 }
 
 std::vector<std::size_t> BasicTangoScheduler::order(const RequestDag& dag,
                                                     std::vector<std::size_t> ready) {
-  load_keys(dag, ready);
-  const Scores scores = score_keys();
+  // Without descending_can_win_ both scores read 0 and the first pattern
+  // wins; with the sums it would too (see the top of schedulers.h).
+  const Scores scores = read_pool(dag, ready, descending_can_win_);
 
-  // orderingTangoOracle: pick the best-scoring pattern.
-  double best_score = -1e300;
-  const OrderingPattern* best = nullptr;
+  // orderingTangoOracle: start from the first pattern and move only to a
+  // strictly higher score, so some pattern wins even when every score is
+  // -inf.
+  const OrderingPattern* best = &patterns_.front();
+  double best_score = best->adds_ascending ? scores.ascending : scores.descending;
   for (const auto& pattern : patterns_) {
     const double score =
         pattern.adds_ascending ? scores.ascending : scores.descending;
@@ -215,9 +249,9 @@ std::vector<std::size_t> BasicTangoScheduler::order(const RequestDag& dag,
       best = &pattern;
     }
   }
-  assert(best != nullptr);
+  place(ready, *best);
+  ready.swap(out_);
   auto& ordered = ready;
-  apply_pattern(*best, ordered);
 
   if (options_.deadline_first) {
     // Deadline-carrying requests jump the pattern order, earliest first;

@@ -14,9 +14,23 @@
 // DAG-level-derived ones so that adds become same-priority appends.
 //
 // A pattern's score depends only on its add direction: the type sequence
-// changes issue order, not the per-switch cost sums. So each round sums
-// both directions per switch in one pass over the pool, then orders the
-// pool with a bucket pass on type rank plus one sort of the ADD bucket.
+// changes issue order, not the per-switch cost sums. Each round reads every
+// pool request once, recording its class (DEL, MOD, ADD to sort by
+// priority, ADD kept in pool order) and priority, counting the classes and
+// building the low- and high-byte histograms of the priorities to sort;
+// the same pass sums both directions per switch, in pool order. One
+// scatter pass then puts every DEL, MOD and pool-order ADD at its final
+// position and the ADDs to sort into a scratch array by the low byte of
+// their key (the priority, or 0xFFFF - priority for descending adds); a
+// last pass places those by the high byte.
+//
+// The sums are skipped when no switch in the cost table has cheaper
+// descending adds (unprofiled switches use 20 ascending, 40 descending):
+// DEL and MOD cost the same in both directions and rounded addition is
+// monotone, so term by term every switch's descending sum is at least its
+// ascending one, and descending adds can never score strictly higher.
+// (Where a descending sum turns NaN, the ascending one turns -inf or NaN
+// and stays so; neither raises a max that starts at 0.)
 #pragma once
 
 #include <cstdint>
@@ -108,12 +122,12 @@ class BasicTangoScheduler : public UpdateScheduler {
   }
 
  private:
+  /// How a pool entry is placed: by type, with the ADDs split into those
+  /// sorted by priority and those kept in pool order.
+  enum class PoolClass : std::uint8_t { kDel, kMod, kSortedAdd, kPoolOrderAdd };
   /// One pool entry, read from the DAG once per round.
-  struct PoolKey {
-    std::size_t id;
-    std::uint32_t slot;
-    RequestType type;
-    bool has_priority;
+  struct PoolEntry {
+    PoolClass cls;
     std::uint16_t priority;
   };
   /// Per-op costs of one switch, indexed by RequestType.
@@ -128,18 +142,23 @@ class BasicTangoScheduler : public UpdateScheduler {
 
   [[nodiscard]] double op_cost_ms(SwitchId sw, RequestType type,
                                   bool adds_ascending) const;
-  /// Fill keys_ for `ready`, giving each switch a dense slot.
-  void load_keys(const RequestDag& dag, const std::vector<std::size_t>& ready) const;
   [[nodiscard]] std::uint32_t slot_of(std::size_t id, SwitchId sw) const;
-  /// Negated max per-switch cost of keys_ for either add direction.
-  [[nodiscard]] Scores score_keys() const;
-  /// Write keys_ into `out` in the pattern's order.
-  void apply_pattern(const OrderingPattern& pattern,
-                     std::vector<std::size_t>& out);
+  /// The read pass: fill entries_, class_count_ and the priority
+  /// histograms for `ready`. With `score`, also return the negated max
+  /// per-switch cost for either add direction; without it, {0, 0}.
+  Scores read_pool(const RequestDag& dag, const std::vector<std::size_t>& ready,
+                   bool score) const;
+  /// The scatter and radix passes: write `ready` into out_ in the
+  /// pattern's order.
+  void place(const std::vector<std::size_t>& ready, const OrderingPattern& pattern);
 
   std::map<SwitchId, core::OpCostEstimate> costs_;
   TangoSchedulerOptions options_;
   std::vector<OrderingPattern> patterns_;
+  /// Some switch in costs_ has !(add_descending_ms >= add_ascending_ms)
+  /// (a NaN counts), so the descending pattern can score higher and
+  /// order() must compute the sums.
+  bool descending_can_win_ = false;
 
   // Dense per-switch slots and their costs, which never change: costs_ is
   // fixed at construction. request_slot_ caches each request id's slot and
@@ -154,9 +173,14 @@ class BasicTangoScheduler : public UpdateScheduler {
   mutable std::vector<Scores> slot_sums_;
   mutable std::vector<std::uint8_t> slot_touched_;
   mutable std::vector<std::uint32_t> touched_;
-  mutable std::vector<PoolKey> keys_;
-  std::vector<std::uint64_t> add_keys_;
-  std::vector<std::uint64_t> add_scratch_;
+  mutable std::vector<PoolEntry> entries_;
+  mutable std::size_t class_count_[4] = {};
+  /// Low- and high-byte counts of the priorities of kSortedAdd entries.
+  mutable std::uint32_t low_bytes_[256] = {};
+  mutable std::uint32_t high_bytes_[256] = {};
+  /// kSortedAdd entries after the low-byte pass, as key << 48 | request id.
+  std::vector<std::uint64_t> radix_;
+  std::vector<std::size_t> out_;
   std::vector<std::uint8_t> in_prefix_;
 };
 

@@ -399,8 +399,10 @@ SchedulerCase random_scheduler_case(Rng& rng) {
 
   // Costs: a random subset of switches is profiled (the rest use the static
   // fallback), with descending adds dearer, exactly as dear, one ulp away,
-  // or cheaper.
-  const std::size_t cost_mode = rng.index(4);
+  // or cheaper; or all one ulp dearer (the scheduler skips the sums at this
+  // edge); or all dearer but for one switch that holds no request and is
+  // one ulp cheaper (the sums are computed, and descending never wins).
+  const std::size_t cost_mode = rng.index(6);
   for (const SwitchId sw : c.switches) {
     if (rng.chance(0.25)) continue;
     core::OpCostEstimate est;
@@ -414,9 +416,20 @@ SchedulerCase random_scheduler_case(Rng& rng) {
         est.add_descending_ms = std::nextafter(
             est.add_ascending_ms, rng.chance(0.5) ? 0.0 : 10.0);
         break;
-      default: est.add_descending_ms = est.add_ascending_ms * 0.4; break;
+      case 3: est.add_descending_ms = est.add_ascending_ms * 0.4; break;
+      case 4:
+        est.add_descending_ms = std::nextafter(est.add_ascending_ms, 10.0);
+        break;
+      default: est.add_descending_ms = est.add_ascending_ms * 2.5; break;
     }
     c.costs[sw] = est;
+  }
+  if (cost_mode == 5) {
+    // The next id after the last switch: no request is ever placed there.
+    core::OpCostEstimate idle;
+    idle.add_ascending_ms = idle.mod_ms = idle.del_ms = 1.0;
+    idle.add_descending_ms = std::nextafter(1.0, 0.0);
+    c.costs[base + n_switches * stride] = idle;
   }
   c.options.sort_priorities = rng.chance(0.7);
   c.options.deadline_first = rng.chance(0.3);

@@ -2,6 +2,7 @@
 // Scheduler (Algorithm 3), priority enforcement, and the executor.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "net/network.h"
@@ -137,6 +138,35 @@ TEST(TangoSchedulerTest, UnprioritizedAddsFollowPrioritizedOnesInPoolOrder) {
   BasicTangoScheduler descending(cheap_descending);
   EXPECT_EQ(descending.order(dag, pool),
             (std::vector<std::size_t>{mod, hi, lo, bare1, bare2}));
+}
+
+TEST(TangoSchedulerTest, PicksAPatternWhateverTheScores) {
+  // The first pattern wins unless a later one scores strictly higher, even
+  // where every score is at most -1e300 or the add costs are NaN.
+  RequestDag dag;
+  const auto del = dag.add(req(1, RequestType::kDel, 0));
+  const auto mod = dag.add(req(1, RequestType::kMod, 1));
+  const auto add5 = dag.add(req(1, RequestType::kAdd, 2, 5));
+  const auto add9 = dag.add(req(1, RequestType::kAdd, 3, 9));
+  const std::vector<std::size_t> pool{add9, mod, add5, del};
+  const std::vector<std::size_t> ascending{del, mod, add5, add9};
+  const std::vector<std::size_t> descending{del, mod, add9, add5};
+  const auto add_costs = [](double asc, double desc) {
+    auto costs = hw_costs();
+    for (auto& [sw, c] : costs) {
+      c.add_ascending_ms = asc;
+      c.add_descending_ms = desc;
+    }
+    return costs;
+  };
+  // Descending adds are cheaper, so the sums are computed and the
+  // descending pattern scores -2e300 against -2e301.
+  EXPECT_EQ(BasicTangoScheduler(add_costs(1e301, 1e300)).order(dag, pool), descending);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(BasicTangoScheduler(add_costs(nan, nan)).order(dag, pool), ascending);
+  // Descending adds are not cheaper: no sums, both scores would be -inf.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(BasicTangoScheduler(add_costs(inf, inf)).order(dag, pool), ascending);
 }
 
 TEST(TangoSchedulerTest, PatternScoreUsesMeasuredCosts) {
