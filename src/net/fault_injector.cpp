@@ -1,6 +1,7 @@
 #include "net/fault_injector.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace tango::net {
 
@@ -67,7 +68,11 @@ std::vector<FaultInjector::Delivery> FaultInjector::plan(
   out.reserve(copies);
   for (std::size_t i = 0; i < copies; ++i) {
     Delivery d;
-    d.frame = frame;
+    if (i + 1 < copies) {
+      d.frame = frame;
+    } else {
+      d.frame = std::move(frame);
+    }
     if (rng_.chance(to_switch ? c.corrupt_to_switch : c.corrupt_to_controller) &&
         !d.frame.empty()) {
       const std::size_t flips = 1 + rng_.index(4);

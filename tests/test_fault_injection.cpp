@@ -74,7 +74,11 @@ TEST(FaultInjectorTest, CertainFaultsFire) {
   FaultConfig dup_all;
   dup_all.duplicate_to_switch = 1.0;
   FaultInjector duper{dup_all};
-  EXPECT_EQ(duper.plan(Direction::kToSwitch, {1, 14, 0, 8}).size(), 2u);
+  const std::vector<std::uint8_t> sent = {1, 14, 0, 8};
+  const auto copies = duper.plan(Direction::kToSwitch, sent);
+  ASSERT_EQ(copies.size(), 2u);
+  EXPECT_EQ(copies[0].frame, sent);
+  EXPECT_EQ(copies[1].frame, sent);
   EXPECT_EQ(duper.stats().duplicated, 1u);
 
   FaultConfig corrupt_all;
