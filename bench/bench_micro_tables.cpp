@@ -126,7 +126,7 @@ Pair bench_tcam_churn(std::size_t n) {
   next = 1u << 20;
   p.idx = ops_per_sec([&] {
     idx.insert(make_entry(next, 0xF000));
-    idx.erase(next);
+    idx.take(next);
     ++next;
   });
   return p;
@@ -150,7 +150,7 @@ Pair bench_tcam_shift_churn(std::size_t n) {
   next = 1u << 20;
   p.idx = ops_per_sec([&] {
     idx.insert(make_entry(next, 1));
-    idx.erase(next);
+    idx.take(next);
     ++next;
   });
   return p;
@@ -159,20 +159,23 @@ Pair bench_tcam_shift_churn(std::size_t n) {
 Pair bench_soft_erase_oldest(std::size_t n) {
   // Erase the oldest entry, then append a new one: the front of a long
   // software table leaves on every cycle, as under FIFO promotion.
-  ReferenceSoftwareTable ref(0);
-  tables::SoftwareTable idx(0);
+  ReferenceSoftwareTable ref;
+  tables::SoftwareTable idx;
   fill(ref, n);
   fill(idx, n);
   std::uint32_t oldest = 0;
-  auto cycle = [&](auto& table) {
-    table.erase(oldest);
-    table.insert(make_entry(static_cast<std::uint32_t>(oldest + n), 1000));
-    ++oldest;
-  };
   Pair p;
-  p.ref = ops_per_sec([&] { cycle(ref); });
+  p.ref = ops_per_sec([&] {
+    ref.erase(oldest);
+    ref.insert(make_entry(static_cast<std::uint32_t>(oldest + n), 1000));
+    ++oldest;
+  });
   oldest = 0;
-  p.idx = ops_per_sec([&] { cycle(idx); });
+  p.idx = ops_per_sec([&] {
+    idx.take(oldest);
+    idx.insert(make_entry(static_cast<std::uint32_t>(oldest + n), 1000));
+    ++oldest;
+  });
   return p;
 }
 
@@ -190,8 +193,8 @@ Pair bench_victim_select(std::size_t n) {
 }
 
 Pair bench_soft_lookup(std::size_t n) {
-  ReferenceSoftwareTable ref(0);
-  tables::SoftwareTable idx(0);
+  ReferenceSoftwareTable ref;
+  tables::SoftwareTable idx;
   fill(ref, n);
   fill(idx, n);
   const auto pkt = core::ProbeEngine::probe_packet(0);

@@ -33,7 +33,7 @@ void BM_TcamInsertAppend(benchmark::State& state) {
   std::uint32_t next = 1 << 20;
   for (auto _ : state) {
     t.insert(make_entry(next, 0x7000));  // above all: append
-    t.erase(next);
+    t.take(next);
     ++next;
   }
 }
@@ -44,7 +44,7 @@ void BM_TcamInsertBottom(benchmark::State& state) {
   std::uint32_t next = 1 << 20;
   for (auto _ : state) {
     t.insert(make_entry(next, 1));  // below all: full shift
-    t.erase(next);
+    t.take(next);
     ++next;
   }
 }

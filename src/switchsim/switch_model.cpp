@@ -41,7 +41,6 @@ SimulatedSwitch::SimulatedSwitch(SwitchId id, SwitchProfile profile,
     : id_(id),
       profile_(std::move(profile)),
       latency_(profile_.costs, profile_.paths, seed),
-      software_(0),
       microflow_(profile_.microflow_capacity) {
   for (const auto& cfg : profile_.cache_levels) levels_.emplace_back(cfg);
   if (profile_.arch == Architecture::kPolicyCache) {
@@ -372,12 +371,8 @@ FlowModOutcome SimulatedSwitch::do_delete(const of::FlowMod& fm, SimTime now,
     std::size_t level = 0;
     if (auto* e = find_strict_anywhere(fm.match, fm.priority, &level)) {
       const FlowId id = e->id;
-      if (level < levels_.size()) {
-        auto taken = levels_[level].take(id, &shifts);
-        if (taken) removed.push_back(std::move(*taken));
-      } else if (auto taken = software_.erase(id)) {
-        removed.push_back(std::move(*taken));
-      }
+      removed.push_back(level < levels_.size() ? *levels_[level].take(id, &shifts)
+                                               : *software_.take(id));
     }
   } else {
     for (auto& level : levels_) {
@@ -402,16 +397,11 @@ FlowModOutcome SimulatedSwitch::do_delete(const of::FlowMod& fm, SimTime now,
 void SimulatedSwitch::rebalance() {
   if (profile_.arch == Architecture::kFifoTwoLevel) {
     // Oldest software entry is promoted whenever the TCAM has room (§3).
+    // One that does not fit stays where it is, keeping the table order.
     auto& tcam = levels_[0];
-    while (software_.size() > 0) {
-      // Peek the oldest; stop if it cannot fit.
-      auto oldest = software_.pop_oldest();
-      if (!oldest) break;
-      if (!tcam.can_fit(oldest->match)) {
-        software_.insert(std::move(*oldest));  // put it back
-        break;
-      }
-      tcam.insert(std::move(*oldest));
+    while (const tables::FlowEntry* oldest = software_.oldest()) {
+      if (!tcam.can_fit(oldest->match)) break;
+      tcam.insert(*software_.take(oldest->id));
     }
     return;
   }
@@ -420,28 +410,19 @@ void SimulatedSwitch::rebalance() {
   // Pull the policy-best entries upward into freed slots, deepest first.
   for (std::size_t i = 0; i < levels_.size(); ++i) {
     auto& upper = levels_[i];
-    auto candidates = [&]() -> std::vector<const tables::FlowEntry*> {
-      if (i + 1 < levels_.size()) return level_entries(i + 1);
-      std::vector<const tables::FlowEntry*> out;
-      out.reserve(software_.entries().size());
-      for (const auto& e : software_.entries()) out.push_back(&e);
-      return out;
-    };
-    for (auto pool = candidates(); !pool.empty(); pool = candidates()) {
+    const bool from_level = i + 1 < levels_.size();
+    for (;;) {
+      // Insert and take invalidate the view, so it is fetched after each move.
+      const auto pool = from_level ? levels_[i + 1].entries() : software_.entries();
+      if (pool.empty()) break;
       // Best = the entry the policy would evict last.
-      const tables::FlowEntry* best = pool[0];
-      for (const auto* e : pool) {
-        if (profile_.policy.prefers(*e, *best)) best = e;
+      const tables::FlowEntry* best = &pool[0];
+      for (const auto& e : pool) {
+        if (profile_.policy.prefers(e, *best)) best = &e;
       }
       if (!upper.can_fit(best->match)) break;
-      std::optional<tables::FlowEntry> moved;
-      if (i + 1 < levels_.size()) {
-        moved = levels_[i + 1].take(best->id);
-      } else {
-        moved = software_.erase(best->id);
-      }
-      if (!moved) break;
-      upper.insert(std::move(*moved));
+      const FlowId id = best->id;
+      upper.insert(from_level ? *levels_[i + 1].take(id) : *software_.take(id));
     }
   }
 }
@@ -736,7 +717,7 @@ ForwardOutcome SimulatedSwitch::forward(const of::Packet& pkt, SimTime now) {
     const std::size_t above = best_level - 1;
     auto take_hit = [&]() -> std::optional<tables::FlowEntry> {
       if (best_level < levels_.size()) return levels_[best_level].take(id);
-      return software_.erase(id);
+      return software_.take(id);
     };
     auto put_back_down = [&](tables::FlowEntry entry) {
       if (best_level < levels_.size()) {

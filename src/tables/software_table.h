@@ -5,16 +5,17 @@
 // many kernel microflows).
 //
 // Both tables are index-backed so wall-clock cost per simulated operation
-// stays near O(1). Like the TCAM, the wildcard table keeps its entries in
-// an OrderedSlots store, keyed by insertion serial, so an erase from the
-// middle moves no other entry; it uses the TCAM's tuple-space and strict
-// indexes and adds a lazy min-heap over insertion times for pop_oldest. The microflow cache keeps a per-rule key index and a
-// sequence-guarded FIFO so rule invalidation no longer walks the whole
-// cache. Observable behaviour is bit-identical to the linear-scan
-// implementations these replaced (see tests/test_table_diff.cpp).
+// stays near O(1). The wildcard table inherits the OrderedSlots store, with
+// its side indexes and every operation it shares with the TCAM, and keeps
+// only its policy: the insertion-serial order key (so an erase from the
+// middle moves no other entry), the earliest-wins lookup tie, and a lazy
+// min-heap over insertion times for oldest(). The microflow cache keeps a
+// per-rule key index and a sequence-guarded FIFO so rule invalidation no
+// longer walks the whole cache. Observable behaviour is bit-identical to the
+// linear-scan implementations these replaced (see
+// tests/test_table_diff.cpp).
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <deque>
 #include <optional>
@@ -23,91 +24,59 @@
 
 #include "tables/flow_entry.h"
 #include "tables/ordered_slots.h"
-#include "tables/tuple_index.h"
 
 namespace tango::tables {
 
-/// Priority-ordered wildcard table; capacity 0 means unbounded. Entries are
-/// kept in insertion order (the observable order of entries() and stats).
-class SoftwareTable {
+/// Priority-ordered wildcard table, unbounded. Entries are kept in
+/// insertion order (the observable order of entries() and stats).
+class SoftwareTable : private OrderedSlots {
  public:
-  explicit SoftwareTable(std::size_t capacity = 0) : capacity_(capacity) {}
+  void insert(FlowEntry entry);
 
-  /// Insert; fails only when a finite capacity is exhausted.
-  bool insert(FlowEntry entry);
+  // Shared with the TCAM (see ordered_slots.h): removal by id, subsumption
+  // delete, expiry, MODIFY visits, strict and by-id finds, occupancy, and
+  // the table (insertion) order. for_each_matching's `fn` must not change
+  // an entry's insertion time either.
+  using OrderedSlots::take;
+  using OrderedSlots::erase_matching;
+  using OrderedSlots::take_expired;
+  using OrderedSlots::for_each_matching;
+  using OrderedSlots::find_strict;
+  using OrderedSlots::find_by_id;
+  using OrderedSlots::size;
+  using OrderedSlots::entries;
 
-  /// Remove by id; returns the removed entry if present.
-  std::optional<FlowEntry> erase(FlowId id);
+  /// The oldest-inserted entry, left in place (Switch #1's FIFO promotion
+  /// source), or nullptr when empty. Ties on insertion time break towards
+  /// the earlier position.
+  const FlowEntry* oldest();
 
-  /// Remove all entries subsumed by `filter`.
-  std::vector<FlowEntry> erase_matching(const of::Match& filter);
-
-  /// Remove every entry whose idle/hard timeout elapsed by `now`. O(1) when
-  /// no resident entry carries a timeout.
-  std::vector<FlowEntry> take_expired(SimTime now);
-
-  /// Pop the oldest-inserted entry (Switch #1's FIFO promotion source).
-  /// Ties on insertion time break towards the earlier position.
-  std::optional<FlowEntry> pop_oldest();
-
+  /// Highest-priority entry matching the packet (ties: earliest insert).
   FlowEntry* lookup(const of::PacketHeader& pkt);
-  FlowEntry* find_strict(const of::Match& match, std::uint16_t priority);
-
-  [[nodiscard]] const FlowEntry* find_by_id(FlowId id) const;
-  FlowEntry* find_by_id(FlowId id);
-
-  /// Apply `fn` to every entry subsumed by `filter`, in table order. `fn`
-  /// must not change an entry's match, priority, id, or insertion time.
-  /// Returns the number of entries visited.
-  template <typename Fn>
-  std::size_t for_each_matching(const of::Match& filter, Fn&& fn) {
-    collect_matching(filter);
-    std::sort(scratch_.begin(), scratch_.end());
-    for (const std::size_t pos : scratch_) fn(store_.at(pos));
-    return scratch_.size();
-  }
 
   /// Overwrite the entry with this id in place (ADD-replaces-duplicate).
   /// Must carry the same id, match, and priority; false if absent.
   bool replace(FlowId id, FlowEntry entry);
 
-  [[nodiscard]] std::size_t size() const { return store_.size(); }
-  [[nodiscard]] bool unbounded() const { return capacity_ == 0; }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  /// Entries in table (insertion) order.
-  [[nodiscard]] OrderedSlots::View entries() const { return store_.view(); }
   void clear();
 
  private:
-  static bool is_timed(const FlowEntry& e) {
-    return e.idle_timeout != 0 || e.hard_timeout != 0;
-  }
   struct AgeRecord {
     std::int64_t insert_ns = 0;
     std::uint64_t seq = 0;  ///< insertion serial; orders equal timestamps
     FlowId id = 0;
   };
   static bool age_after(const AgeRecord& a, const AgeRecord& b);
+  /// The entry `r` still describes, or nullptr when the record is stale:
+  /// the entry left the table or a replacement restarted its clock.
+  [[nodiscard]] const FlowEntry* live(const AgeRecord& r) const;
   void push_age(const FlowEntry& e, std::uint64_t seq);
   void compact_age_heap();
-  void unindex(const FlowEntry& e);
-  FlowEntry remove_at(std::size_t pos);
-  /// Fill scratch_ with the positions of the entries `filter` subsumes.
-  void collect_matching(const of::Match& filter);
-  /// Remove the entries at `desc` (positions, strictly descending), in that
-  /// order.
-  std::vector<FlowEntry> remove_batch(const std::vector<std::size_t>& desc);
 
-  std::size_t capacity_;
-  OrderedSlots store_;  // keyed by insertion serial
-  std::uint64_t next_seq_ = 0;
-  std::size_t timed_ = 0;
-  TupleSpaceIndex tuple_;
-  StrictIndex strict_;
-  /// Lazy min-heap on (insert_ns, seq); stale records (id gone or
-  /// insert time changed by replacement) are discarded on pop.
+  std::uint64_t next_seq_ = 0;  // the order key
+  /// Lazy min-heap on (insert_ns, seq); oldest() and compaction discard
+  /// stale records.
   std::vector<AgeRecord> age_heap_;
-  std::vector<std::size_t> scratch_;
 };
 
 /// Exact-match cache keyed by full packet header. FIFO-evicting, like the

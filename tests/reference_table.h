@@ -23,6 +23,12 @@
 
 namespace tango::tables::testing {
 
+/// What one by-id erase removed and the compaction moves it cost.
+struct TcamEraseOutcome {
+  std::size_t removed = 0;
+  std::size_t shifts = 0;        ///< compaction moves
+};
+
 /// Linear-scan TCAM with the seed's exact shift accounting and tie-breaks.
 class ReferenceTcam {
  public:

@@ -122,6 +122,21 @@ TEST(FifoSwitch, DeleteFromTcamPromotesOldestSoftwareEntry) {
   EXPECT_EQ(sw.forward(packet_for(6), at(61)).level, 1u);
 }
 
+TEST(FifoSwitch, FailedPromotionKeepsSoftwareOrder) {
+  SimulatedSwitch sw(1, small_switch1(2));
+  for (std::uint32_t i = 0; i < 5; ++i) sw.apply_flow_mod(add_rule(i), at(i));
+  // Deleting software rule 4 frees no TCAM slot, so the oldest software
+  // rule (2) cannot be promoted; it must keep its place ahead of rule 3.
+  auto del = add_rule(4);
+  del.command = of::FlowModCommand::kDelete;
+  sw.apply_flow_mod(del, at(50));
+  EXPECT_EQ(sw.level_size(0), 2u);
+  const auto software = sw.level_entries(1);
+  ASSERT_EQ(software.size(), 2u);
+  EXPECT_EQ(software[0]->cookie, 2u);  // probe rules carry their index
+  EXPECT_EQ(software[1]->cookie, 3u);
+}
+
 TEST(FifoSwitch, TrafficDoesNotReorderPlacement) {
   SimulatedSwitch sw(1, small_switch1(3));
   for (std::uint32_t i = 0; i < 6; ++i) sw.apply_flow_mod(add_rule(i), at(i));

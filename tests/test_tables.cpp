@@ -219,10 +219,13 @@ TEST(TcamTest, LookupPicksHighestPriority) {
 TEST(TcamTest, EraseCountsCompactionShifts) {
   Tcam t({10, TcamMode::kSingleWide});
   for (int i = 0; i < 5; ++i) t.insert(entry(i, static_cast<std::uint16_t>(i)));
-  const auto out = t.erase(0);  // bottom entry: 4 entries compact down
-  EXPECT_EQ(out.removed, 1u);
-  EXPECT_EQ(out.shifts, 4u);
-  EXPECT_EQ(t.erase(99).removed, 0u);
+  std::size_t shifts = 0;
+  const auto out = t.take(0, &shifts);  // bottom entry: 4 entries compact down
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->id, 0u);
+  EXPECT_EQ(shifts, 4u);
+  EXPECT_FALSE(t.take(99, &shifts).has_value());
+  EXPECT_EQ(shifts, 4u);  // an absent id adds no shifts
   EXPECT_EQ(t.slots_used(), 4u);
 }
 
@@ -261,32 +264,25 @@ TEST(TcamTest, FindStrictMatchesPriorityToo) {
 // Software tables
 // ---------------------------------------------------------------------------
 
-TEST(SoftwareTableTest, UnboundedByDefault) {
+TEST(SoftwareTableTest, Unbounded) {
   SoftwareTable t;
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_TRUE(t.insert(entry(i, 10)));
-  }
+  for (int i = 0; i < 1000; ++i) t.insert(entry(i, 10));
   EXPECT_EQ(t.size(), 1000u);
 }
 
-TEST(SoftwareTableTest, BoundedCapacityRejects) {
-  SoftwareTable t(2);
-  EXPECT_TRUE(t.insert(entry(1, 1)));
-  EXPECT_TRUE(t.insert(entry(2, 1)));
-  EXPECT_FALSE(t.insert(entry(3, 1)));
-}
-
-TEST(SoftwareTableTest, PopOldestIsFifoOrder) {
+TEST(SoftwareTableTest, OldestIsFifoOrder) {
   SoftwareTable t;
   t.insert(entry(1, 1, /*insert=*/300));
   t.insert(entry(2, 1, /*insert=*/100));
   t.insert(entry(3, 1, /*insert=*/200));
-  auto oldest = t.pop_oldest();
-  ASSERT_TRUE(oldest.has_value());
-  EXPECT_EQ(oldest->id, 2u);
-  EXPECT_EQ(t.pop_oldest()->id, 3u);
-  EXPECT_EQ(t.pop_oldest()->id, 1u);
-  EXPECT_FALSE(t.pop_oldest().has_value());
+  for (const FlowId want : {2u, 3u, 1u}) {
+    const FlowEntry* oldest = t.oldest();
+    ASSERT_NE(oldest, nullptr);
+    EXPECT_EQ(oldest->id, want);
+    EXPECT_EQ(t.oldest(), oldest);  // a peek leaves the entry in place
+    t.take(want);
+  }
+  EXPECT_EQ(t.oldest(), nullptr);
 }
 
 TEST(SoftwareTableTest, LookupHonorsPriority) {
@@ -305,13 +301,13 @@ TEST(SoftwareTableTest, LookupHonorsPriority) {
   EXPECT_EQ(hit->id, 2u);
 }
 
-TEST(SoftwareTableTest, EraseById) {
+TEST(SoftwareTableTest, TakeById) {
   SoftwareTable t;
   t.insert(entry(1, 1));
-  auto removed = t.erase(1);
+  auto removed = t.take(1);
   ASSERT_TRUE(removed.has_value());
   EXPECT_EQ(removed->id, 1u);
-  EXPECT_FALSE(t.erase(1).has_value());
+  EXPECT_FALSE(t.take(1).has_value());
 }
 
 // ---------------------------------------------------------------------------
