@@ -2,10 +2,12 @@
 // Tcam / SoftwareTable / MicroflowCache against the pre-index linear-scan
 // reference implementations (tests/reference_table.h) in one process, and
 // records both absolute throughputs and the machine-independent speedup
-// ratios in BENCH_micro_tables.json. The speedup_* results are the CI
-// perf gate (tools/bench_compare.py --tolerance 0.25 against
-// bench/baselines/BENCH_micro_tables.json); the *_ops_per_sec results are
-// informational — they track the host, not the code.
+// ratios in BENCH_micro_tables.json. Before timing each case it runs one
+// short op sequence through both sides and exits 1 if any entries() order,
+// returned id, shift count, lookup winner or victim differs. The speedup_*
+// results are the CI perf gate (tools/bench_compare.py --tolerance 0.25
+// against bench/baselines/BENCH_micro_tables.json); the *_ops_per_sec
+// results are informational — they track the host, not the code.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -76,6 +78,93 @@ void fill(Table& t, std::size_t n) {
   }
 }
 
+/// Set when a pre-timing check finds production and reference differ.
+bool g_differ = false;
+
+/// One case's pre-timing comparison; prints each difference it finds.
+struct Check {
+  const char* what;
+  std::size_t n;
+
+  void same(bool equal, const char* result) const {
+    if (equal) return;
+    g_differ = true;
+    std::printf("  %s n=%zu: production and reference %s differ\n", what, n, result);
+  }
+
+  template <typename Ref, typename Idx>
+  void same_order(const Ref& ref, const Idx& idx) const {
+    auto ids = [](const auto& entries) {
+      std::vector<FlowId> out;
+      for (const auto& e : entries) out.push_back(e.id);
+      return out;
+    };
+    same(ids(ref.entries()) == ids(idx.entries()), "entries() orders");
+  }
+
+  /// Lookups of the packets installs() targets.
+  template <typename Ref, typename Idx>
+  void same_winners(Ref& ref, Idx& idx) const {
+    for (const std::uint32_t index : {kCheckId, static_cast<std::uint32_t>(n / 2), 0u}) {
+      const auto pkt = core::ProbeEngine::probe_packet(index);
+      const tables::FlowEntry* a = ref.lookup(pkt);
+      const tables::FlowEntry* b = idx.lookup(pkt);
+      same(a == nullptr ? b == nullptr : b != nullptr && a->id == b->id, "lookup winners");
+    }
+  }
+
+  static constexpr std::uint32_t kCheckId = 1u << 21;
+
+  /// The check's installs: one above the fill, one tying the middle entry's
+  /// match and priority (so a lookup runs the table's tie rule), and one
+  /// below the fill under the bottom entry's match.
+  [[nodiscard]] std::vector<tables::FlowEntry> installs() const {
+    const auto mid = static_cast<std::uint32_t>(n / 2);
+    auto tie = make_entry(kCheckId + 1, static_cast<std::uint16_t>(1000 + mid));
+    tie.match = core::ProbeEngine::probe_match(mid);
+    auto below = make_entry(kCheckId + 2, 1);
+    below.match = core::ProbeEngine::probe_match(0);
+    return {make_entry(kCheckId, 0xF000), tie, below};
+  }
+};
+
+/// Installs, lookups, the victim when a policy is given, then the removal
+/// of each install, through both TCAMs.
+void check_tcam(const Check& check, ReferenceTcam& ref, tables::Tcam& idx,
+                const tables::LexCachePolicy* policy = nullptr) {
+  for (const auto& e : check.installs()) {
+    const auto a = ref.insert(e);
+    const auto b = idx.insert(e);
+    check.same(a.accepted == b.accepted && a.shifts == b.shifts, "insert shifts");
+  }
+  check.same_winners(ref, idx);
+  if (policy != nullptr) check.same(ref.victim_id(*policy) == idx.victim_id(), "victims");
+  for (const auto& e : check.installs()) {
+    const auto a = ref.erase(e.id);
+    std::size_t shifts = 0;
+    const auto b = idx.take(e.id, &shifts);
+    check.same(a.removed == 1 && b && b->id == e.id && a.shifts == shifts,
+               "removed ids or shifts");
+  }
+  check.same_order(ref, idx);
+}
+
+/// Installs, lookups, then the removal of each install, through both
+/// software tables.
+void check_soft(const Check& check, ReferenceSoftwareTable& ref, tables::SoftwareTable& idx) {
+  for (const auto& e : check.installs()) {
+    ref.insert(e);
+    idx.insert(e);
+  }
+  check.same_winners(ref, idx);
+  for (const auto& e : check.installs()) {
+    const auto a = ref.erase(e.id);
+    const auto b = idx.take(e.id);
+    check.same(a && b && a->id == e.id && b->id == e.id, "removed ids");
+  }
+  check.same_order(ref, idx);
+}
+
 struct Pair {
   double ref = 0;
   double idx = 0;
@@ -97,6 +186,7 @@ Pair bench_tcam_lookup(std::size_t n) {
   tables::Tcam idx({n + 16, tables::TcamMode::kSingleWide});
   fill(ref, n);
   fill(idx, n);
+  check_tcam({"tcam_lookup", n}, ref, idx);
   // probe 0 sits at the bottom of the physical array: the linear scan from
   // the top walks all n entries before finding it (its worst case).
   const auto pkt = core::ProbeEngine::probe_packet(0);
@@ -113,6 +203,7 @@ Pair bench_tcam_churn(std::size_t n) {
   tables::Tcam idx({n + 16, tables::TcamMode::kSingleWide});
   fill(ref, n);
   fill(idx, n);
+  check_tcam({"tcam_churn", n}, ref, idx);
   // 0xF000 stays above the fill priorities (1000..1000+n) for every n we
   // run, so the install really appends at the top instead of shifting the
   // middle of the array.
@@ -140,6 +231,7 @@ Pair bench_tcam_shift_churn(std::size_t n) {
   tables::Tcam idx({n + 16, tables::TcamMode::kSingleWide});
   fill(ref, n);
   fill(idx, n);
+  check_tcam({"tcam_shift_churn", n}, ref, idx);
   std::uint32_t next = 1u << 20;
   Pair p;
   p.ref = ops_per_sec([&] {
@@ -163,6 +255,7 @@ Pair bench_soft_erase_oldest(std::size_t n) {
   tables::SoftwareTable idx;
   fill(ref, n);
   fill(idx, n);
+  check_soft({"soft_erase_oldest", n}, ref, idx);
   std::uint32_t oldest = 0;
   Pair p;
   p.ref = ops_per_sec([&] {
@@ -186,6 +279,7 @@ Pair bench_victim_select(std::size_t n) {
   fill(ref, n);
   idx.set_eviction_policy(&policy);
   fill(idx, n);
+  check_tcam({"victim_select", n}, ref, idx, &policy);
   Pair p;
   p.ref = ops_per_sec([&] { keep(ref.victim_id(policy)); });
   p.idx = ops_per_sec([&] { keep(idx.victim_id()); });
@@ -197,6 +291,7 @@ Pair bench_soft_lookup(std::size_t n) {
   tables::SoftwareTable idx;
   fill(ref, n);
   fill(idx, n);
+  check_soft({"soft_lookup", n}, ref, idx);
   const auto pkt = core::ProbeEngine::probe_packet(0);
   Pair p;
   p.ref = ops_per_sec([&] { keep(ref.lookup(pkt)); });
@@ -221,14 +316,29 @@ Pair bench_microflow_invalidate(std::size_t n) {
   tables::MicroflowCache idx(2 * n + 64);
   load(ref);
   load(idx);
+  auto hot_key = [&](std::size_t k) {
+    return core::ProbeEngine::probe_packet(static_cast<std::uint32_t>(3 * n + k));
+  };
   auto cycle = [&](auto& cache) {
     for (std::size_t k = 0; k < kKeysPerCycle; ++k) {
-      cache.insert(core::ProbeEngine::probe_packet(
-                       static_cast<std::uint32_t>(3 * n + k)),
-                   hot_rule, of::output_to(2), SimTime(1));
+      cache.insert(hot_key(k), hot_rule, of::output_to(2), SimTime(1));
     }
     cache.invalidate_rule(hot_rule);
   };
+  // Pre-timing check: every loaded and hot key hits the same rule on both
+  // sides, and one cycle leaves both caches the same size.
+  const Check check{"microflow_invalidate", n};
+  for (std::size_t k = 0; k < kKeysPerCycle; ++k) {
+    for (const auto& key : {core::ProbeEngine::probe_packet(static_cast<std::uint32_t>(k)),
+                            hot_key(k)}) {
+      const auto a = ref.lookup(key, SimTime(2));
+      const auto b = idx.lookup(key, SimTime(2));
+      check.same(a ? b && a->source_rule == b->source_rule : !b, "lookup winners");
+    }
+  }
+  cycle(ref);
+  cycle(idx);
+  check.same(ref.size() == idx.size(), "sizes");
   Pair p;
   p.ref = ops_per_sec([&] { cycle(ref); });
   p.idx = ops_per_sec([&] { cycle(idx); });
@@ -258,5 +368,5 @@ int main() {
   record(report, "microflow_invalidate", 50000, bench_microflow_invalidate(50000));
 
   bench::print_footer();
-  return 0;
+  return g_differ ? 1 : 0;
 }
