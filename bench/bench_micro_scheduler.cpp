@@ -2,7 +2,12 @@
 // through the production schedulers and through the sort-based reference
 // order() bodies (tests/reference_scheduler.h), checks that both return the
 // same order for every pool, and records the machine-independent speedup
-// ratios in BENCH_micro_scheduler.json.
+// ratios in BENCH_micro_scheduler.json. It also commits each update with
+// sched::execute twice per production scheduler: on the executor's keyed
+// path (the scheduler's issue_keys()) and on its round path
+// (RoundPathScheduler, order() on every changed pool). Every report field
+// and every switch's final table must match; speedup_execute_* is the
+// round path's wall time over the keyed path's.
 //
 // Pools are recorded by a wrapper scheduler during one fault-free execute()
 // of each update: a 550-demand Figure 12 B4 TE update on OVS sites, and a
@@ -11,7 +16,7 @@
 // rounds it really sees. The fig12 update is also replayed with one site's
 // descending adds at 0.4x its ascending ones (tango_fig12_desc), the only
 // case in which the Tango scheduler sums its pattern scores. The
-// speedup_order_* results are the CI perf gate
+// speedup_order_* and speedup_execute_* results are the CI perf gate
 // (tools/bench_compare.py --tolerance 0.5 against
 // bench/baselines/BENCH_micro_scheduler.json, a floor at half the ratio
 // measured when the baseline was recorded); the *_ms results are
@@ -19,6 +24,7 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <map>
@@ -75,6 +81,15 @@ Pools record_pools(const Update& update, sched::UpdateScheduler& scheduler) {
   return std::move(recorder.pools);
 }
 
+/// The results key of a scheduler's case on an update, in lower case.
+std::string result_key(const sched::UpdateScheduler& scheduler,
+                       const Update& update, const std::string& suffix) {
+  std::string key = scheduler.name() + "_" + update.name + suffix;
+  std::transform(key.begin(), key.end(), key.begin(),
+                 [](unsigned char c) { return std::tolower(c); });
+  return key;
+}
+
 volatile std::size_t g_sink = 0;
 
 /// Best-of-3 wall time of one pass ordering every pool.
@@ -112,9 +127,7 @@ bool compare(bench::BenchReport& report, const Update& update,
   for (const auto& pool : pools) pooled += pool.size();
   const double ref_ms = order_ms(reference, update.dag, pools);
   const double new_ms = order_ms(production, update.dag, pools);
-  std::string key = production.name() + "_" + update.name + suffix;
-  std::transform(key.begin(), key.end(), key.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
+  const std::string key = result_key(production, update, suffix);
   report.json().set_result("rounds_" + key, static_cast<double>(pools.size()));
   report.json().set_result(
       "pool_mean_" + key,
@@ -128,6 +141,63 @@ bool compare(bench::BenchReport& report, const Update& update,
               key.c_str(), pools.size(),
               pools.empty() ? 0.0 : static_cast<double>(pooled) / pools.size(),
               ref_ms, new_ms, new_ms > 0 ? ref_ms / new_ms : 0);
+  return true;
+}
+
+/// What one commit leaves behind, and its wall time.
+struct Commit {
+  sched::ExecutionReport report;
+  std::vector<of::FlowStatsReply> tables;
+  double ms = 0;
+};
+
+Commit commit(const Update& update, sched::UpdateScheduler& scheduler) {
+  using clock = std::chrono::steady_clock;
+  net::Network net;
+  update.build(net);
+  Commit out;
+  const auto start = clock::now();
+  out.report = sched::execute(net, update.dag, scheduler);
+  out.ms = std::chrono::duration<double, std::milli>(clock::now() - start).count();
+  for (SwitchId sw = 1; sw <= net.switch_count(); ++sw) {
+    out.tables.push_back(net.sw(sw).flow_stats(of::Match::any()));
+  }
+  return out;
+}
+
+/// Times execute() on the keyed path against the round path, best of 3
+/// fresh commits each; false if the scheduler has no keys or any commit's
+/// report or final tables differ between the paths.
+bool compare_execute(bench::BenchReport& report, const Update& update,
+                     sched::UpdateScheduler& production) {
+  std::vector<std::uint64_t> keys;
+  if (!production.issue_keys(update.dag, keys)) {
+    std::printf("  %s %s: no issue keys, the keyed path is not taken\n",
+                update.name.c_str(), production.name().c_str());
+    return false;
+  }
+  sched::testing::RoundPathScheduler round_path(production);
+  double keyed_ms = 0;
+  double round_ms = 0;
+  for (int rep = 0; rep < 3; ++rep) {
+    const Commit keyed = commit(update, production);
+    const Commit round = commit(update, round_path);
+    if (!(keyed.report == round.report) || keyed.tables != round.tables) {
+      std::printf("  %s %s: keyed and round-path commits differ\n",
+                  update.name.c_str(), production.name().c_str());
+      return false;
+    }
+    keyed_ms = rep == 0 ? keyed.ms : std::min(keyed_ms, keyed.ms);
+    round_ms = rep == 0 ? round.ms : std::min(round_ms, round.ms);
+  }
+  const std::string key = result_key(production, update, "");
+  report.json().set_result("round_execute_" + key + "_ms", round_ms);
+  report.json().set_result("keyed_execute_" + key + "_ms", keyed_ms);
+  report.json().set_result("speedup_execute_" + key,
+                           keyed_ms > 0 ? round_ms / keyed_ms : 0);
+  std::printf("  %-18s execute: round path %9.2f ms   keyed %8.2f ms"
+              "   speedup %6.1fx\n",
+              key.c_str(), round_ms, keyed_ms, keyed_ms > 0 ? round_ms / keyed_ms : 0);
   return true;
 }
 
@@ -145,10 +215,11 @@ core::OpCostEstimate learn_ovs_costs() {
 
 int main() {
   bench::print_header(
-      "bench_micro_scheduler: one-pass scheduling rounds vs sort-based reference",
+      "bench_micro_scheduler: one-pass scheduling rounds vs sort-based "
+      "reference, keyed ready heaps vs round path",
       "order() over the ready pools of a fig12 TE update and a 1024-switch "
-      "fabric reroute; outputs identical (tests/test_properties.cpp), only "
-      "the cost per round changes");
+      "fabric reroute, and execute() of both on the keyed and round paths; "
+      "outputs identical (tests/test_properties.cpp), only the cost changes");
   bench::BenchReport report("micro_scheduler");
   const core::OpCostEstimate ovs = learn_ovs_costs();
 
@@ -191,6 +262,7 @@ int main() {
     sched::BasicTangoScheduler tango(costs);
     sched::testing::ReferenceTangoScheduler ref_tango(costs);
     same = compare(report, update, "", tango, ref_tango) && same;
+    same = compare_execute(report, update, tango) && same;
     if (&update == &updates.front()) {
       // OVS descending adds are dearer, so the cases above never sum the
       // pattern scores; one fig12 site with cheaper descending adds keeps
@@ -204,6 +276,7 @@ int main() {
     sched::DionysusScheduler dionysus;
     sched::testing::ReferenceDionysusScheduler ref_dionysus;
     same = compare(report, update, "", dionysus, ref_dionysus) && same;
+    same = compare_execute(report, update, dionysus) && same;
   }
 
   bench::print_footer();

@@ -159,36 +159,25 @@ void Network::set_misbehavior(SwitchId id,
   }
 }
 
-namespace {
+Network::PumpClock::PumpClock(Network& net) : net_(net) {
+  if (net_.pump_depth_++ == 0) begin_ = std::chrono::steady_clock::now();
+}
 
-/// Wall-clock scope guard: adds the elapsed real time of an event-loop
-/// stretch to `acc` on exit. Reading steady_clock never perturbs the
-/// simulation (no event, no RNG, no virtual time).
-class WallTimer {
- public:
-  explicit WallTimer(std::uint64_t& acc)
-      : acc_(acc), begin_(std::chrono::steady_clock::now()) {}
-  ~WallTimer() {
-    acc_ += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - begin_)
-            .count());
-  }
-
- private:
-  std::uint64_t& acc_;
-  std::chrono::steady_clock::time_point begin_;
-};
-
-}  // namespace
+Network::PumpClock::~PumpClock() {
+  if (--net_.pump_depth_ != 0) return;
+  net_.wall_ns_ += static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - begin_)
+          .count());
+}
 
 void Network::run_all() {
-  WallTimer timer(wall_ns_);
+  const PumpClock clock(*this);
   events_.run();
 }
 
 bool Network::run_until_done(const bool& done, SimDuration timeout) {
-  WallTimer timer(wall_ns_);
+  const PumpClock clock(*this);
   if (timeout.ns() == 0) {
     while (!done && events_.step()) {
     }

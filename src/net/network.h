@@ -17,6 +17,7 @@
 // at a finite timeout the caller passes. Callers retry.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -208,9 +209,20 @@ class Network {
   /// Drain all pending events.
   void run_all();
 
+  /// Step the event queue until `done()` holds or the queue drains: the
+  /// pump of a caller that dispatched asynchronous work and waits for it
+  /// (sched::execute, UpdateTransaction::commit).
+  template <typename Done>
+  void pump_until(Done&& done) {
+    const PumpClock clock(*this);
+    while (!done() && events_.step()) {
+    }
+  }
+
   /// Wall-clock nanoseconds this network has spent advancing its event
-  /// loop (run_all / run_until_done and everything built on them). Real
-  /// time, not simulated time: soak drivers surface it per seed so
+  /// loop (run_all / run_until_done / pump_until and everything built on
+  /// them); a pump nested in another one counts once. Real time, not
+  /// simulated time: soak drivers surface it per seed so
   /// tools/bench_compare.py can gate parallel-runner speedups. Never feeds
   /// back into simulated behaviour or fingerprints.
   [[nodiscard]] std::uint64_t wall_ns() const { return wall_ns_; }
@@ -223,6 +235,21 @@ class Network {
     std::unique_ptr<switchsim::SimulatedSwitch> sw;
     std::unique_ptr<ControlChannel> channel;
     std::unique_ptr<FaultInjector> injector;
+  };
+
+  /// Scope of one event-loop pump: adds its real time to wall_ns_ on exit
+  /// unless it is nested in another pump. Reading steady_clock never
+  /// perturbs the simulation (no event, no RNG, no virtual time).
+  class PumpClock {
+   public:
+    explicit PumpClock(Network& net);
+    ~PumpClock();
+    PumpClock(const PumpClock&) = delete;
+    PumpClock& operator=(const PumpClock&) = delete;
+
+   private:
+    Network& net_;
+    std::chrono::steady_clock::time_point begin_;
   };
 
   std::uint32_t next_xid() { return xid_++; }
@@ -244,6 +271,7 @@ class Network {
   std::vector<Endpoint> endpoints_;
   std::uint32_t xid_ = 1;
   std::uint64_t wall_ns_ = 0;
+  std::uint32_t pump_depth_ = 0;
 
   /// A probe() waiting for its outcome. probe() waits for its own, so the
   /// list holds one entry unless probes nest; it is scanned by xid.

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
-#include <limits>
 #include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -133,34 +134,50 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
   /// Echo-rescue rounds consumed.
   std::vector<std::size_t> rescued;
 
-  // Ready-but-unsent requests. The scheduler re-orders this pool whenever
-  // it changes; per-switch dispatch windows keep each agent fed while the
-  // backlog stays reorderable (this is Algorithm 3's continuous loop: the
-  // independent set is re-extracted and re-ordered as requests finish).
-  // Sent and failed ids stay until the next round drops them in one
-  // order-preserving pass, so order() sees them leave in pool order.
-  std::vector<std::size_t> pending;
+  // Ready-but-unsent requests (Algorithm 3's continuous loop: the
+  // independent set is re-ordered as requests finish), one min-heap per
+  // switch slot; per-switch dispatch windows keep each agent fed while the
+  // backlog stays reorderable. A Ready ranks by the scheduler's key, then
+  // by pool-entry sequence: with issue_keys() (the keyed path) a request
+  // is pushed once, when it becomes ready, and its slot's heap order is
+  // the stable sort order() would give. Otherwise (the round path) every
+  // dispatch after the pool changed calls order() and refills the heaps
+  // with positions as keys. Sent and failed requests leave a heap when
+  // they reach its top.
+  struct Ready {
+    std::uint64_t key;
+    /// Pool-entry sequence << kIdBits | request id (the round path's
+    /// sequence is 0: its keys never tie).
+    std::uint64_t tie;
+    auto operator<=>(const Ready&) const = default;
+  };
+  static constexpr int kIdBits = 32;
+  static constexpr std::uint64_t kIdMask = (std::uint64_t{1} << kIdBits) - 1;
+  bool keyed = false;
+  std::vector<std::uint64_t> keys;    // per request, keyed path
+  std::uint64_t next_seq = 0;
+  std::vector<std::vector<Ready>> ready;  // per slot
+  /// The pool changed since the last dispatch: the next one is a new
+  /// scheduling round. Sent and failed ids stay in `pending` until then,
+  /// so order() sees them leave in pool order.
   bool pending_dirty = true;
-  std::vector<std::size_t> ordered;
+  std::vector<std::size_t> pending;  // round path
+  /// Round path: the slots the last refill() gave entries; every other
+  /// slot's heap is empty.
+  std::vector<std::uint32_t> refilled;
 
   // Every switch of the DAG gets a dense slot in init().
   std::vector<std::uint32_t> slot;     // per request
   std::vector<std::size_t> in_flight;  // per slot
   std::vector<std::uint8_t> dead;      // per slot
 
-  // The round's `ordered` list as per-slot queues of positions: head[s] is
-  // slot s's first position not yet acted on, next_same[p] the next
-  // position with p's slot.
-  static constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-  std::vector<std::size_t> head;
-  std::vector<std::size_t> next_same;
-  std::vector<std::uint32_t> round_slots;
   /// Slots that may act at the next dispatch: their window opened, they
-  /// went dead, or they got entries in a new round. Every other slot has a
-  /// full window or nothing left to act on.
+  /// went dead, or they got ready requests. Every other slot has a full
+  /// window or nothing left to act on.
   std::vector<std::uint8_t> active;
   std::vector<std::uint32_t> active_slots;
-  std::vector<std::pair<std::size_t, std::uint32_t>> heads;  // min-heap
+  /// The merge's min-heap of slot heap tops (a top's id gives its slot).
+  std::vector<Ready> heads;
 
   // Speculative path only: predecessors neither sent nor tombstoned, and
   // the blocked requests whose predecessors are all out, by id.
@@ -179,6 +196,12 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
 
   void init() {
     n = dag.size();
+    // A Ready packs a request id (and, keyed, a sequence number below n)
+    // into 32 bits each.
+    if (n > kIdMask) {
+      throw std::length_error("executor: " + std::to_string(n) +
+                              " requests exceed the ready heaps' 32-bit ids");
+    }
     start = network.now();
     remaining_preds.assign(n, 0);
     issued.assign(n, false);
@@ -190,10 +213,6 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
     end = start;
     for (std::size_t id = 0; id < n; ++id) {
       remaining_preds[id] = dag.predecessors(id).size();
-      if (remaining_preds[id] == 0) {
-        pending.push_back(id);
-        ready_time[id] = start;
-      }
     }
     std::map<SwitchId, std::uint32_t> slot_of;
     slot.resize(n);
@@ -205,7 +224,7 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
     }
     in_flight.assign(slot_of.size(), 0);
     dead.assign(slot_of.size(), 0);
-    head.assign(slot_of.size(), kNone);
+    ready.resize(slot_of.size());
     active.assign(slot_of.size(), 0);
     if (options.speculative_dependents) unsent_preds = remaining_preds;
 
@@ -269,10 +288,34 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
     }
   }
 
+  /// The DAG is acyclic: take the scheduler's keys, if it has them, make
+  /// the roots ready and dispatch.
+  void begin() {
+    keyed = scheduler.issue_keys(dag, keys);
+    for (std::size_t id = 0; id < n; ++id) {
+      if (remaining_preds[id] == 0) make_ready(id);
+    }
+    dispatch();
+  }
+
   void mark_active(std::uint32_t s) {
     if (active[s] != 0) return;
     active[s] = 1;
     active_slots.push_back(s);
+  }
+
+  /// `id`'s last predecessor completed (or it is a root).
+  void make_ready(std::size_t id) {
+    ready_time[id] = network.now();
+    pending_dirty = true;
+    if (!keyed) {
+      pending.push_back(id);
+      return;
+    }
+    auto& heap = ready[slot[id]];
+    heap.push_back({keys[id], next_seq++ << kIdBits | id});
+    std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+    mark_active(slot[id]);
   }
 
   /// `id` was sent or tombstoned: its successors lose an unsent predecessor.
@@ -391,9 +434,7 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
     for (std::size_t succ : dag.successors(id)) {
       if (remaining_preds[succ] > 0 && --remaining_preds[succ] == 0 &&
           !issued[succ]) {
-        pending.push_back(succ);
-        ready_time[succ] = network.now();
-        pending_dirty = true;
+        make_ready(succ);
       }
     }
     dispatch();
@@ -569,56 +610,61 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
     dispatch();
   }
 
-  /// Split the new round's `ordered` list into per-slot position queues.
-  void split_round() {
-    for (const std::uint32_t s : round_slots) head[s] = kNone;
-    round_slots.clear();
-    next_same.resize(ordered.size());
-    for (std::size_t pos = ordered.size(); pos-- > 0;) {
+  /// Round path: re-order the pool and refill the heaps with positions as
+  /// keys. Positions ascend, so each slot's entries arrive sorted, which
+  /// is already heap order.
+  void refill() {
+    std::erase_if(pending, [&](std::size_t id) { return issued[id]; });
+    for (const std::uint32_t s : refilled) ready[s].clear();
+    refilled.clear();
+    const std::vector<std::size_t> ordered = scheduler.order(dag, pending);
+    for (std::size_t pos = 0; pos < ordered.size(); ++pos) {
       const std::uint32_t s = slot[ordered[pos]];
-      if (head[s] == kNone) round_slots.push_back(s);
-      next_same[pos] = head[s];
-      head[s] = pos;
+      if (ready[s].empty()) {
+        refilled.push_back(s);
+        mark_active(s);
+      }
+      ready[s].push_back({pos, ordered[pos]});
     }
-    for (const std::uint32_t s : round_slots) mark_active(s);
   }
 
   void dispatch() {
     if (finished) return;
     if (pending_dirty) {
-      std::erase_if(pending, [&](std::size_t id) { return issued[id]; });
-      ++report.scheduling_rounds;
-      ordered = scheduler.order(dag, pending);
       pending_dirty = false;
-      split_round();
+      ++report.scheduling_rounds;
+      if (!keyed) refill();
     }
-    // Merge the active slots' queue heads by position: the same sends and
-    // failures, in the same order, as a front-to-back walk of `ordered`.
-    // Within one dispatch no window opens (only unsent requests fail), so
-    // a slot whose window fills is done; heads failed meanwhile are skipped.
+    // Merge the active slots' heap tops by rank: the same sends and
+    // failures, in the same order, as a front-to-back walk of the pool in
+    // order() order. Within one dispatch no window opens and no request
+    // becomes ready (only unsent requests fail), so a slot whose window
+    // fills is done; requests sent or failed meanwhile are dropped.
     for (const std::uint32_t s : active_slots) {
       active[s] = 0;
-      if (head[s] != kNone) heads.emplace_back(head[s], s);
+      if (!ready[s].empty()) heads.push_back(ready[s].front());
     }
     active_slots.clear();
     std::make_heap(heads.begin(), heads.end(), std::greater<>{});
     while (!heads.empty()) {
       std::pop_heap(heads.begin(), heads.end(), std::greater<>{});
-      const auto [pos, s] = heads.back();
+      const std::size_t id = heads.back().tie & kIdMask;
       heads.pop_back();
-      const std::size_t id = ordered[pos];
+      const std::uint32_t s = slot[id];
+      auto& heap = ready[s];
       if (!issued[id]) {
         if (dead[s] != 0) {
           fail_request(id);
         } else if (in_flight[s] < options.per_switch_window) {
           send(id);
         } else {
-          continue;  // window full: the head waits here
+          continue;  // window full: the top waits here
         }
       }
-      head[s] = next_same[pos];
-      if (head[s] != kNone) {
-        heads.emplace_back(head[s], s);
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+      heap.pop_back();
+      if (!heap.empty()) {
+        heads.push_back(heap.front());
         std::push_heap(heads.begin(), heads.end(), std::greater<>{});
       }
     }
@@ -691,8 +737,7 @@ ExecutionReport execute(net::Network& network, const RequestDag& dag,
                         UpdateScheduler& scheduler,
                         const ExecutorOptions& options) {
   AsyncExecution run = execute_async(network, dag, scheduler, options);
-  while (!run.done() && network.events().step()) {
-  }
+  network.pump_until([&run] { return run.done(); });
   // Timers still queued beyond this point hold the state alive and no-op.
   return run.valid() ? run.finish() : ExecutionReport{};
 }
@@ -726,7 +771,7 @@ AsyncExecution execute_async(net::Network& network, const RequestDag& dag,
   st->faults_before = snapshot_faults(network, dag);
   st->init();
   if (dag.is_acyclic()) {
-    st->dispatch();
+    st->begin();
   } else {
     st->fail_cyclic();
   }

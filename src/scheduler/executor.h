@@ -1,10 +1,16 @@
 // Executes a request DAG against the simulated network under a given
 // scheduler, measuring the makespan in virtual time.
 //
-// Round structure: all currently ready requests are handed to the scheduler
-// for ordering and issued (per-switch channels are FIFO, so issue order is
-// execution order per switch). Each completion unlocks successors; newly
-// ready requests trigger another scheduling round. With the speculative
+// Ready pool: every ready (dependency-free) request waits at the controller
+// in its switch's min-heap, ranked by a scheduling key and then by the
+// order it became ready, and goes out as that switch's in-flight window
+// allows (per-switch channels are FIFO, so issue order is execution order
+// per switch). Each completion unlocks successors. When the scheduler's
+// issue_keys() holds, a request is pushed once, with its key, as it
+// becomes ready; otherwise each dispatch after the pool changed is a
+// scheduling round that calls order() on the whole pool and refills the
+// heaps in its order. Both issue exactly what walking order()'s output
+// would, and both count a round per such dispatch. With the speculative
 // option on, a request may be issued before its predecessors complete when
 // the predecessor's estimated completion (plus a guard interval) precedes
 // this request's estimated start — the §6 "schedule dependent switch
@@ -146,6 +152,8 @@ struct ExecutionReport {
   std::size_t fault_dropped_to_controller = 0;
   /// Switches whose agent crashed (tables wiped) during this execution.
   std::set<SwitchId> crashed_switches;
+
+  bool operator==(const ExecutionReport&) const = default;
 };
 
 ExecutionReport execute(net::Network& network, const RequestDag& dag,

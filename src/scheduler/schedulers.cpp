@@ -1,6 +1,7 @@
 #include "scheduler/schedulers.h"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 #include <numeric>
 #include <utility>
@@ -54,6 +55,15 @@ std::vector<std::size_t> DionysusScheduler::order(const RequestDag& dag,
   }
   ready.swap(out_);
   return ready;
+}
+
+bool DionysusScheduler::issue_keys(const RequestDag& dag,
+                                   std::vector<std::uint64_t>& keys) const {
+  keys.resize(dag.size());
+  for (std::size_t id = 0; id < dag.size(); ++id) {
+    keys[id] = ~std::uint64_t{dag.downstream_depth(id)};
+  }
+  return true;
 }
 
 BasicTangoScheduler::BasicTangoScheduler(
@@ -117,6 +127,16 @@ std::uint32_t BasicTangoScheduler::slot_of(std::size_t id, SwitchId sw) const {
   return cached;
 }
 
+BasicTangoScheduler::PoolEntry BasicTangoScheduler::classify(
+    const SwitchRequest& req) const {
+  if (req.type == RequestType::kDel) return {PoolClass::kDel, 0};
+  if (req.type == RequestType::kMod) return {PoolClass::kMod, 0};
+  if (options_.sort_priorities && req.priority.has_value()) {
+    return {PoolClass::kSortedAdd, *req.priority};
+  }
+  return {PoolClass::kPoolOrderAdd, 0};
+}
+
 BasicTangoScheduler::Scores BasicTangoScheduler::read_pool(
     const RequestDag& dag, const std::vector<std::size_t>& ready, bool score) const {
   entries_.resize(ready.size());
@@ -129,13 +149,8 @@ BasicTangoScheduler::Scores BasicTangoScheduler::read_pool(
   for (std::size_t i = 0; i < ready.size(); ++i) {
     const std::size_t id = ready[i];
     const auto& req = dag.request(id);
-    PoolEntry entry{PoolClass::kPoolOrderAdd, 0};
-    if (req.type == RequestType::kDel) {
-      entry.cls = PoolClass::kDel;
-    } else if (req.type == RequestType::kMod) {
-      entry.cls = PoolClass::kMod;
-    } else if (options_.sort_priorities && req.priority.has_value()) {
-      entry = {PoolClass::kSortedAdd, *req.priority};
+    const PoolEntry entry = classify(req);
+    if (entry.cls == PoolClass::kSortedAdd) {
       ++low_bytes_[entry.priority & 0xFF];
       ++high_bytes_[entry.priority >> 8];
     }
@@ -300,6 +315,24 @@ std::vector<std::size_t> BasicTangoScheduler::order(const RequestDag& dag,
     }
   }
   return ordered;
+}
+
+bool BasicTangoScheduler::issue_keys(const RequestDag& dag,
+                                     std::vector<std::uint64_t>& keys) const {
+  if (descending_can_win_ || options_.prefix_lookahead || options_.deadline_first) {
+    return false;
+  }
+  // Then order() always places by the first pattern, DEL MOD ASCEND_ADD:
+  // the classes in PoolClass order, the sorted ADDs by ascending priority.
+  assert(patterns_.front().adds_ascending &&
+         patterns_.front().sequence[0] == RequestType::kDel &&
+         patterns_.front().sequence[1] == RequestType::kMod);
+  keys.resize(dag.size());
+  for (std::size_t id = 0; id < dag.size(); ++id) {
+    const PoolEntry entry = classify(dag.request(id));
+    keys[id] = std::uint64_t{index_of(entry.cls)} << 16 | entry.priority;
+  }
+  return true;
 }
 
 double BasicTangoScheduler::estimate_makespan_ms(

@@ -1,10 +1,16 @@
 // Update schedulers: the Dionysus-style critical-path baseline and the
 // Basic Tango Scheduler (paper Algorithm 3) with its extensions.
 //
-// Both operate round-by-round: the executor presents the set of currently
-// ready (dependency-free) requests; the scheduler returns them in issue
-// order. Per-switch command queues are FIFO, so issue order *is* execution
-// order on each switch.
+// A scheduler orders the executor's pool of ready (dependency-free)
+// requests for issue; per-switch command queues are FIFO, so issue order
+// *is* execution order on each switch. Where a scheduler's order is the
+// pool stably sorted by a key fixed per request, issue_keys() hands the
+// executor those keys once, and the executor keeps each switch's ready
+// requests in a heap instead of re-ordering the pool as requests finish.
+// Dionysus always does (deepest remaining path first); Tango does on the
+// path that skips its score sums, unless prefix lookahead or
+// deadline-first is on. Otherwise the executor calls order() on the whole
+// pool each time it changed (a scheduling round).
 //
 // The Tango scheduler's orderingTangoOracle scores candidate rewrite
 // patterns — permutations of {DEL, MOD, ADD} with an add-priority ordering —
@@ -52,6 +58,15 @@ class UpdateScheduler {
   virtual std::vector<std::size_t> order(const RequestDag& dag,
                                          std::vector<std::size_t> ready) = 0;
 
+  /// Set keys[id] for every request of `dag` and return true to promise
+  /// that every order() of `dag` returns its pool stably sorted by
+  /// keys[id] (ascending), so the executor may skip order() altogether.
+  /// `dag` must be acyclic. The default promises nothing.
+  [[nodiscard]] virtual bool issue_keys(const RequestDag& /*dag*/,
+                                        std::vector<std::uint64_t>& /*keys*/) const {
+    return false;
+  }
+
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
@@ -61,6 +76,9 @@ class DionysusScheduler : public UpdateScheduler {
  public:
   std::vector<std::size_t> order(const RequestDag& dag,
                                  std::vector<std::size_t> ready) override;
+  /// The negated downstream depth (~depth).
+  [[nodiscard]] bool issue_keys(const RequestDag& dag,
+                                std::vector<std::uint64_t>& keys) const override;
   [[nodiscard]] std::string name() const override { return "Dionysus"; }
 
  private:
@@ -97,6 +115,12 @@ class BasicTangoScheduler : public UpdateScheduler {
 
   std::vector<std::size_t> order(const RequestDag& dag,
                                  std::vector<std::size_t> ready) override;
+  /// The first pattern's rank of each request's class, then its priority
+  /// (sorted ADDs) — the order every round takes when descending adds
+  /// cannot win. False when they can, or with prefix_lookahead or
+  /// deadline_first.
+  [[nodiscard]] bool issue_keys(const RequestDag& dag,
+                                std::vector<std::uint64_t>& keys) const override;
   [[nodiscard]] std::string name() const override { return "Tango"; }
 
   /// Estimated makespan (max over switches of serial cost) of issuing the
@@ -142,6 +166,8 @@ class BasicTangoScheduler : public UpdateScheduler {
 
   [[nodiscard]] double op_cost_ms(SwitchId sw, RequestType type,
                                   bool adds_ascending) const;
+  /// The entry `req` takes in a pool (priority 0 unless a sorted ADD).
+  [[nodiscard]] PoolEntry classify(const SwitchRequest& req) const;
   [[nodiscard]] std::uint32_t slot_of(std::size_t id, SwitchId sw) const;
   /// The read pass: fill entries_, class_count_ and the priority
   /// histograms for `ready`. With `score`, also return the negated max

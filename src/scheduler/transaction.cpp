@@ -331,8 +331,7 @@ UpdateTransaction::UpdateTransaction(net::Network& network, RequestDag dag,
 
 const TransactionReport& UpdateTransaction::commit(UpdateScheduler& scheduler) {
   start_commit(scheduler);
-  while (!exec_done() && network_.events().step()) {
-  }
+  network_.pump_until([this] { return exec_done(); });
   return finish_commit();
 }
 

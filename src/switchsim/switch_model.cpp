@@ -961,29 +961,6 @@ std::size_t SimulatedSwitch::level_size(std::size_t level) const {
   return software_.size();
 }
 
-std::vector<const tables::FlowEntry*> SimulatedSwitch::level_entries(
-    std::size_t level) const {
-  std::vector<const tables::FlowEntry*> out;
-  if (level < levels_.size()) {
-    out.reserve(levels_[level].size());
-    for (const auto& e : levels_[level].entries()) out.push_back(&e);
-  } else {
-    out.reserve(software_.size());
-    for (const auto& e : software_.entries()) out.push_back(&e);
-  }
-  return out;
-}
-
-bool SimulatedSwitch::resident_at_level(const of::Match& match,
-                                        std::uint16_t priority,
-                                        std::size_t level) const {
-  auto entries = level_entries(level);
-  for (const auto* e : entries) {
-    if (e->priority == priority && e->match == match) return true;
-  }
-  return false;
-}
-
 std::size_t SimulatedSwitch::level_capacity(std::size_t level) const {
   if (level >= levels_.size()) return 0;
   const auto& cfg = levels_[level].config();

@@ -147,11 +147,6 @@ class SimulatedSwitch {
   [[nodiscard]] std::size_t level_size(std::size_t level) const;
   [[nodiscard]] std::size_t software_size() const { return software_.size(); }
   [[nodiscard]] std::size_t microflow_size() const { return microflow_.size(); }
-  /// Entries currently resident at a bounded level.
-  [[nodiscard]] std::vector<const tables::FlowEntry*> level_entries(std::size_t level) const;
-  /// True if a rule with this match+priority currently sits at `level`.
-  [[nodiscard]] bool resident_at_level(const of::Match& match, std::uint16_t priority,
-                                       std::size_t level) const;
   /// Ground-truth capacity (entries) of a bounded level for the default
   /// single-wide shapes used by the probing patterns.
   [[nodiscard]] std::size_t level_capacity(std::size_t level) const;

@@ -16,12 +16,18 @@
 // production scheduler defines that case (prioritized ADDs in the pattern's
 // direction, then unprioritized ADDs in pool order); differential tests
 // skip mixed pools.
+//
+// RoundPathScheduler is the reference for the executor's keyed path: it
+// forwards only order(), so the executor re-orders the whole pool on every
+// scheduling round even for a scheduler that has issue_keys(); see
+// ExecutorProperties.KeyedQueuesMatchRoundPath and bench_micro_scheduler.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "scheduler/request.h"
@@ -29,6 +35,19 @@
 #include "tango/latency_profiler.h"
 
 namespace tango::sched::testing {
+
+class RoundPathScheduler final : public UpdateScheduler {
+ public:
+  explicit RoundPathScheduler(UpdateScheduler& inner) : inner_(inner) {}
+  std::vector<std::size_t> order(const RequestDag& dag,
+                                 std::vector<std::size_t> ready) override {
+    return inner_.order(dag, std::move(ready));
+  }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+
+ private:
+  UpdateScheduler& inner_;
+};
 
 class ReferenceDionysusScheduler : public UpdateScheduler {
  public:

@@ -2,6 +2,10 @@
 // queueing/barrier semantics, the Network facade, and the B4 graph.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
+#include <thread>
+
 #include "net/b4.h"
 #include "net/network.h"
 #include "net/topology.h"
@@ -116,6 +120,29 @@ TEST(NetworkTest, BlockingStatsCallCountsTowardWallTime) {
   const auto before = net.wall_ns();
   net.table_stats_sync(sw);
   EXPECT_GT(net.wall_ns(), before);
+}
+
+TEST(NetworkTest, NestedPumpCountsTowardWallTimeOnce) {
+  // A pump inside an event of another pump (a synchronous call from a
+  // callback) spends real time the outer pump already counts.
+  Network net;
+  bool done = false;
+  net.events().schedule_after(millis(1), [&] {
+    net.events().schedule_after(millis(1), [] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    });
+    net.run_all();
+    done = true;
+  });
+  const auto before = net.wall_ns();
+  const auto start = std::chrono::steady_clock::now();
+  net.pump_until([&] { return done; });
+  const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+  EXPECT_TRUE(done);
+  EXPECT_GE(net.wall_ns() - before, 20'000'000u);
+  EXPECT_LE(net.wall_ns() - before, static_cast<std::uint64_t>(elapsed));
 }
 
 TEST(NetworkTest, CommandsProcessSequentially) {

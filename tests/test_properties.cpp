@@ -3,7 +3,9 @@
 //  * switch model: invariants hold under random op sequences,
 //  * executor: dependency order is never violated for random DAGs,
 //  * scheduler: orderings are permutations of the ready set, equal id for
-//    id to the pre-rewrite reference schedulers (reference_scheduler.h),
+//    id to the pre-rewrite reference schedulers (reference_scheduler.h);
+//    where issue_keys() holds, order() is the pool stably sorted by the
+//    keys, and the executor's keyed path acts exactly as its round path,
 //  * transaction journal: the indexed journal equals the scan-based
 //    reference loop (reference_journal.h), and transactions repair a crash
 //    exactly as that journal's attribution would,
@@ -215,10 +217,8 @@ TEST_P(SwitchInvariants, RandomOpsPreserveStructure) {
     // Invariant 2: no (match, priority) pair resident at two levels.
     if (step % 50 == 0) {
       std::map<std::pair<std::string, std::uint16_t>, int> where;
-      for (std::size_t lvl = 0; lvl <= sw.bounded_levels(); ++lvl) {
-        for (const auto* e : sw.level_entries(lvl)) {
-          ++where[{e->match.to_string(), e->priority}];
-        }
+      for (const auto& e : sw.flow_stats(of::Match::any()).entries) {
+        ++where[{e.match.to_string(), e.priority}];
       }
       for (const auto& [k, count] : where) {
         ASSERT_EQ(count, 1) << "duplicate rule " << k.first;
@@ -500,6 +500,231 @@ TEST_P(ExecutorProperties, SchedulerOutputsArePermutations) {
     }
   }
   EXPECT_GT(compared, 40u);
+}
+
+// ---------------------------------------------------------------------------
+// Keyed ready pools: issue_keys() against order(), and the executor's keyed
+// path against its round path (RoundPathScheduler in reference_scheduler.h)
+// ---------------------------------------------------------------------------
+
+/// `pool` stably sorted by keys[id].
+std::vector<std::size_t> sorted_by_keys(std::vector<std::size_t> pool,
+                                        const std::vector<std::uint64_t>& keys) {
+  std::stable_sort(pool.begin(), pool.end(), [&](std::size_t a, std::size_t b) {
+    return keys[a] < keys[b];
+  });
+  return pool;
+}
+
+/// Some switch in `costs` has cheaper descending adds (a NaN counts).
+bool descending_cheaper(const std::map<SwitchId, core::OpCostEstimate>& costs) {
+  return std::any_of(costs.begin(), costs.end(), [](const auto& entry) {
+    return !(entry.second.add_descending_ms >= entry.second.add_ascending_ms);
+  });
+}
+
+TEST(SchedulerProperties, IssueKeysMatchOrder) {
+  // Where issue_keys() holds, every order() of the DAG is the pool stably
+  // sorted by the keys: pools of 1 to all requests, in random order.
+  Rng rng(23);
+  std::size_t keyed_tango = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const auto c = random_scheduler_case(rng);
+    sched::DionysusScheduler dionysus;
+    sched::BasicTangoScheduler tango(c.costs);
+    sched::TangoSchedulerOptions unsorted_options;
+    unsorted_options.sort_priorities = false;
+    sched::BasicTangoScheduler unsorted(c.costs, unsorted_options);
+    std::vector<sched::UpdateScheduler*> keyed = {&dionysus};
+    std::vector<std::uint64_t> keys;
+    const bool cheaper = descending_cheaper(c.costs);
+    EXPECT_EQ(tango.issue_keys(c.dag, keys), !cheaper);
+    EXPECT_EQ(unsorted.issue_keys(c.dag, keys), !cheaper);
+    if (!cheaper) {
+      keyed.push_back(&tango);
+      keyed.push_back(&unsorted);
+      ++keyed_tango;
+    }
+    if (c.options.prefix_lookahead || c.options.deadline_first) {
+      sched::BasicTangoScheduler extended(c.costs, c.options);
+      EXPECT_FALSE(extended.issue_keys(c.dag, keys));
+    }
+    for (auto* scheduler : keyed) {
+      ASSERT_TRUE(scheduler->issue_keys(c.dag, keys)) << scheduler->name();
+      ASSERT_EQ(keys.size(), c.dag.size());
+      for (int pass = 0; pass < 3; ++pass) {
+        const auto pool =
+            pass == 0 ? c.pool
+                      : random_pool(rng, c.dag.size(), 1 + rng.index(c.dag.size()));
+        EXPECT_EQ(scheduler->order(c.dag, pool), sorted_by_keys(pool, keys))
+            << scheduler->name() << " pass " << pass;
+      }
+    }
+  }
+  EXPECT_GT(keyed_tango, 20u);
+
+  // Descending adds one ulp dearer everywhere keep the keys; one switch one
+  // ulp cheaper, even one that holds no request, drops them, as do the
+  // extensions that order by more than a key.
+  sched::RequestDag dag;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    sched::SwitchRequest req;
+    req.location = 1 + i % 2;
+    req.priority = static_cast<std::uint16_t>(100 - i);
+    req.match = ProbeEngine::probe_match(i);
+    dag.add(req);
+  }
+  core::OpCostEstimate dearer;
+  dearer.add_ascending_ms = dearer.mod_ms = dearer.del_ms = 1.0;
+  dearer.add_descending_ms = std::nextafter(1.0, 2.0);
+  std::map<SwitchId, core::OpCostEstimate> costs = {{1, dearer}, {2, dearer}};
+  std::vector<std::uint64_t> keys;
+  EXPECT_TRUE(sched::BasicTangoScheduler(costs).issue_keys(dag, keys));
+  EXPECT_TRUE(sched::BasicTangoScheduler({}).issue_keys(dag, keys));
+  sched::TangoSchedulerOptions lookahead;
+  lookahead.prefix_lookahead = true;
+  EXPECT_FALSE(sched::BasicTangoScheduler(costs, lookahead).issue_keys(dag, keys));
+  sched::TangoSchedulerOptions deadlines;
+  deadlines.deadline_first = true;
+  EXPECT_FALSE(sched::BasicTangoScheduler(costs, deadlines).issue_keys(dag, keys));
+  auto cheaper = dearer;
+  cheaper.add_descending_ms = std::nextafter(1.0, 0.0);
+  costs[3] = cheaper;
+  EXPECT_FALSE(sched::BasicTangoScheduler(costs).issue_keys(dag, keys));
+}
+
+/// A seeded DAG for the keyed-vs-round executor check: 60-200 requests on
+/// switches 1..`switches`, DEL, MOD and ADD over a few matches, priorities
+/// repeated, missing or distinct, and edges along a random topological
+/// order, so requests become ready out of id order.
+sched::RequestDag random_exec_dag(Rng& rng, std::size_t switches) {
+  sched::RequestDag dag;
+  const std::size_t n = 60 + rng.index(141);
+  const std::int64_t priority_span = rng.chance(0.5) ? 3 : 60000;
+  for (std::size_t i = 0; i < n; ++i) {
+    sched::SwitchRequest req;
+    req.location = 1 + rng.index(switches);
+    req.type = static_cast<sched::RequestType>(rng.index(3));
+    if (!rng.chance(0.3)) {
+      req.priority = static_cast<std::uint16_t>(rng.uniform_int(1, priority_span));
+    }
+    req.match = ProbeEngine::probe_match(static_cast<std::uint32_t>(rng.index(n / 2)));
+    req.actions = of::output_to(2);
+    dag.add(req);
+  }
+  const auto rank = random_pool(rng, n, n);
+  const double density = (rng.chance(0.5) ? 1.5 : 6.0) / static_cast<double>(n);
+  for (std::size_t u = 0; u < n; ++u) {
+    for (std::size_t v = 0; v < n; ++v) {
+      if (rank[u] < rank[v] && rng.chance(density)) dag.add_dependency(u, v);
+    }
+  }
+  return dag;
+}
+
+/// What one execute() leaves behind, for the twin comparison.
+struct ExecRun {
+  sched::ExecutionReport report;
+  /// on_complete (1 accepted, 0 rejected) and on_failed (-1) calls in order.
+  std::vector<std::pair<std::size_t, int>> calls;
+  std::vector<of::FlowStatsReply> tables;
+  SimTime end;
+};
+
+/// Executes `dag` on a fresh network of `switches` OVS and Switch #1
+/// agents. A nonzero `fault_seed` drops 3% of frames each way on every
+/// switch and crashes switch 1 at 2 ms for a second, long enough that the
+/// executor declares it dead.
+ExecRun run_exec(const sched::RequestDag& dag, sched::UpdateScheduler& scheduler,
+                 sched::ExecutorOptions options, std::size_t switches,
+                 std::uint64_t fault_seed) {
+  net::Network net;
+  for (std::size_t k = 0; k < switches; ++k) {
+    const SwitchId sw =
+        net.add_switch(k % 2 == 0 ? profiles::ovs() : profiles::switch1());
+    if (fault_seed == 0) continue;
+    net::FaultConfig cfg;
+    cfg.drop_to_switch = 0.03;
+    cfg.drop_to_controller = 0.03;
+    cfg.seed = fault_seed + sw;
+    if (k == 0) cfg.crashes.push_back({SimTime{} + millis(2), seconds(1)});
+    net.enable_faults(sw, cfg);
+  }
+  ExecRun out;
+  options.on_complete = [&out](std::size_t id, bool accepted) {
+    out.calls.emplace_back(id, accepted ? 1 : 0);
+  };
+  options.on_failed = [&out](std::size_t id) { out.calls.emplace_back(id, -1); };
+  out.report = sched::execute(net, dag, scheduler, options);
+  for (std::size_t k = 0; k < switches; ++k) {
+    out.tables.push_back(net.sw(static_cast<SwitchId>(k + 1)).flow_stats(of::Match::any()));
+  }
+  out.end = net.now();
+  return out;
+}
+
+TEST_P(ExecutorProperties, KeyedQueuesMatchRoundPath) {
+  // The keyed path (per-switch heaps filled once per request) must act
+  // exactly as the round path (order() on every changed pool): same
+  // reports, callbacks, tables and clock, with and without faults.
+  Rng rng(GetParam() + 200);
+  std::size_t dead_runs = 0;
+  for (int trial = 0; trial < 4; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const std::size_t switches = 3 + rng.index(4);
+    const sched::RequestDag dag = random_exec_dag(rng, switches);
+    const bool faults = trial % 2 == 1;
+    const std::uint64_t fault_seed = faults ? 1 + rng.index(1000000) : 0;
+    std::map<SwitchId, core::OpCostEstimate> costs;
+    for (SwitchId sw = 1; sw <= switches; ++sw) {
+      if (rng.chance(0.3)) continue;  // the static fallback
+      core::OpCostEstimate est;
+      est.add_ascending_ms = rng.uniform_real(0.1, 3.0);
+      est.add_descending_ms = est.add_ascending_ms * 2.5;
+      est.mod_ms = rng.uniform_real(0.1, 3.0);
+      est.del_ms = rng.uniform_real(0.1, 3.0);
+      costs[sw] = est;
+    }
+    sched::TangoSchedulerOptions tango_options;
+    tango_options.sort_priorities = rng.chance(0.7);
+    sched::BasicTangoScheduler tango(costs, tango_options);
+    sched::DionysusScheduler dionysus;
+    for (sched::UpdateScheduler* scheduler :
+         {static_cast<sched::UpdateScheduler*>(&tango),
+          static_cast<sched::UpdateScheduler*>(&dionysus)}) {
+      std::vector<std::uint64_t> keys;
+      ASSERT_TRUE(scheduler->issue_keys(dag, keys)) << scheduler->name();
+      sched::testing::RoundPathScheduler round_path(*scheduler);
+      for (const std::size_t window : {1, 4}) {
+        for (const bool speculative : {false, true}) {
+          SCOPED_TRACE(scheduler->name() + " window " + std::to_string(window) +
+                       (speculative ? " speculative" : ""));
+          sched::ExecutorOptions options;
+          options.per_switch_window = window;
+          options.speculative_dependents = speculative;
+          if (faults) {
+            options.request_timeout = millis(20);
+            options.max_retries = 1;
+            options.backoff_base = millis(1);
+          }
+          const ExecRun keyed = run_exec(dag, *scheduler, options, switches, fault_seed);
+          const ExecRun round = run_exec(dag, round_path, options, switches, fault_seed);
+          EXPECT_EQ(keyed.report.issued, round.report.issued);
+          EXPECT_EQ(keyed.report.scheduling_rounds, round.report.scheduling_rounds);
+          EXPECT_EQ(keyed.report.makespan.ns(), round.report.makespan.ns());
+          EXPECT_EQ(keyed.report.failed_requests, round.report.failed_requests);
+          EXPECT_TRUE(keyed.report == round.report);
+          EXPECT_EQ(keyed.calls, round.calls);
+          EXPECT_TRUE(keyed.tables == round.tables);
+          EXPECT_EQ(keyed.end.ns(), round.end.ns());
+          EXPECT_EQ(keyed.report.lost_requests, 0u);
+          if (!keyed.report.failed_switches.empty()) ++dead_runs;
+        }
+      }
+    }
+  }
+  EXPECT_GT(dead_runs, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExecutorProperties, ::testing::Values(7, 8, 9, 10));
