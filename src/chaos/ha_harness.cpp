@@ -166,43 +166,48 @@ HaChaosResult run_ha_chaos(const HaChaosSpec& spec) {
   bool finished = false;
   bool post_commit_crashed = false;
   std::size_t guard = 0;
-  while (guard++ < 50'000'000) {
-    if (!abandoned && !finished && txn.exec_done()) {
-      txn.finish_commit();
-      finished = true;
-      if (scenario == ControllerFaultKind::kCrashAfterCommit &&
-          !post_commit_crashed) {
-        ha.crash_primary();
-        post_commit_crashed = true;
+  {
+    // This loop steps the event queue itself: its real time counts toward
+    // net.wall_ns() like any pump's.
+    const net::Network::PumpClock clock(net);
+    while (guard++ < 50'000'000) {
+      if (!abandoned && !finished && txn.exec_done()) {
+        txn.finish_commit();
+        finished = true;
+        if (scenario == ControllerFaultKind::kCrashAfterCommit &&
+            !post_commit_crashed) {
+          ha.crash_primary();
+          post_commit_crashed = true;
+        }
       }
-    }
-    if (ha.takeover_due()) {
-      const std::size_t n = ha.takeovers().size();
-      if (n < successors.size()) {
-        if (zombie) {
-          // The new pair replicates over a healthy path; only the deposed
-          // primary stays partitioned (its stragglers are epoch-filtered).
-          ha.link().set_partitioned(false);
+      if (ha.takeover_due()) {
+        const std::size_t n = ha.takeovers().size();
+        if (n < successors.size()) {
+          if (zombie) {
+            // The new pair replicates over a healthy path; only the deposed
+            // primary stays partitioned (its stragglers are epoch-filtered).
+            ha.link().set_partitioned(false);
+          }
+          if (scenario == ControllerFaultKind::kCrashDuringTakeover && n == 0) {
+            // First successor dies between its fencing pump and its replay
+            // loop: fencing advances virtual time well past +1us.
+            ha.schedule_primary_crash(net.now() + micros(1));
+          }
+          ha.take_over(*successors[n]);
+          if (zombie && !abandoned && !finished) {
+            // The zombie is fenced out; the operator kills the process.
+            txn.abandon();
+            abandoned = true;
+          }
+          continue;
         }
-        if (scenario == ControllerFaultKind::kCrashDuringTakeover && n == 0) {
-          // First successor dies between its fencing pump and its replay
-          // loop: fencing advances virtual time well past +1us.
-          ha.schedule_primary_crash(net.now() + micros(1));
-        }
-        ha.take_over(*successors[n]);
-        if (zombie && !abandoned && !finished) {
-          // The zombie is fenced out; the operator kills the process.
-          txn.abandon();
-          abandoned = true;
-        }
-        continue;
       }
+      const bool settled = (finished || abandoned) &&
+                           ha.takeovers().size() >= expected_takeovers &&
+                           ha.accepting_intents();
+      if (settled) break;
+      if (!net.events().step()) break;
     }
-    const bool settled = (finished || abandoned) &&
-                         ha.takeovers().size() >= expected_takeovers &&
-                         ha.accepting_intents();
-    if (settled) break;
-    if (!net.events().step()) break;
   }
 
   ha.stop();

@@ -1,5 +1,6 @@
 #include "chaos/harness.h"
 
+#include <map>
 #include <optional>
 #include <set>
 
@@ -296,12 +297,14 @@ ChaosResult run_chaos(const ChaosSchedule& schedule) {
   // Drain to quiescence: late scheduled faults (a crash landing after the
   // commit finished) still fire here. Crashes past this point are the
   // controller's standing re-sync duty, not the transaction's — record
-  // them and repair below, as a crash listener would.
-  std::set<SwitchId> late_crashes;
-  const auto crash_token = net.add_crash_listener(
-      [&late_crashes](SwitchId id) { late_crashes.insert(id); });
+  // the switches whose crash count the drain advanced and repair below.
+  std::map<SwitchId, std::uint64_t> crashes_before_drain;
+  for (const auto id : all) crashes_before_drain[id] = net.crash_count(id);
   net.run_all();
-  net.remove_crash_listener(crash_token);
+  std::set<SwitchId> late_crashes;
+  for (const auto& [id, before] : crashes_before_drain) {
+    if (net.crash_count(id) > before) late_crashes.insert(id);
+  }
 
   // Quiescent point: clean injectors, and leftover misbehavior budgets
   // disarmed so the oracle phase's readback cannot be lied to either. A

@@ -244,7 +244,6 @@ void ControlChannel::crash_agent(SimDuration downtime) {
   }
   log::warn("channel: agent crashed; tables wiped, back at " +
             std::to_string(down_until_.ms()) + "ms");
-  if (on_crash_) on_crash_();
 }
 
 void ControlChannel::stall_agent(SimDuration duration) {

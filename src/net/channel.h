@@ -68,9 +68,6 @@ class ControlChannel {
   /// Fires when a probe packet completes its data-plane trip.
   using ProbeHandler = std::function<void(std::uint32_t xid,
                                           const switchsim::ForwardOutcome&)>;
-  /// Fires at the moment a crash the fault injector scheduled takes the
-  /// agent down (tables wiped, epoch bumped).
-  using CrashHandler = std::function<void()>;
 
   ControlChannel(sim::EventQueue& events, switchsim::SimulatedSwitch& sw,
                  SimDuration one_way_latency = micros(100));
@@ -93,7 +90,6 @@ class ControlChannel {
   void set_flow_mod_handler(FlowModHandler h) { on_flow_mod_ = std::move(h); }
   void set_message_handler(MessageHandler h) { on_message_ = std::move(h); }
   void set_probe_handler(ProbeHandler h) { on_probe_ = std::move(h); }
-  void set_crash_handler(CrashHandler h) { on_crash_ = std::move(h); }
 
   /// Hook this channel into a telemetry context (non-owning; nullptr
   /// detaches). `lane` is the trace lane — the switch's datapath id. The
@@ -115,6 +111,11 @@ class ControlChannel {
 
   /// True while the agent is rebooting after a crash.
   [[nodiscard]] bool agent_down(SimTime now) const { return now < down_until_; }
+
+  /// Crashes this agent has taken (tables wiped) since the channel was
+  /// built, whichever injector scheduled them. Never reset: an observer
+  /// reads it before and after the span it watches.
+  [[nodiscard]] std::uint64_t crash_count() const { return epoch_; }
 
   [[nodiscard]] const ChannelStats& stats() const { return stats_; }
   [[nodiscard]] SimTime agent_busy_until() const { return busy_until_; }
@@ -190,14 +191,14 @@ class ControlChannel {
   FlowModHandler on_flow_mod_;
   MessageHandler on_message_;
   ProbeHandler on_probe_;
-  CrashHandler on_crash_;
   FaultInjector* injector_ = nullptr;
   /// Bumped by every attach_fault_injector(); a scheduled fault fires only
   /// under the attachment that scheduled it.
   std::uint64_t attach_generation_ = 0;
   Slots<std::vector<std::uint8_t>> frames_;
   Slots<Notice> notices_;
-  /// Bumped on every crash; in-flight deliveries from older epochs vanish.
+  /// Bumped on every crash, never reset (crash_count()); in-flight
+  /// deliveries from older epochs vanish.
   std::uint64_t epoch_ = 0;
   SimTime down_until_{};
 

@@ -54,17 +54,6 @@ SwitchId Network::add_switch(const switchsim::SwitchProfile& profile,
         wait.result->rtt = outcome.delay;
         *wait.done = true;
       });
-  ep.channel->set_crash_handler([this, id]() {
-    // Snapshot tokens first: a listener may add/remove listeners (e.g. a
-    // transaction aborting and deregistering) while we iterate.
-    std::vector<std::uint64_t> tokens;
-    tokens.reserve(crash_listeners_.size());
-    for (const auto& [token, fn] : crash_listeners_) tokens.push_back(token);
-    for (std::uint64_t token : tokens) {
-      auto it = crash_listeners_.find(token);
-      if (it != crash_listeners_.end()) it->second(id);
-    }
-  });
   ep.channel->set_message_handler([this, id](const of::Message& msg) {
     auto it = reply_cbs_.find(msg.xid);
     if (it == reply_cbs_.end()) {
@@ -129,14 +118,9 @@ FaultInjector* Network::fault_injector(SwitchId id) {
   return endpoint(id).injector.get();
 }
 
-std::uint64_t Network::add_crash_listener(CrashListener listener) {
-  const std::uint64_t token = next_crash_token_++;
-  crash_listeners_.emplace(token, std::move(listener));
-  return token;
-}
-
-void Network::remove_crash_listener(std::uint64_t token) {
-  crash_listeners_.erase(token);
+std::uint64_t Network::crash_count(SwitchId id) const {
+  assert(id >= 1 && id <= endpoints_.size());
+  return endpoints_[id - 1].channel->crash_count();
 }
 
 void Network::stall_agent(SwitchId id, SimDuration duration) {
@@ -278,39 +262,28 @@ std::uint32_t Network::post_echo(SwitchId id, std::function<void()> on_reply) {
 
 void Network::cancel_reply(std::uint32_t xid) { reply_cbs_.erase(xid); }
 
-std::uint32_t Network::post_epoch_claim(
-    SwitchId id, std::uint32_t epoch,
-    std::function<void(const EpochClaimResult&)> done) {
-  const std::uint32_t xid = next_xid();
-  reply_cbs_[xid] = [cb = std::move(done)](const of::Message& msg) {
-    EpochClaimResult out;
-    if (const auto* vendor = std::get_if<of::Vendor>(&msg.body)) {
-      if (const auto payload = of::decode_epoch_payload(vendor->data);
-          payload.has_value() &&
-          payload->subtype == of::kEpochClaimReplySubtype) {
-        out.lost = false;
-        out.accepted = (payload->flags & of::kEpochClaimAccepted) != 0;
-        out.switch_epoch = payload->epoch;
-      }
-    }
-    cb(out);
-  };
-  of::Vendor claim;
-  claim.vendor_id = of::kTangoVendorId;
-  claim.data = of::encode_epoch_payload(of::kEpochClaimSubtype, epoch);
-  endpoint(id).channel->send(of::Message{xid, std::move(claim)});
-  return xid;
-}
-
 Network::EpochClaimResult Network::claim_epoch_sync(SwitchId id,
                                                     std::uint32_t epoch,
                                                     SimDuration timeout) {
   bool done = false;
   EpochClaimResult result;
-  const std::uint32_t xid = post_epoch_claim(id, epoch, [&](const EpochClaimResult& r) {
-    result = r;
+  const std::uint32_t xid = next_xid();
+  reply_cbs_[xid] = [&](const of::Message& msg) {
+    if (const auto* vendor = std::get_if<of::Vendor>(&msg.body)) {
+      if (const auto payload = of::decode_epoch_payload(vendor->data);
+          payload.has_value() &&
+          payload->subtype == of::kEpochClaimReplySubtype) {
+        result.lost = false;
+        result.accepted = (payload->flags & of::kEpochClaimAccepted) != 0;
+        result.switch_epoch = payload->epoch;
+      }
+    }
     done = true;
-  });
+  };
+  of::Vendor claim;
+  claim.vendor_id = of::kTangoVendorId;
+  claim.data = of::encode_epoch_payload(of::kEpochClaimSubtype, epoch);
+  endpoint(id).channel->send(of::Message{xid, std::move(claim)});
   if (!run_until_done(done, timeout)) reply_cbs_.erase(xid);
   return result;
 }

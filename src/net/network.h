@@ -20,7 +20,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -82,13 +81,12 @@ class Network {
   /// than at the next incidental controller interaction.
   void set_misbehavior(SwitchId id, switchsim::MisbehaviorProfile profile);
 
-  /// Observers for agent crashes (tables wiped), fired at crash time. They
-  /// compose: each concurrently-running transaction registers its own
-  /// listener for the span of its commit. Listeners fire in ascending token
-  /// order. Returns a token for removal.
-  using CrashListener = std::function<void(SwitchId)>;
-  std::uint64_t add_crash_listener(CrashListener listener);
-  void remove_crash_listener(std::uint64_t token);
+  /// Crashes switch `id`'s agent has taken (tables wiped), counted by its
+  /// channel whichever injector scheduled them; a crash a replaced injector
+  /// never fired is not counted. The one crash record: an observer (an
+  /// update transaction, the chaos harness's drain) reads it before and
+  /// after the span it watches, so concurrent observers never interfere.
+  [[nodiscard]] std::uint64_t crash_count(SwitchId id) const;
 
   // --- synchronous controller operations ----------------------------------
   struct InstallResult {
@@ -135,11 +133,6 @@ class Network {
     /// True when the claim or its reply vanished (faults / switch down).
     bool lost = true;
   };
-  /// Post a vendor epoch-claim; `done` fires with the switch's verdict.
-  /// Returns the xid (cancel_reply() to abandon a lost claim).
-  std::uint32_t post_epoch_claim(SwitchId id, std::uint32_t epoch,
-                                 std::function<void(const EpochClaimResult&)> done);
-
   /// Claim mastership epoch `epoch` on switch `id` and run until the switch
   /// answers (lost = true on timeout/drain — the takeover path retries).
   EpochClaimResult claim_epoch_sync(SwitchId id, std::uint32_t epoch,
@@ -206,6 +199,24 @@ class Network {
     unsolicited_ = std::move(h);
   }
 
+  /// Scope of one event-loop pump: adds its real time to wall_ns() on exit
+  /// unless it is nested in another pump. run_all, pump_until and the
+  /// synchronous operations open one; a caller that steps events() itself
+  /// (the intent service's loop, the HA harness's loop, the reconciler's
+  /// quiesce) opens one around its loop. Reading steady_clock never
+  /// perturbs the simulation (no event, no RNG, no virtual time).
+  class PumpClock {
+   public:
+    explicit PumpClock(Network& net);
+    ~PumpClock();
+    PumpClock(const PumpClock&) = delete;
+    PumpClock& operator=(const PumpClock&) = delete;
+
+   private:
+    Network& net_;
+    std::chrono::steady_clock::time_point begin_;
+  };
+
   /// Drain all pending events.
   void run_all();
 
@@ -220,8 +231,8 @@ class Network {
   }
 
   /// Wall-clock nanoseconds this network has spent advancing its event
-  /// loop (run_all / run_until_done / pump_until and everything built on
-  /// them); a pump nested in another one counts once. Real time, not
+  /// loop (every PumpClock scope and everything run inside it); a pump
+  /// nested in another one counts once. Real time, not
   /// simulated time: soak drivers surface it per seed so
   /// tools/bench_compare.py can gate parallel-runner speedups. Never feeds
   /// back into simulated behaviour or fingerprints.
@@ -235,21 +246,6 @@ class Network {
     std::unique_ptr<switchsim::SimulatedSwitch> sw;
     std::unique_ptr<ControlChannel> channel;
     std::unique_ptr<FaultInjector> injector;
-  };
-
-  /// Scope of one event-loop pump: adds its real time to wall_ns_ on exit
-  /// unless it is nested in another pump. Reading steady_clock never
-  /// perturbs the simulation (no event, no RNG, no virtual time).
-  class PumpClock {
-   public:
-    explicit PumpClock(Network& net);
-    ~PumpClock();
-    PumpClock(const PumpClock&) = delete;
-    PumpClock& operator=(const PumpClock&) = delete;
-
-   private:
-    Network& net_;
-    std::chrono::steady_clock::time_point begin_;
   };
 
   std::uint32_t next_xid() { return xid_++; }
@@ -289,8 +285,6 @@ class Network {
   /// The PACKET_OUT every probe() rewrites and sends.
   of::Message probe_out_{0, of::PacketOut{}};
   UnsolicitedHandler unsolicited_;
-  std::map<std::uint64_t, CrashListener> crash_listeners_;
-  std::uint64_t next_crash_token_ = 1;
 };
 
 }  // namespace tango::net

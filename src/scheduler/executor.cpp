@@ -65,7 +65,6 @@ void report_fault_deltas(net::Network& network,
         now.dropped_to_switch - base.dropped_to_switch;
     report.fault_dropped_to_controller +=
         now.dropped_to_controller - base.dropped_to_controller;
-    if (now.crashes > base.crashes) report.crashed_switches.insert(loc);
   }
   if (report.fault_crashes + report.fault_dropped_to_switch +
           report.fault_dropped_to_controller >

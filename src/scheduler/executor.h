@@ -108,8 +108,6 @@ struct ExecutionReport {
   std::size_t rejected_fatal = 0;
   std::size_t scheduling_rounds = 0;
   std::size_t deadline_misses = 0;
-  /// Busy time charged per switch (diagnostics).
-  std::map<SwitchId, SimDuration> per_switch_busy;
 
   // --- queueing delay -------------------------------------------------------
   // Time each issued request spent between becoming ready (dependency-free,
@@ -150,8 +148,6 @@ struct ExecutionReport {
   std::size_t fault_lost_to_crash = 0;
   std::size_t fault_dropped_to_switch = 0;
   std::size_t fault_dropped_to_controller = 0;
-  /// Switches whose agent crashed (tables wiped) during this execution.
-  std::set<SwitchId> crashed_switches;
 
   bool operator==(const ExecutionReport&) const = default;
 };

@@ -167,7 +167,10 @@ ReconcileStats Reconciler::run(const std::map<SwitchId, TableImage>& desired,
 
   for (;;) {
     // --- quiesce: let in-flight frames of the aborted commit land ---------
-    network_.events().run_until(network_.now() + kQuiesce);
+    {
+      const net::Network::PumpClock clock(network_);
+      network_.events().run_until(network_.now() + kQuiesce);
+    }
 
     // --- readback + diff --------------------------------------------------
     std::vector<Repair> repairs;

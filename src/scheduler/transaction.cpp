@@ -307,10 +307,9 @@ UpdateTransaction::UpdateTransaction(net::Network& network, RequestDag dag,
   // --- journal + post image, in DAG topological order ----------------------
   journal_ = build_journal(dag_, pre_);
 
-  // --- crash-epoch baseline ------------------------------------------------
+  // --- crash baseline ------------------------------------------------------
   for (const SwitchId sw : affected) {
-    const auto* injector = network_.fault_injector(sw);
-    crashes_at_begin_[sw] = injector ? injector->stats().crashes : 0;
+    crashes_at_begin_[sw] = network_.crash_count(sw);
   }
 
   if (auto* t = network_.telemetry()) {
@@ -353,12 +352,6 @@ void UpdateTransaction::start_commit(UpdateScheduler& scheduler) {
       options_.journal_sink->on_entry_acked(*this, id, /*accepted=*/false);
     }
   };
-  // A *listener*, not the single handler slot: concurrent transactions each
-  // watch for crashes on their own footprint without clobbering each other
-  // (or a handler the harness installed).
-  crash_token_ = network_.add_crash_listener([this](SwitchId id) {
-    if (pre_.count(id) != 0) report_.crashed_switches.insert(id);
-  });
   async_ = execute_async(network_, dag_, scheduler, exec);
 }
 
@@ -382,16 +375,8 @@ const TransactionReport& UpdateTransaction::finish_commit() {
     if (!report_.committed) tele->metrics.counter("txn.failed_commits").inc();
   };
   report_.exec = async_.valid() ? async_.finish() : ExecutionReport{};
-  network_.remove_crash_listener(crash_token_);
-  crash_token_ = 0;
-
-  for (const SwitchId sw : report_.exec.crashed_switches) {
-    if (pre_.count(sw) != 0) report_.crashed_switches.insert(sw);
-  }
-  // Belt and braces: counters catch a crash the notification hook missed.
   for (const auto& [sw, baseline] : crashes_at_begin_) {
-    const auto* injector = network_.fault_injector(sw);
-    if (injector != nullptr && injector->stats().crashes > baseline) {
+    if (network_.crash_count(sw) > baseline) {
       report_.crashed_switches.insert(sw);
     }
   }
@@ -443,10 +428,6 @@ const TransactionReport& UpdateTransaction::finish_commit() {
 
 void UpdateTransaction::abandon() {
   if (!commit_started_) return;
-  if (crash_token_ != 0) {
-    network_.remove_crash_listener(crash_token_);
-    crash_token_ = 0;
-  }
   async_.abort();
 }
 

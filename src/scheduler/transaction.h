@@ -13,12 +13,13 @@
 //     The journal tracks per-entry state via executor observers. If nothing
 //     crashed and nothing failed, the transaction commits — the fault-free
 //     fast path issues exactly the flow_mods a bare execute() would.
-//  3. When an agent crash is detected (crash-notification hook or fault
-//     counters advancing) or requests fail, the reconciler reads actual
-//     switch state back, diffs it against the journal's desired image, and
-//     either rolls the transaction forward (converge to the post-update
-//     image, dependency order preserved) or rolls it back (restore the
-//     pre-update snapshot, dependencies reversed) — per RecoveryPolicy.
+//  3. When an affected switch's crash count (Network::crash_count, read at
+//     construction and again once execution ends) advanced, or requests
+//     fail, the reconciler reads actual switch state back, diffs it against
+//     the journal's desired image, and either rolls the transaction forward
+//     (converge to the post-update image, dependency order preserved) or
+//     rolls it back (restore the pre-update snapshot, dependencies
+//     reversed) — per RecoveryPolicy.
 //
 // Cookies make re-issue idempotent: an ADD replaces in place, so repeating
 // a journaled intent after a crash cannot duplicate rules, and leftovers
@@ -173,7 +174,8 @@ struct TransactionReport {
   std::size_t stale_rules_removed = 0;
   std::size_t readback_requests = 0;
   std::size_t readback_lost = 0;
-  /// Switches whose agent crashed (tables wiped) during commit.
+  /// Switches whose agent crashed (tables wiped) between construction and
+  /// the end of execution.
   std::set<SwitchId> crashed_switches;
   /// Switches the reconciler could not read back; their end state is
   /// unknown and committed is false.
@@ -210,7 +212,7 @@ class UpdateTransaction {
   // from inside an event callback. `scheduler` must outlive finish_commit().
 
   /// Dispatch the DAG onto the event queue without pumping it. Installs the
-  /// journal observers and a crash listener for the span of the commit.
+  /// journal observers for the span of the commit.
   void start_commit(UpdateScheduler& scheduler);
   /// True once every request reached a terminal state (or nothing was
   /// dispatched). Poll between event-queue steps.
@@ -226,8 +228,8 @@ class UpdateTransaction {
 
   /// Abandon a started commit without finishing it — models the issuing
   /// controller dying mid-flight. The execution state machine is stopped
-  /// (pending timers, retries and completions become no-ops), the crash
-  /// listener is dropped, and no reconciliation or report callback runs:
+  /// (pending timers, retries and completions become no-ops), and no
+  /// reconciliation or report callback runs:
   /// whatever reached the switches stays there for the HA takeover path to
   /// reconcile from the shipped journal. finish_commit() must not be
   /// called afterwards.
@@ -297,8 +299,8 @@ class UpdateTransaction {
 
   std::map<SwitchId, TableImage> pre_;
   Journal journal_;
-  /// Fault-injector crash counters at construction, for detecting crashes
-  /// the notification hook could not observe.
+  /// Each affected switch's Network::crash_count() at construction (after
+  /// the journal); finish_commit() compares once against it.
   std::map<SwitchId, std::uint64_t> crashes_at_begin_;
   /// Per switch: this transaction's request matches (only populated when
   /// options_.scope_to_footprint), backing in_scope().
@@ -309,7 +311,6 @@ class UpdateTransaction {
 
   // Phased-commit state (start_commit .. finish_commit).
   AsyncExecution async_;
-  std::uint64_t crash_token_ = 0;
   bool commit_started_ = false;
   SimTime commit_begin_{};
 };

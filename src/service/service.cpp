@@ -299,6 +299,9 @@ bool IntentService::finish_done() {
 }
 
 void IntentService::run(sched::UpdateScheduler& scheduler) {
+  // This loop steps the event queue itself: its real time counts toward
+  // network_.wall_ns() like any pump's.
+  const net::Network::PumpClock clock(network_);
   dispatch_round(scheduler);
   while (!active_.empty()) {
     if (finish_done()) {

@@ -297,6 +297,7 @@ TEST(FaultScenarioTest, CrashMidBatchWipesTablesAndExecutorReinstalls) {
   const auto report = execute(net, dag, sched, opts);
 
   EXPECT_EQ(inj.stats().crashes, 1u);
+  EXPECT_EQ(net.crash_count(s1), 1u);  // one fired crash counts once
   EXPECT_GT(inj.stats().lost_to_crash, 0u);  // in-flight commands vanished
   EXPECT_GE(report.retries, 1u);
   EXPECT_EQ(report.failed_requests, 0u);
@@ -325,6 +326,7 @@ TEST(FaultScenarioTest, ReplacedInjectorNeverFiresItsScheduledCrash) {
 
     EXPECT_EQ(net.sw(s1).total_rules(), 2u);  // probe rule + default route
     EXPECT_EQ(net.fault_injector(s1)->stats().crashes, 0u);
+    EXPECT_EQ(net.crash_count(s1), 0u);  // a cancelled crash is not counted
   }
 }
 
@@ -646,7 +648,6 @@ void expect_same_report(const sched::ExecutionReport& a,
   EXPECT_EQ(a.rejected_fatal, b.rejected_fatal);
   EXPECT_EQ(a.scheduling_rounds, b.scheduling_rounds);
   EXPECT_EQ(a.deadline_misses, b.deadline_misses);
-  EXPECT_EQ(a.per_switch_busy, b.per_switch_busy);
   EXPECT_EQ(a.total_queueing_delay.ns(), b.total_queueing_delay.ns());
   EXPECT_EQ(a.max_queueing_delay.ns(), b.max_queueing_delay.ns());
   EXPECT_EQ(a.timeouts, b.timeouts);
@@ -660,7 +661,6 @@ void expect_same_report(const sched::ExecutionReport& a,
   EXPECT_EQ(a.fault_lost_to_crash, b.fault_lost_to_crash);
   EXPECT_EQ(a.fault_dropped_to_switch, b.fault_dropped_to_switch);
   EXPECT_EQ(a.fault_dropped_to_controller, b.fault_dropped_to_controller);
-  EXPECT_EQ(a.crashed_switches, b.crashed_switches);
 }
 
 struct LearnRun {

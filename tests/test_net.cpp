@@ -145,6 +145,42 @@ TEST(NetworkTest, NestedPumpCountsTowardWallTimeOnce) {
   EXPECT_LE(net.wall_ns() - before, static_cast<std::uint64_t>(elapsed));
 }
 
+TEST(NetworkTest, CallerPumpScopeCountsTowardWallTimeOnce) {
+  // A caller that steps the event queue itself (the intent service's loop,
+  // the HA harness's loop, the reconciler's quiesce) opens a PumpClock
+  // around its loop; a bare step() counts nothing, and the pumps nested
+  // inside the scope count once.
+  Network net;
+  net.events().schedule_after(millis(1), [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  });
+  const auto bare = net.wall_ns();
+  ASSERT_TRUE(net.events().step());
+  EXPECT_EQ(net.wall_ns(), bare);
+
+  net.events().schedule_after(millis(1), [&] {
+    net.events().schedule_after(millis(1), [] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    });
+    net.run_all();
+  });
+  net.events().schedule_after(millis(5), [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  });
+  const auto before = net.wall_ns();
+  const auto start = std::chrono::steady_clock::now();
+  {
+    const Network::PumpClock clock(net);
+    while (net.events().step()) {
+    }
+  }
+  const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+  EXPECT_GE(net.wall_ns() - before, 40'000'000u);
+  EXPECT_LE(net.wall_ns() - before, static_cast<std::uint64_t>(elapsed));
+}
+
 TEST(NetworkTest, CommandsProcessSequentially) {
   Network net;
   auto profile = switch1();

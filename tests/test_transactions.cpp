@@ -280,7 +280,6 @@ TEST(TransactionAcceptanceTest, CrashRollForwardEndsIdenticalToFaultFreeRun) {
   EXPECT_EQ(crashed.report.crashed_switches, std::set<SwitchId>{1});
   // The executor's report surfaces the injector activity it saw.
   EXPECT_EQ(crashed.report.exec.fault_crashes, 1u);
-  EXPECT_EQ(crashed.report.exec.crashed_switches, std::set<SwitchId>{1});
   EXPECT_GE(crashed.report.exec.fault_lost_to_crash, 1u);
   EXPECT_TRUE(crashed.report.reconciled);
   EXPECT_TRUE(crashed.report.committed);
@@ -306,6 +305,47 @@ TEST(TransactionAcceptanceTest, CrashRollBackRestoresPreUpdateSnapshot) {
   // including s2, which never crashed but had committed its share.
   EXPECT_EQ(crashed.t1, crashed.pre1);
   EXPECT_EQ(crashed.t2, crashed.pre2);
+}
+
+TEST(TransactionAcceptanceTest, CrashUnderReplacedInjectorIsReconciled) {
+  // A crash counts whichever injector scheduled it. Here the injector that
+  // is attached at construction has already fired a crash, and its
+  // replacement fires one of its own before commit(): a per-injector crash
+  // counter reads 1 at both points, the switch's crash count 1 then 2.
+  Network net;
+  const auto s1 = net.add_switch(quiet_switch1());
+  FaultConfig first;
+  first.crashes.push_back({net.now() + millis(1), millis(5)});
+  net.enable_faults(s1, first);
+  net.events().run_until(net.now() + millis(10));  // crash, then reboot
+  ASSERT_EQ(net.crash_count(s1), 1u);
+  preinstall(net, s1, 10);
+
+  sched::RequestDag dag;
+  for (std::uint32_t i = 10; i < 15; ++i) {
+    sched::SwitchRequest r;
+    r.location = s1;
+    r.type = sched::RequestType::kAdd;
+    r.priority = 0x8000;
+    r.match = ProbeEngine::probe_match(i);
+    r.actions = of::output_to(2);
+    dag.add(r);
+  }
+  sched::UpdateTransaction txn(net, std::move(dag));
+
+  FaultConfig second;
+  second.crashes.push_back({net.now() + millis(1), millis(5)});
+  net.enable_faults(s1, second);
+  net.events().run_until(net.now() + millis(10));  // wipes the snapshot's rules
+  ASSERT_EQ(net.crash_count(s1), 2u);
+  ASSERT_EQ(net.fault_injector(s1)->stats().crashes, 1u);
+
+  sched::DionysusScheduler scheduler;
+  const auto& report = txn.commit(scheduler);
+  EXPECT_EQ(report.crashed_switches, std::set<SwitchId>{s1});
+  EXPECT_TRUE(report.reconciled);
+  EXPECT_TRUE(report.committed);
+  EXPECT_EQ(final_image(net, s1), txn.post_image(s1));
 }
 
 TEST(TransactionAcceptanceTest, CrashPlusLossIsReproducibleAcrossRuns) {
