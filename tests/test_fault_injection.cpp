@@ -745,5 +745,130 @@ TEST(ChannelPathDiff, Fig10ExecuteMatchesPerFramePath) {
   EXPECT_EQ(pooled.end.ns(), per_frame.end.ns());
 }
 
+// ---------------------------------------------------------------------------
+// Pinned: fig10 under every wire fault kind
+// ---------------------------------------------------------------------------
+//
+// The fig10 link-failure update with drops, duplicates, reorders and
+// corruption in both directions, agent stalls and one crash per switch,
+// followed by a readback of every switch over the same faulted wire. The
+// expected values are recorded, not derived: they pin the injector's draw
+// order (a bit flip draws its mask before its byte index) and every loss
+// check the channel applies on arrival, which no differential of two
+// twins can see.
+
+std::array<std::uint64_t, 14> fault_fields(const FaultStats& s) {
+  return {s.dropped_to_switch, s.dropped_to_controller, s.forced_drops,
+          s.duplicated,        s.reordered,             s.corrupted,
+          s.undecodable,       s.notifications_dropped, s.lost_to_crash,
+          s.lost_to_down,      s.stalls,                s.crashes,
+          s.partitions,        s.lost_to_partition};
+}
+
+/// FNV-1a over the table's wire encoding.
+std::uint64_t table_digest(const of::FlowStatsReply& table) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::uint8_t b : of::encode(of::Message{0, table})) {
+    h = (h ^ b) * 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(FaultAcceptanceTest, Fig10UnderEveryFaultKindMatchesRecordedRun) {
+  Network net;
+  workload::TestbedIds ids;
+  ids.s1 = net.add_switch(profiles::switch1());
+  ids.s2 = net.add_switch(profiles::switch1());
+  ids.s3 = net.add_switch(profiles::switch3());
+  const std::array<SwitchId, 3> all = {ids.s1, ids.s2, ids.s3};
+  for (const auto id : all) {
+    ProbeEngine probe(net, id);
+    for (std::uint32_t i = 0; i < 200; ++i) {
+      probe.install(i, static_cast<std::uint16_t>(100 + (i * 7) % 900));
+    }
+    net.barrier_sync(id);
+  }
+  for (const auto id : all) {
+    FaultConfig cfg;
+    cfg.drop_to_switch = 0.03;
+    cfg.drop_to_controller = 0.03;
+    cfg.duplicate_to_switch = 0.04;
+    cfg.duplicate_to_controller = 0.04;
+    cfg.reorder_to_switch = 0.1;
+    cfg.reorder_to_controller = 0.1;
+    cfg.corrupt_to_switch = 0.03;
+    cfg.corrupt_to_controller = 0.03;
+    cfg.stall_probability = 0.02;
+    cfg.stall_duration = millis(3);
+    cfg.seed = 3 + id;
+    // Down longer than a request timeout, so retries arrive while it is.
+    cfg.crashes.push_back({net.now() + millis(60 * id), millis(80)});
+    net.enable_faults(id, cfg);
+  }
+
+  Rng rng(99);
+  const auto dag = workload::link_failure_scenario(ids, 200, rng, 0);
+  sched::DionysusScheduler sched;
+  sched::ExecutorOptions opts;
+  opts.request_timeout = millis(50);
+  opts.max_retries = 6;
+  opts.backoff_base = millis(5);
+  const auto report = execute(net, dag, sched, opts);
+  // Completions travel as notices, so few of the update's frames are
+  // replies: read every switch back over the faulted wire as well.
+  std::array<std::size_t, 3> barriers{};
+  std::vector<std::optional<of::FlowStatsReply>> readbacks;
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    for (int k = 0; k < 40; ++k) {
+      if (net.try_barrier_sync(all[i], millis(10))) ++barriers[i];
+    }
+    readbacks.push_back(net.try_flow_stats(all[i], of::Match{}, millis(50)));
+  }
+
+  sched::ExecutionReport want;
+  want.makespan = nanos(1250787713);
+  want.issued = 400;
+  want.rejected = 1;
+  want.rejected_fatal = 1;
+  want.scheduling_rounds = 201;
+  want.total_queueing_delay = nanos(96364730534);
+  want.max_queueing_delay = nanos(1133773762);
+  want.timeouts = 49;
+  want.retries = 49;
+  want.fault_crashes = 2;
+  want.fault_lost_to_crash = 5;
+  want.fault_dropped_to_switch = 13;
+  expect_same_report(report, want);
+  EXPECT_EQ(net.now().ns(), 3105496803);
+
+  struct Recorded {
+    std::size_t barriers;
+    std::array<std::uint64_t, 14> faults;
+    ChannelStats channel;
+    std::size_t rules;
+    std::uint64_t table;
+  };
+  const std::array<Recorded, 3> recorded = {{
+      {37, {9, 2, 0, 15, 58, 11, 2, 7, 2, 4, 4, 1, 0, 0},
+       {467, 34384, 43, 18204, 422, 0}, 186, 0x89055e8f3fec8e52},
+      {36, {0, 1, 0, 1, 13, 3, 2, 0, 0, 0, 0, 1, 0, 0},
+       {242, 16384, 42, 436, 200, 0}, 1, 0x54a024193f449796},
+      {38, {5, 1, 0, 16, 53, 8, 2, 10, 3, 5, 4, 1, 0, 0},
+       {464, 34144, 47, 14795, 421, 0}, 150, 0x1a1932c6d89651f0},
+  }};
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    SCOPED_TRACE("switch " + std::to_string(i + 1));
+    const auto& r = recorded[i];
+    EXPECT_EQ(barriers[i], r.barriers);
+    EXPECT_EQ(fault_fields(net.fault_injector(all[i])->stats()), r.faults);
+    expect_same_stats(net.stats(all[i]), r.channel);
+    const auto table = net.sw(all[i]).flow_stats(of::Match{});
+    EXPECT_EQ(table.entries.size(), r.rules);
+    EXPECT_EQ(table_digest(table), r.table);
+    ASSERT_TRUE(readbacks[i].has_value());
+    EXPECT_EQ(*readbacks[i], table);
+  }
+}
+
 }  // namespace
 }  // namespace tango::net
