@@ -46,127 +46,116 @@ void ControlChannel::set_telemetry(telemetry::Telemetry* t, SwitchId lane) {
 
 void ControlChannel::send(const of::Message& msg) {
   // Round-trip through the codec: what arrives is what the wire carried.
-  if (injector_ == nullptr) {
-    const std::uint32_t slot = frames_.acquire();
-    of::encode_into(msg, frames_[slot]);
-    ship_to_switch(slot, 1);
-    return;
-  }
-  auto frame = of::encode(msg);
-  stats_.messages_to_switch += 1;
-  stats_.bytes_to_switch += frame.size();
-  deliver_to_switch(std::move(frame));
+  const std::uint32_t slot = frames_.acquire();
+  of::encode_into(msg, frames_[slot].bytes);
+  ship(slot, Direction::kToSwitch, 1, events_.now());
 }
 
 void ControlChannel::send_batch(std::span<const of::Message> msgs) {
   if (msgs.empty()) return;
   if (injector_ != nullptr) {
-    // Fault plans are per frame (drop/duplicate/corrupt decide message by
+    // Fates are per frame (drop/duplicate/corrupt decide message by
     // message), so a faulted batch degenerates to sequential sends.
     for (const auto& m : msgs) send(m);
     return;
   }
   const std::uint32_t slot = frames_.acquire();
-  of::encode_batch(msgs, frames_[slot]);
+  of::encode_batch(msgs, frames_[slot].bytes);
   // One arrival event decodes the frames in order. Sequential send() calls
   // would schedule one event per frame at this same instant with ascending
   // sequence numbers; no other event can slot between them, so processing
   // all frames inside one event is observationally identical.
-  ship_to_switch(slot, msgs.size());
+  ship(slot, Direction::kToSwitch, msgs.size(), events_.now());
 }
 
-void ControlChannel::ship_to_switch(std::uint32_t slot, std::size_t frames) {
-  stats_.messages_to_switch += frames;
-  stats_.bytes_to_switch += frames_[slot].size();
-  events_.schedule_after(latency_, [this, slot]() { arrive(slot); });
+void ControlChannel::reply(const of::Message& msg, SimTime at) {
+  const std::uint32_t slot = frames_.acquire();
+  of::encode_into(msg, frames_[slot].bytes);
+  ship(slot, Direction::kToController, 1, at);
+}
+
+void ControlChannel::ship(std::uint32_t slot, Direction dir, std::size_t count,
+                          SimTime at) {
+  Frame& f = frames_[slot];
+  f.count = count;
+  f.dir = dir;
+  f.epoch = epoch_;
+  const bool up = dir == Direction::kToController;
+  (up ? stats_.messages_to_controller : stats_.messages_to_switch) += count;
+  (up ? stats_.bytes_to_controller : stats_.bytes_to_switch) += f.bytes.size();
+  const std::size_t copies =
+      injector_ != nullptr ? injector_->copies(dir, f.bytes, at) : 1;
+  if (copies == 0) {
+    release_frame(slot);
+    return;
+  }
+  // Damage a copy (with an injector) and schedule its arrival.
+  const auto launch = [&](std::uint32_t s) {
+    const SimDuration extra = injector_ != nullptr
+                                  ? injector_->damage(dir, frames_[s].bytes)
+                                  : SimDuration{};
+    events_.schedule_at(at + latency_ + extra, [this, s]() { arrive(s); });
+  };
+  if (copies == 2) {
+    // The duplicate takes a slot of its own before either copy is damaged,
+    // and goes first.
+    const std::uint32_t dup = frames_.acquire();
+    frames_[dup] = frames_[slot];
+    launch(dup);
+  }
+  launch(slot);
 }
 
 void ControlChannel::arrive(std::uint32_t slot) {
+  const Frame& head = frames_[slot];
+  const Direction dir = head.dir;
+  const std::size_t count = head.count;
+  // A crash loses everything still on the wire, both ways (the control
+  // connection resets); a rebooting agent hears nothing.
+  const bool crashed = head.epoch != epoch_;
+  if (crashed || (dir == Direction::kToSwitch && agent_down(events_.now()))) {
+    release_frame(slot);
+    if (injector_) {
+      auto& st = injector_->mutable_stats();
+      ++(crashed ? st.lost_to_crash : st.lost_to_down);
+    }
+    return;
+  }
   std::size_t offset = 0;
-  bool last = false;
-  while (!last) {
+  for (std::size_t i = 0; i < count; ++i) {
     // Index the store afresh for every frame: a send nested in on_arrival()
-    // can grow it. The slot stays ours until its last frame is decoded.
-    const std::vector<std::uint8_t>& f = frames_[slot];
+    // can grow it. The slot stays ours until its last frame is decoded, and
+    // the last frame is the rest of the buffer (all of it for one frame).
+    const std::vector<std::uint8_t>& bytes = frames_[slot].bytes;
+    const bool last = i + 1 == count;
     const std::size_t len =
-        (static_cast<std::size_t>(f[offset + 2]) << 8) | f[offset + 3];
+        last ? bytes.size() - offset
+             : (static_cast<std::size_t>(bytes[offset + 2]) << 8) |
+                   bytes[offset + 3];
     auto decoded =
-        of::decode(std::span<const std::uint8_t>(f).subspan(offset, len));
-    assert(decoded.ok());
+        of::decode(std::span<const std::uint8_t>(bytes).subspan(offset, len));
     offset += len;
-    last = offset + of::kHeaderLen > f.size();
-    if (last) release_frame(slot);
-    on_arrival(decoded.value());
+    if (last || !decoded.ok()) release_frame(slot);
+    if (!decoded.ok()) {
+      // Only an injector corrupts frames. Without one this is a codec bug,
+      // such as a FLOW_STATS reply too long for its 16-bit length field.
+      assert(injector_ != nullptr);
+      if (injector_) ++injector_->mutable_stats().undecodable;
+      log::warn("channel: discarding undecodable frame (" + decoded.error() +
+                ")");
+      return;
+    }
+    if (dir == Direction::kToSwitch) {
+      on_arrival(decoded.value());
+    } else if (on_message_) {
+      on_message_(decoded.value());
+    }
   }
 }
 
 void ControlChannel::release_frame(std::uint32_t slot) {
-  frames_[slot].clear();
+  frames_[slot].bytes.clear();
   frames_.release(slot);
-}
-
-void ControlChannel::deliver_to_switch(std::vector<std::uint8_t> frame) {
-  for (auto& d : injector_->plan(FaultInjector::Direction::kToSwitch,
-                                 std::move(frame), events_.now())) {
-    const std::uint64_t epoch = epoch_;
-    events_.schedule_after(
-        latency_ + d.extra_delay, [this, epoch, f = std::move(d.frame)]() {
-          if (epoch != epoch_) {
-            if (injector_) ++injector_->mutable_stats().lost_to_crash;
-            return;
-          }
-          if (agent_down(events_.now())) {
-            if (injector_) ++injector_->mutable_stats().lost_to_down;
-            return;
-          }
-          auto decoded = of::decode(f);
-          if (!decoded.ok()) {
-            if (injector_) ++injector_->mutable_stats().undecodable;
-            log::warn("channel: discarding undecodable frame (" +
-                      decoded.error() + ")");
-            return;
-          }
-          on_arrival(decoded.value());
-        });
-  }
-}
-
-void ControlChannel::reply(const of::Message& msg, SimTime at) {
-  if (injector_ == nullptr) {
-    const std::uint32_t slot = frames_.acquire();
-    of::encode_into(msg, frames_[slot]);
-    stats_.messages_to_controller += 1;
-    stats_.bytes_to_controller += frames_[slot].size();
-    events_.schedule_at(at + latency_, [this, slot]() {
-      auto decoded = of::decode(frames_[slot]);
-      assert(decoded.ok());
-      release_frame(slot);
-      if (on_message_) on_message_(decoded.value());
-    });
-    return;
-  }
-  auto frame = of::encode(msg);
-  stats_.messages_to_controller += 1;
-  stats_.bytes_to_controller += frame.size();
-  for (auto& d : injector_->plan(FaultInjector::Direction::kToController,
-                                 std::move(frame), at)) {
-    const std::uint64_t epoch = epoch_;
-    events_.schedule_at(
-        at + latency_ + d.extra_delay, [this, epoch, f = std::move(d.frame)]() {
-          // A crash loses replies still on the wire along with everything
-          // else (the control connection resets).
-          if (epoch != epoch_) {
-            if (injector_) ++injector_->mutable_stats().lost_to_crash;
-            return;
-          }
-          auto decoded = of::decode(f);
-          if (!decoded.ok()) {
-            if (injector_) ++injector_->mutable_stats().undecodable;
-            return;
-          }
-          if (on_message_) on_message_(decoded.value());
-        });
-  }
 }
 
 void ControlChannel::notify(SimTime at, Notice notice) {

@@ -10,23 +10,23 @@
 // Data-plane packets (PACKET_OUT probes) bypass the command queue: the ASIC
 // forwards regardless of what the management CPU is doing.
 //
-// A FaultInjector may be attached, in which case every frame (and every
-// out-of-band completion notice) is routed through its delivery plan:
-// drops, duplicates, reorder delays, byte corruption, agent stalls, and a
-// crash that wipes the flow tables and loses everything in flight. Crash
-// semantics use a delivery epoch: each in-flight event carries the epoch it
-// was sent under and is discarded on arrival if a crash bumped it since.
+// Every frame is encoded into a pooled buffer held in one of the channel's
+// frame slots, and completion notices (flow_mod done, probe returned) are
+// plain records in notice slots. A slot records the crash epoch it was sent
+// under; its arrival event drops it if a crash bumped the epoch since (a
+// crash loses everything in flight, both ways), drops a frame for the
+// switch while the agent is down, and otherwise decodes it, frees the slot
+// and only then dispatches, so a reply sent while handling the message
+// reuses the same buffer. Each event captures only (this, slot), which
+// std::function stores inline, and a freed slot keeps its buffer's
+// capacity, so a round trip does not allocate once the channel is warm.
 //
-// A round trip does not allocate once the channel is warm. Without an
-// injector, a frame is encoded into a pooled buffer held in one of the
-// channel's frame slots; completion notices (flow_mod done, probe returned)
-// are plain records in notice slots, with or without an injector. Each
-// delivery or notice event captures only (this, slot), which std::function
-// stores inline. The event decodes its frame (or moves its notice out),
-// frees the slot and only then dispatches, so a reply sent while handling
-// the message reuses the same buffer. A freed slot keeps its buffer's
-// capacity. With an injector, frames keep their per-frame delivery plans
-// and buffers, since the injector copies and corrupts them.
+// A FaultInjector may be attached. It only decides each frame's fate: how
+// many copies cross (dropped, duplicated into a second slot), the bits a
+// copy loses and how long it is held back (reordering), plus each notice's
+// fate, agent stalls, and crashes that wipe the flow tables. A frame that
+// no longer decodes is counted, logged and dropped on arrival; without an
+// injector nothing should corrupt one, so Debug builds assert there.
 #pragma once
 
 #include <cstdint>
@@ -82,9 +82,8 @@ class ControlChannel {
   /// (this, slot) event hands them to the switch in order at the simulated
   /// arrival instant sequential send() calls would produce — observable
   /// behaviour is bit-identical. With a fault injector attached, each frame
-  /// must route through its own per-frame delivery plan
-  /// (drop/duplicate/corrupt are per-message decisions), so the batch falls
-  /// back to sequential sends.
+  /// needs a fate of its own (drop/duplicate/corrupt are per-message
+  /// decisions), so the batch falls back to sequential sends.
   void send_batch(std::span<const of::Message> msgs);
 
   void set_flow_mod_handler(FlowModHandler h) { on_flow_mod_ = std::move(h); }
@@ -165,14 +164,27 @@ class ControlChannel {
     switchsim::ForwardOutcome outcome;
   };
 
-  /// Count the frames encoded into `slot` and schedule their arrival.
-  void ship_to_switch(std::uint32_t slot, std::size_t frames);
-  /// The arrival event of a frame slot: decodes and handles its frames in
-  /// order, freeing the slot once the last one is decoded.
+  using Direction = FaultInjector::Direction;
+
+  /// Frames in flight: the wire bytes of `count` frames encoded
+  /// back-to-back (more than one only for a batch).
+  struct Frame {
+    std::vector<std::uint8_t> bytes;
+    std::size_t count = 0;
+    Direction dir = Direction::kToSwitch;
+    /// The crash epoch the frames were sent under.
+    std::uint64_t epoch = 0;
+  };
+
+  /// Count the `count` frames just encoded into `slot`, let the injector
+  /// decide their fate, and schedule each copy's arrival one channel
+  /// latency after `at`.
+  void ship(std::uint32_t slot, Direction dir, std::size_t count, SimTime at);
+  /// The arrival event of a frame slot: drops it if a crash or the agent's
+  /// downtime lost it, else decodes and dispatches its frames in order,
+  /// freeing the slot once the last one is decoded.
   void arrive(std::uint32_t slot);
   void release_frame(std::uint32_t slot);
-  /// The injector path: schedule each copy of `frame` its plan delivers.
-  void deliver_to_switch(std::vector<std::uint8_t> frame);
   void on_arrival(const of::Message& msg);
   void handle(const of::Message& msg);
   void reply(const of::Message& msg, SimTime at);
@@ -195,10 +207,10 @@ class ControlChannel {
   /// Bumped by every attach_fault_injector(); a scheduled fault fires only
   /// under the attachment that scheduled it.
   std::uint64_t attach_generation_ = 0;
-  Slots<std::vector<std::uint8_t>> frames_;
+  Slots<Frame> frames_;
   Slots<Notice> notices_;
-  /// Bumped on every crash, never reset (crash_count()); in-flight
-  /// deliveries from older epochs vanish.
+  /// Bumped on every crash, never reset (crash_count()); frames and
+  /// notices in flight from older epochs vanish.
   std::uint64_t epoch_ = 0;
   SimTime down_until_{};
 

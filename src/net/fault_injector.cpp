@@ -1,7 +1,6 @@
 #include "net/fault_injector.h"
 
 #include <algorithm>
-#include <utility>
 
 namespace tango::net {
 
@@ -29,14 +28,15 @@ double burst_drop(const FaultConfig& c, bool to_switch, SimTime now) {
 
 }  // namespace
 
-std::vector<FaultInjector::Delivery> FaultInjector::plan(
-    Direction dir, std::vector<std::uint8_t> frame, SimTime now) {
+std::size_t FaultInjector::copies(Direction dir,
+                                  std::span<const std::uint8_t> frame,
+                                  SimTime now) {
   // A partition blackholes everything before any other fault gets a say
   // (and before any RNG draw, so the post-partition stream is unaffected
   // by how much traffic the window swallowed).
   if (in_partition(now)) {
     ++stats_.lost_to_partition;
-    return {};
+    return 0;
   }
   // Scripted drops take precedence over probabilistic faults so tests can
   // target exactly one message of a given type.
@@ -46,7 +46,7 @@ std::vector<FaultInjector::Delivery> FaultInjector::plan(
       if (fd.dir == dir && fd.type == type && fd.remaining > 0) {
         --fd.remaining;
         ++stats_.forced_drops;
-        return {};
+        return 0;
       }
     }
   }
@@ -55,41 +55,35 @@ std::vector<FaultInjector::Delivery> FaultInjector::plan(
   const auto& c = config_;
   if (rng_.chance(burst_drop(c, to_switch, now))) {
     ++(to_switch ? stats_.dropped_to_switch : stats_.dropped_to_controller);
-    return {};
+    return 0;
   }
-
-  std::size_t copies = 1;
   if (rng_.chance(to_switch ? c.duplicate_to_switch : c.duplicate_to_controller)) {
-    copies = 2;
     ++stats_.duplicated;
+    return 2;
   }
+  return 1;
+}
 
-  std::vector<Delivery> out;
-  out.reserve(copies);
-  for (std::size_t i = 0; i < copies; ++i) {
-    Delivery d;
-    if (i + 1 < copies) {
-      d.frame = frame;
-    } else {
-      d.frame = std::move(frame);
+SimDuration FaultInjector::damage(Direction dir,
+                                  std::span<std::uint8_t> frame) {
+  const bool to_switch = dir == Direction::kToSwitch;
+  const auto& c = config_;
+  if (rng_.chance(to_switch ? c.corrupt_to_switch : c.corrupt_to_controller) &&
+      !frame.empty()) {
+    const std::size_t flips = 1 + rng_.index(4);
+    for (std::size_t k = 0; k < flips; ++k) {
+      // Each flip draws its bit before its byte; recorded runs pin the order.
+      const auto bit = static_cast<std::uint8_t>(1u << rng_.index(8));
+      frame[rng_.index(frame.size())] ^= bit;
     }
-    if (rng_.chance(to_switch ? c.corrupt_to_switch : c.corrupt_to_controller) &&
-        !d.frame.empty()) {
-      const std::size_t flips = 1 + rng_.index(4);
-      for (std::size_t k = 0; k < flips; ++k) {
-        d.frame[rng_.index(d.frame.size())] ^=
-            static_cast<std::uint8_t>(1u << rng_.index(8));
-      }
-      ++stats_.corrupted;
-    }
-    if (rng_.chance(to_switch ? c.reorder_to_switch : c.reorder_to_controller) &&
-        c.reorder_window.ns() > 0) {
-      d.extra_delay = nanos(rng_.uniform_int(1, c.reorder_window.ns()));
-      ++stats_.reordered;
-    }
-    out.push_back(std::move(d));
+    ++stats_.corrupted;
   }
-  return out;
+  if (rng_.chance(to_switch ? c.reorder_to_switch : c.reorder_to_controller) &&
+      c.reorder_window.ns() > 0) {
+    ++stats_.reordered;
+    return nanos(rng_.uniform_int(1, c.reorder_window.ns()));
+  }
+  return SimDuration{};
 }
 
 std::optional<SimDuration> FaultInjector::plan_notification(SimTime now) {

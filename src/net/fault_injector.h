@@ -1,11 +1,13 @@
 // Seeded fault injection for the control channel.
 //
-// The injector sits between ControlChannel and the event queue: every frame
-// about to cross the wire is turned into a *delivery plan* — zero copies
-// (dropped), one (normal, possibly delayed or corrupted), or two
-// (duplicated). Completion notices that the simulator delivers out-of-band
-// (flow_mod done, probe returned) are faulted through plan_notification()
-// so "the switch did it but the controller never heard" is expressible.
+// The injector decides the fate of every frame the ControlChannel is about
+// to put on the wire; the channel owns the bytes. copies() says how many
+// copies cross: zero (dropped), one, or two (duplicated). damage() then
+// flips bits of one copy in place and says how long it is held back, so
+// frames sent after it can overtake. Completion notices that the simulator
+// delivers out-of-band (flow_mod done, probe returned) are faulted through
+// plan_notification() so "the switch did it but the controller never
+// heard" is expressible.
 // Agent failures come in two shapes: a stall (the management CPU freezes
 // for a while but state survives) and a crash (tables wiped, every
 // in-flight message lost, reconnect after a downtime window).
@@ -17,6 +19,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -120,19 +123,21 @@ class FaultInjector {
  public:
   enum class Direction { kToSwitch, kToController };
 
-  struct Delivery {
-    SimDuration extra_delay{};
-    std::vector<std::uint8_t> frame;
-  };
-
   explicit FaultInjector(FaultConfig config)
       : config_(config), rng_(config.seed) {}
 
-  /// Turn one outgoing frame into its delivery plan (0, 1, or 2 copies).
-  /// `now` positions the frame against scheduled partition / loss-burst
-  /// windows; callers without a clock (unit tests) may omit it.
-  std::vector<Delivery> plan(Direction dir, std::vector<std::uint8_t> frame,
-                             SimTime now = {});
+  /// How many copies of one outgoing frame cross the wire: 0 (partitioned,
+  /// force-dropped or dropped), 1, or 2 (duplicated). Reads only the
+  /// frame's type byte. `now` positions the frame against scheduled
+  /// partition / loss-burst windows; callers without a clock (unit tests)
+  /// may omit it.
+  std::size_t copies(Direction dir, std::span<const std::uint8_t> frame,
+                     SimTime now = {});
+
+  /// Damage one copy in place: maybe flip 1-4 random bits of it, maybe hold
+  /// it back. Returns its extra delivery delay (usually zero). Called once
+  /// per copy copies() granted, the duplicate first.
+  SimDuration damage(Direction dir, std::span<std::uint8_t> frame);
 
   /// Fault plan for an out-of-band completion notice (no wire bytes):
   /// nullopt = lost, otherwise the extra delivery delay (usually zero).

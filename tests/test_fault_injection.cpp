@@ -54,10 +54,25 @@ switchsim::SwitchProfile quiet_switch1() {
 // FaultInjector unit behavior
 // ---------------------------------------------------------------------------
 
+struct Copy {
+  std::vector<std::uint8_t> frame;
+  SimDuration extra_delay{};
+};
+
+/// One frame's fate, drawn the way the channel draws it: the copy count,
+/// then each copy damaged in turn.
+std::vector<Copy> fate(FaultInjector& inj, Direction dir,
+                       const std::vector<std::uint8_t>& frame,
+                       SimTime now = {}) {
+  std::vector<Copy> out(inj.copies(dir, frame, now), Copy{frame});
+  for (auto& c : out) c.extra_delay = inj.damage(dir, c.frame);
+  return out;
+}
+
 TEST(FaultInjectorTest, CleanConfigDeliversUntouched) {
   FaultInjector inj{FaultConfig{}};
   const std::vector<std::uint8_t> frame = {1, 14, 0, 8, 0, 0, 0, 1};
-  const auto plan = inj.plan(Direction::kToSwitch, frame);
+  const auto plan = fate(inj, Direction::kToSwitch, frame);
   ASSERT_EQ(plan.size(), 1u);
   EXPECT_EQ(plan[0].frame, frame);
   EXPECT_EQ(plan[0].extra_delay.ns(), 0);
@@ -68,14 +83,14 @@ TEST(FaultInjectorTest, CertainFaultsFire) {
   FaultConfig drop_all;
   drop_all.drop_to_switch = 1.0;
   FaultInjector dropper{drop_all};
-  EXPECT_TRUE(dropper.plan(Direction::kToSwitch, {1, 14, 0, 8}).empty());
+  EXPECT_TRUE(fate(dropper, Direction::kToSwitch, {1, 14, 0, 8}).empty());
   EXPECT_EQ(dropper.stats().dropped_to_switch, 1u);
 
   FaultConfig dup_all;
   dup_all.duplicate_to_switch = 1.0;
   FaultInjector duper{dup_all};
   const std::vector<std::uint8_t> sent = {1, 14, 0, 8};
-  const auto copies = duper.plan(Direction::kToSwitch, sent);
+  const auto copies = fate(duper, Direction::kToSwitch, sent);
   ASSERT_EQ(copies.size(), 2u);
   EXPECT_EQ(copies[0].frame, sent);
   EXPECT_EQ(copies[1].frame, sent);
@@ -85,7 +100,7 @@ TEST(FaultInjectorTest, CertainFaultsFire) {
   corrupt_all.corrupt_to_switch = 1.0;
   FaultInjector corruptor{corrupt_all};
   const std::vector<std::uint8_t> frame = {1, 14, 0, 8, 0, 0, 0, 1};
-  const auto plan = corruptor.plan(Direction::kToSwitch, frame);
+  const auto plan = fate(corruptor, Direction::kToSwitch, frame);
   ASSERT_EQ(plan.size(), 1u);
   EXPECT_NE(plan[0].frame, frame);  // at least one bit flipped
   EXPECT_EQ(plan[0].frame.size(), frame.size());
@@ -109,8 +124,8 @@ TEST(FaultInjectorTest, SameSeedSamePlan) {
   for (int i = 0; i < 200; ++i) {
     const std::vector<std::uint8_t> frame = {
         1, 14, 0, 8, 0, 0, 0, static_cast<std::uint8_t>(i)};
-    const auto pa = a.plan(Direction::kToSwitch, frame);
-    const auto pb = b.plan(Direction::kToSwitch, frame);
+    const auto pa = fate(a, Direction::kToSwitch, frame);
+    const auto pb = fate(b, Direction::kToSwitch, frame);
     ASSERT_EQ(pa.size(), pb.size());
     for (std::size_t k = 0; k < pa.size(); ++k) {
       EXPECT_EQ(pa[k].frame, pb[k].frame);
@@ -330,6 +345,43 @@ TEST(FaultScenarioTest, ReplacedInjectorNeverFiresItsScheduledCrash) {
   }
 }
 
+// A crash loses every frame on the wire, even one sent before the injector
+// that scheduled the crash was attached: a flow_mod on its way down and an
+// ECHO reply on its way up.
+TEST(FaultScenarioTest, CrashLosesFramesSentBeforeTheInjector) {
+  {
+    Network net;
+    const auto s1 = net.add_switch(quiet_switch1());
+    bool completed = false;
+    net.post_flow_mod_ex(
+        s1, ProbeEngine::probe_add(0),
+        [&](const Network::FlowModResult&) { completed = true; });
+    FaultConfig cfg;
+    cfg.crashes.push_back({net.now() + micros(50), millis(5)});
+    auto& inj = net.enable_faults(s1, cfg);
+    net.run_all();  // the flow_mod was due at +100 us
+
+    EXPECT_FALSE(completed);
+    EXPECT_EQ(net.sw(s1).total_rules(), 1u);  // the rebooted default route
+    EXPECT_EQ(inj.stats().lost_to_crash, 1u);
+  }
+  {
+    Network net;
+    const auto s1 = net.add_switch(quiet_switch1());
+    bool answered = false;
+    net.post_echo(s1, [&]() { answered = true; });
+    // The request lands at +100 us; its reply is on the wire until +200 us.
+    net.events().run_until(net.now() + micros(150));
+    FaultConfig cfg;
+    cfg.crashes.push_back({net.now() + micros(10), millis(5)});
+    auto& inj = net.enable_faults(s1, cfg);
+    net.run_all();
+
+    EXPECT_FALSE(answered);
+    EXPECT_EQ(inj.stats().lost_to_crash, 1u);
+  }
+}
+
 TEST(FaultScenarioTest, StallBeyondTimeoutBacksOffThenSucceeds) {
   Network net;
   const auto s1 = net.add_switch(quiet_switch1());
@@ -400,22 +452,22 @@ TEST(FaultInjectorTest, PartitionWindowBlackholesBothDirections) {
 
   // Before the window: clean both ways.
   EXPECT_FALSE(inj.in_partition(SimTime{} + millis(5)));
-  EXPECT_EQ(inj.plan(Direction::kToSwitch, frame, SimTime{} + millis(5)).size(),
-            1u);
+  EXPECT_EQ(
+      fate(inj, Direction::kToSwitch, frame, SimTime{} + millis(5)).size(), 1u);
   EXPECT_TRUE(inj.plan_notification(SimTime{} + millis(5)).has_value());
 
   // Inside: both directions blackholed, notifications included.
   EXPECT_TRUE(inj.in_partition(SimTime{} + millis(15)));
   EXPECT_TRUE(
-      inj.plan(Direction::kToSwitch, frame, SimTime{} + millis(15)).empty());
-  EXPECT_TRUE(inj.plan(Direction::kToController, frame, SimTime{} + millis(15))
+      fate(inj, Direction::kToSwitch, frame, SimTime{} + millis(15)).empty());
+  EXPECT_TRUE(fate(inj, Direction::kToController, frame, SimTime{} + millis(15))
                   .empty());
   EXPECT_FALSE(inj.plan_notification(SimTime{} + millis(15)).has_value());
 
   // After: clean again, and every loss was accounted to the partition.
   EXPECT_FALSE(inj.in_partition(SimTime{} + millis(30)));
   EXPECT_EQ(
-      inj.plan(Direction::kToSwitch, frame, SimTime{} + millis(35)).size(),
+      fate(inj, Direction::kToSwitch, frame, SimTime{} + millis(35)).size(),
       1u);
   EXPECT_EQ(inj.stats().lost_to_partition, 3u);
   EXPECT_EQ(inj.stats().dropped_to_switch, 0u);
@@ -621,14 +673,14 @@ TEST(FaultAcceptanceTest, Fig10LinkFailureSurvivesLossAndCrashDeterministically)
 }
 
 // ---------------------------------------------------------------------------
-// Differential: the pooled channel path against the per-frame path
+// Differential: a plain channel against a zero-rate injector
 // ---------------------------------------------------------------------------
 //
-// Without an injector, frames travel in the channel's pooled frame slots and
-// a batch arrives in one event. An injector whose rates are all zero sends
-// every frame through its own delivery plan and buffer instead, yet no fault
-// ever fires. Both twins must schedule the same events at the same times, so
-// everything the controller observes has to match.
+// Both twins carry every frame in the channel's frame slots. The one with an
+// injector whose rates are all zero only draws each frame's and notice's
+// fate, and sends a batch frame by frame, yet no fault ever fires. Both must
+// schedule the same events at the same times, so everything the controller
+// observes has to match.
 
 void expect_same_stats(const ChannelStats& a, const ChannelStats& b) {
   EXPECT_EQ(a.messages_to_switch, b.messages_to_switch);
@@ -671,25 +723,25 @@ struct LearnRun {
 
 /// learn() exercises batched and single flow_mods, barriers, probe hits at
 /// both levels and misses.
-LearnRun learn_lru100(bool per_frame) {
+LearnRun learn_lru100(bool injector) {
   Network net;
   const auto id = net.add_switch(profiles::policy_cache(
       "lru-100", {100}, tables::LexCachePolicy::lru()));
-  if (per_frame) net.enable_faults(id, FaultConfig{});
+  if (injector) net.enable_faults(id, FaultConfig{});
   core::TangoController tango(net);
   std::ostringstream out;
   core::write_knowledge(out, "lru-100", tango.learn(id));
   return {out.str(), net.stats(id), net.now()};
 }
 
-TEST(ChannelPathDiff, LearnMatchesPerFramePath) {
-  const auto pooled = learn_lru100(false);
-  const auto per_frame = learn_lru100(true);
-  EXPECT_EQ(pooled.knowledge, per_frame.knowledge);
-  expect_same_stats(pooled.stats, per_frame.stats);
-  EXPECT_EQ(pooled.end.ns(), per_frame.end.ns());
-  EXPECT_GT(pooled.stats.packets_out, 0u);
-  EXPECT_GT(pooled.stats.flow_mods, 0u);
+TEST(ChannelPathDiff, LearnMatchesZeroRateInjector) {
+  const auto plain = learn_lru100(false);
+  const auto drawn = learn_lru100(true);
+  EXPECT_EQ(plain.knowledge, drawn.knowledge);
+  expect_same_stats(plain.stats, drawn.stats);
+  EXPECT_EQ(plain.end.ns(), drawn.end.ns());
+  EXPECT_GT(plain.stats.packets_out, 0u);
+  EXPECT_GT(plain.stats.flow_mods, 0u);
 }
 
 struct ExecuteRun {
@@ -700,14 +752,14 @@ struct ExecuteRun {
 };
 
 /// The fig10 link-failure update on the three-switch testbed.
-ExecuteRun execute_fig10(bool per_frame) {
+ExecuteRun execute_fig10(bool injector) {
   Network net;
   workload::TestbedIds ids;
   ids.s1 = net.add_switch(profiles::switch1());
   ids.s2 = net.add_switch(profiles::switch1());
   ids.s3 = net.add_switch(profiles::switch3());
   const std::array<SwitchId, 3> all = {ids.s1, ids.s2, ids.s3};
-  if (per_frame) {
+  if (injector) {
     for (const auto id : all) net.enable_faults(id, FaultConfig{});
   }
   for (const auto id : all) {
@@ -732,17 +784,17 @@ ExecuteRun execute_fig10(bool per_frame) {
   return out;
 }
 
-TEST(ChannelPathDiff, Fig10ExecuteMatchesPerFramePath) {
-  const auto pooled = execute_fig10(false);
-  const auto per_frame = execute_fig10(true);
-  expect_same_report(pooled.report, per_frame.report);
-  EXPECT_EQ(pooled.report.issued, 800u);
-  for (std::size_t i = 0; i < pooled.stats.size(); ++i) {
+TEST(ChannelPathDiff, Fig10ExecuteMatchesZeroRateInjector) {
+  const auto plain = execute_fig10(false);
+  const auto drawn = execute_fig10(true);
+  expect_same_report(plain.report, drawn.report);
+  EXPECT_EQ(plain.report.issued, 800u);
+  for (std::size_t i = 0; i < plain.stats.size(); ++i) {
     SCOPED_TRACE("switch " + std::to_string(i + 1));
-    expect_same_stats(pooled.stats[i], per_frame.stats[i]);
-    EXPECT_EQ(pooled.tables[i], per_frame.tables[i]);
+    expect_same_stats(plain.stats[i], drawn.stats[i]);
+    EXPECT_EQ(plain.tables[i], drawn.tables[i]);
   }
-  EXPECT_EQ(pooled.end.ns(), per_frame.end.ns());
+  EXPECT_EQ(plain.end.ns(), drawn.end.ns());
 }
 
 // ---------------------------------------------------------------------------
