@@ -169,9 +169,7 @@ class Network {
   void set_link_state(std::size_t link_index, bool up);
 
   // --- asynchronous controller operations ----------------------------------
-  using Completion = std::function<void(bool accepted, SimTime completed_at)>;
-
-  /// Completion detail for post_flow_mod_ex: rejections carry the switch's
+  /// Completion detail for a posted flow_mod: rejections carry the switch's
   /// error type/code so the executor can classify retryable vs. fatal.
   struct FlowModResult {
     bool accepted = false;
@@ -190,7 +188,7 @@ class Network {
   /// the same order and at the same simulated times as sequential
   /// post_flow_mod_ex() calls would produce.
   void post_flow_mod_batch(SwitchId id, std::span<const of::FlowMod> fms,
-                           Completion done_each);
+                           const CompletionEx& done_each);
 
   /// Handler for unsolicited switch->controller messages (FLOW_REMOVED,
   /// asynchronous PACKET_INs) that match no outstanding xid.
@@ -277,8 +275,7 @@ class Network {
     bool* done = nullptr;
   };
 
-  // Dispatch tables keyed by xid. Flow-mod completions are stored in the
-  // detailed form; plain Completion callers are wrapped on entry.
+  // Dispatch tables keyed by xid.
   std::unordered_map<std::uint32_t, CompletionEx> flow_mod_cbs_;
   std::vector<ProbeWait> probe_waits_;
   std::unordered_map<std::uint32_t, std::function<void(const of::Message&)>> reply_cbs_;

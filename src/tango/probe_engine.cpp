@@ -123,8 +123,9 @@ SimDuration ProbeEngine::timed_batch(const std::vector<of::FlowMod>& commands,
   // arrive after this function returned.
   auto rejections = std::make_shared<std::size_t>(0);
   network_.post_flow_mod_batch(
-      switch_id_, commands, [rejections](bool accepted, SimTime) {
-        if (!accepted) ++*rejections;
+      switch_id_, commands,
+      [rejections](const net::Network::FlowModResult& r) {
+        if (!r.accepted) ++*rejections;
       });
   const SimTime done = sync_barrier();
   if (rejected != nullptr) *rejected = *rejections;

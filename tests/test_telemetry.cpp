@@ -775,18 +775,13 @@ TEST(BitIdentityAcceptance, BatchedFlowModsMatchSequentialSends) {
       fm.actions = of::output_to(2);
       fms.push_back(fm);
     }
-    const auto done = [&out](bool accepted, SimTime at) {
-      out.completions.emplace_back(accepted, at.ns());
+    const auto done = [&out](const net::Network::FlowModResult& r) {
+      out.completions.emplace_back(r.accepted, r.completed_at.ns());
     };
     if (batched) {
       net.post_flow_mod_batch(id, fms, done);
     } else {
-      for (const auto& fm : fms) {
-        net.post_flow_mod_ex(id, fm,
-                             [&done](const net::Network::FlowModResult& r) {
-                               done(r.accepted, r.completed_at);
-                             });
-      }
+      for (const auto& fm : fms) net.post_flow_mod_ex(id, fm, done);
     }
     net.run_all();
     out.messages = net.stats(id).messages_to_switch;
