@@ -5,16 +5,18 @@
 // It installs 400 probe rules on an LRU-100 policy cache and sends 100,000
 // probes drawn from 500 indices, so a probe hits the cache, hits the
 // software table behind it, or misses and comes back as a PACKET_IN. The run
-// happens on a plain network, whose channel carries frames and notices in
-// its pooled slots, and on a twin whose channel carries a zero-rate fault
-// injector: every frame takes its own delivery plan and buffer there, yet
-// no fault fires. Global operator new/delete are replaced with counting
+// happens on a plain network and on a twin whose channel carries a
+// zero-rate fault injector. Both carry every frame and notice in the
+// channel's pooled slots; the twin differs only by drawing each one's fate,
+// and no fault fires. Global operator new/delete are replaced with counting
 // versions. The bench exits 1 if any probe outcome, RTT or channel stat
-// differs between the twins, and writes BENCH_micro_probe.json:
+// differs between the twins, or if the twin allocates more than the plain
+// network (drawing a fate allocates nothing), and writes
+// BENCH_micro_probe.json:
 //
 //   allocs_per_probe, allocs_per_probe_injector  heap allocations per probe
-//   ns_per_probe_pooled, ns_per_probe_injector   best-of-3 wall time per probe
-//   speedup_probe                                injector time / pooled time
+//   ns_per_probe_plain, ns_per_probe_injector    best-of-3 wall time per probe
+//   speedup_probe                                injector time / plain time
 //
 // CI gates allocs_* as ceilings and speedup_* as a floor
 // (tools/bench_compare.py --tolerance 0.5 against
@@ -126,60 +128,63 @@ bool same_run(const Run& a, const Run& b) {
 
 int main() {
   bench::print_header(
-      "bench_micro_probe: Network::probe round trip, pooled vs per-frame path",
-      "probe outcomes identical on both paths (tests/test_fault_injection.cpp"
-      " ChannelPathDiff); only allocations and wall time change");
+      "bench_micro_probe: Network::probe round trip, plain vs zero-rate"
+      " injector",
+      "probe outcomes identical on both twins (tests/test_fault_injection.cpp"
+      " ChannelPathDiff); the injector twin only draws fates");
   Rng rng(7);
   std::vector<std::uint32_t> order(kProbes);
   for (auto& i : order) i = static_cast<std::uint32_t>(rng.index(kIndices));
 
   bool same = true;
-  Run pooled;
+  Run plain;
   Run injector;
-  double best_pooled = 0;
+  double best_plain = 0;
   double best_injector = 0;
   for (int rep = 0; rep < kReps; ++rep) {
     // Alternate which twin runs first so a slow spell of the host hits both.
     if (rep % 2 == 0) {
-      pooled = run(false, order);
+      plain = run(false, order);
       injector = run(true, order);
     } else {
       injector = run(true, order);
-      pooled = run(false, order);
+      plain = run(false, order);
     }
-    same = same_run(pooled, injector) && same;
-    if (rep == 0 || pooled.ns < best_pooled) best_pooled = pooled.ns;
+    same = same_run(plain, injector) && same;
+    if (rep == 0 || plain.ns < best_plain) best_plain = plain.ns;
     if (rep == 0 || injector.ns < best_injector) best_injector = injector.ns;
   }
 
   std::size_t misses = 0;
-  for (const auto& r : pooled.results) {
+  for (const auto& r : plain.results) {
     if (r.outcome.kind == switchsim::ForwardOutcome::Kind::kToController) {
       ++misses;
     }
   }
   const double n = static_cast<double>(kProbes);
-  const double allocs_pooled = static_cast<double>(pooled.allocs) / n;
+  const double allocs_plain = static_cast<double>(plain.allocs) / n;
   const double allocs_injector = static_cast<double>(injector.allocs) / n;
-  const double speedup = best_pooled > 0 ? best_injector / best_pooled : 0;
+  const double speedup = best_plain > 0 ? best_injector / best_plain : 0;
 
   bench::BenchReport report("micro_probe");
   auto& json = report.json();
   json.set_result("probes", n);
   json.set_result("probe_misses", static_cast<double>(misses));
-  json.set_result("allocs_per_probe", allocs_pooled);
+  json.set_result("allocs_per_probe", allocs_plain);
   json.set_result("allocs_per_probe_injector", allocs_injector);
-  json.set_result("ns_per_probe_pooled", best_pooled / n);
+  json.set_result("ns_per_probe_plain", best_plain / n);
   json.set_result("ns_per_probe_injector", best_injector / n);
   json.set_result("speedup_probe", speedup);
   std::printf("  %zu probes over %u indices (%zu misses), %u rules on LRU-100\n",
               kProbes, kIndices, misses, kRules);
-  std::printf("  pooled    %6.2f allocs/probe  %7.1f ns/probe\n",
-              allocs_pooled, best_pooled / n);
+  std::printf("  plain     %6.2f allocs/probe  %7.1f ns/probe\n",
+              allocs_plain, best_plain / n);
   std::printf("  injector  %6.2f allocs/probe  %7.1f ns/probe\n",
               allocs_injector, best_injector / n);
   std::printf("  speedup   %6.2fx\n", speedup);
   if (!same) std::printf("  FAIL: the twins disagree\n");
+  const bool lean = injector.allocs <= plain.allocs;
+  if (!lean) std::printf("  FAIL: drawing fates allocates\n");
   bench::print_footer();
-  return same ? 0 : 1;
+  return same && lean ? 0 : 1;
 }
